@@ -3,12 +3,11 @@ plus Fermat-quotient statistics over primes and random elements."""
 
 from .arith import is_prime, is_squarefree, kronecker, valuation
 from .fermat import (AssociateWitness, Capped, DeltaReport, check_product_dichotomy,
-                     delta_bezout, delta_embed, delta_exact, torsion_valuation)
+                     delta_bezout, delta_embed, delta_exact)
 from .greenberg import (FieldVerdict, ScanResult, admissible, check_field,
                         scan_range)
 from .pell import continued_fraction_sqrt, fundamental_unit
-from .qforms import (IndefForm, class_number, class_order, prime_form,
-                     principal_form, reduce_form, reduced_forms, represent)
+from .qforms import class_number, class_order, reduced_forms, represent
 from .quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem
 from .stats import (DensityTally, NORM_CONSTRAINED, StatTally, UNCONSTRAINED,
                     expected_proportions, prime_fermat_scan, random_elem_density)
@@ -18,13 +17,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociateWitness", "Capped", "DeltaReport", "DensityTally", "FieldContext",
-    "FieldVerdict", "IndefForm", "NORM_CONSTRAINED", "PreconditionError",
-    "QuadElem", "QuadResidue", "ScanResult", "StatTally", "UNCONSTRAINED",
-    "admissible", "build_context", "check_field", "check_product_dichotomy",
-    "class_number", "class_order", "continued_fraction_sqrt", "delta_bezout",
-    "delta_embed", "delta_exact", "expected_proportions", "fundamental_unit",
-    "hensel_sqrt", "is_prime", "is_squarefree", "kronecker", "make_elem",
-    "prime_fermat_scan", "prime_form", "principal_form", "random_elem_density",
-    "reduce_form", "reduced_forms", "represent", "scan_range",
-    "torsion_valuation", "validate_field", "valuation",
+    "FieldVerdict", "NORM_CONSTRAINED", "PreconditionError", "QuadElem",
+    "QuadResidue", "ScanResult", "StatTally", "UNCONSTRAINED", "admissible",
+    "build_context", "check_field", "check_product_dichotomy", "class_number",
+    "class_order", "continued_fraction_sqrt", "delta_bezout", "delta_embed",
+    "delta_exact", "expected_proportions", "fundamental_unit", "hensel_sqrt",
+    "is_prime", "is_squarefree", "kronecker", "make_elem", "prime_fermat_scan",
+    "random_elem_density", "reduced_forms", "represent", "scan_range",
+    "validate_field", "valuation",
 ]

@@ -6,8 +6,6 @@ the package, so these are safe to use from any module.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24
 # (first 13 primes; classical result of Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -29,11 +27,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def inv_mod(a: int, n: int) -> int:
-    """Inverse of a modulo n (raises ValueError if not coprime)."""
-    return pow(a, -1, n)
 
 
 def is_prime(n: int) -> bool:

@@ -150,10 +150,3 @@ def check_product_dichotomy(x: QuadElem, ctx: FieldContext, n: int) -> str:
     if not c1 and not c2 and rep.delta1 == rep.delta2:
         return "equal"
     raise ArithmeticError(f"dichotomy violated for {x}: {rep}")
-
-
-def torsion_valuation(ctx: FieldContext, delta_eps: int) -> int:
-    """v_p of the torsion order: v_p(h) + delta(eps)."""
-    if not isinstance(delta_eps, int):
-        raise ValueError("need an exact delta for the unit")
-    return (valuation(ctx.h, ctx.p) if ctx.h % ctx.p == 0 else 0) + delta_eps

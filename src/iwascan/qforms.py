@@ -1,4 +1,4 @@
-"""Indefinite binary quadratic forms and the class group machinery.
+"""Class numbers, class orders and generators in real quadratic orders.
 
 Forms (a, b, c) of positive nonsquare discriminant D = b^2 - 4ac.
 `class_number` counts rho-cycles of reduced forms, i.e. proper (SL2)
@@ -8,69 +8,23 @@ reduction walk runs on positive-norm ideals and ignores the sign of the
 leading coefficient), because a prime-power ideal is what gets tested
 for principality and a generator of either norm sign is acceptable.
 
-`represent` extracts an actual generator: each reduction step
-[a, (b+sqrt(D))/2] -> [|c|, (b'+sqrt(D))/2] multiplies the ideal by
-c / ((b+sqrt(D))/2), and the accumulated factor is the generator once
-the walk reaches the unit ideal.
+Both rest on one mechanism, `_ideal_walk`.  The k-th power of the first
+prime above a split q is the ideal [q^k, (b_k+sqrt(D))/2], with b_k from
+`_canonical_root`.  Each reduction step [a, (b+sqrt(D))/2] ->
+[|c|, (b'+sqrt(D))/2] multiplies the ideal by c / ((b+sqrt(D))/2); the
+ideal is principal iff the walk reaches the unit ideal, and the
+accumulated factor is then its generator (Cohen, GTM 138, ch. 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
-from .arith import divisors, factorize, kronecker, valuation, xgcd
+from .arith import divisors, factorize, is_prime, kronecker, valuation
 from .pell import fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
 
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-_IDENTITY: Mat2 = ((1, 0), (0, 1))
 _MAX_WALK = 10**6
-
-
-@dataclass(frozen=True)
-class IndefForm:
-    """Form a x^2 + b xy + c y^2 of discriminant D > 0, D not a square.
-
-    `transform` (when present) is the accumulated change of variables
-    taking the form this one was derived from to this one: if g carries
-    transform M = ((al, be), (ga, de)) relative to f, then
-    g(x, y) = f(al*x + be*y, ga*x + de*y), det M = +-1.
-    """
-
-    a: int
-    b: int
-    c: int
-    D: int
-    transform: Mat2 | None = None
-
-    def __post_init__(self) -> None:
-        if self.b * self.b - 4 * self.a * self.c != self.D:
-            raise ValueError("coefficients do not match the discriminant")
-        if self.D <= 0 or isqrt(self.D) ** 2 == self.D:
-            raise ValueError("discriminant must be positive and nonsquare")
-
-    def __repr__(self) -> str:
-        return f"IndefForm({self.a}, {self.b}, {self.c})"
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
-def form(a: int, b: int, c: int) -> IndefForm:
-    return IndefForm(a, b, c, b * b - 4 * a * c)
-
-
-def principal_form(D: int) -> IndefForm:
-    k = D % 2
-    return IndefForm(1, k, (k * k - D) // 4, D)
-
-
-def _mat_mul(m1: Mat2, m2: Mat2) -> Mat2:
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _window_b(b: int, half: int, s: int) -> int:
@@ -79,93 +33,6 @@ def _window_b(b: int, half: int, s: int) -> int:
         t = (-b) % (2 * half)
         return t - 2 * half if t > half else t
     return s - ((s + b) % (2 * half))
-
-
-def is_reduced(f: IndefForm) -> bool:
-    s = isqrt(f.D)
-    if not 1 <= f.b <= s:
-        return False
-    return max(1, s - f.b + 1) <= 2 * abs(f.a) <= s + f.b
-
-
-def rho(f: IndefForm) -> IndefForm:
-    """One reduction/cycle step (a, b, c) -> (c, b', c'), det +1 transform."""
-    a, b, c = f.a, f.b, f.c
-    s = isqrt(f.D)
-    b2 = _window_b(b, abs(c), s)
-    c2 = (b2 * b2 - f.D) // (4 * c)
-    t = f.transform
-    if t is not None:
-        step: Mat2 = ((0, -1), (1, (b + b2) // (2 * c)))
-        t = _mat_mul(t, step)
-    return IndefForm(c, b2, c2, f.D, t)
-
-
-def reduce_form(f: IndefForm) -> IndefForm:
-    """Reduced form equivalent to f, with the transform accumulated."""
-    if f.transform is None:
-        f = replace(f, transform=_IDENTITY)
-    # normalize b into the window for |a| first (pure translation)
-    s = isqrt(f.D)
-    b2 = f.b if is_reduced(f) else _window_b(-f.b, abs(f.a), s)
-    if b2 != f.b:
-        shift = (b2 - f.b) // (2 * f.a)
-        c2 = (b2 * b2 - f.D) // (4 * f.a)
-        f = IndefForm(f.a, b2, c2, f.D, _mat_mul(f.transform, ((1, shift), (0, 1))))
-    steps = 0
-    while not is_reduced(f):
-        f = rho(f)
-        steps += 1
-        if steps > _MAX_WALK:
-            raise ArithmeticError("reduction did not terminate")
-    return f
-
-
-def _positive_reduced(f: IndefForm) -> IndefForm:
-    f = reduce_form(f)
-    if f.a < 0:
-        f = rho(f)  # neighbours in a cycle alternate the sign of a
-    return f
-
-
-def compose(f: IndefForm, g: IndefForm) -> IndefForm:
-    """Gauss composition, returned reduced (transform not tracked)."""
-    if f.D != g.D:
-        raise ValueError("mixed discriminants")
-    D = f.D
-    f = _positive_reduced(replace(f, transform=None))
-    g = _positive_reduced(replace(g, transform=None))
-    a1, b1 = f.a, f.b
-    a2, b2 = g.a, g.b
-    s = (b1 + b2) // 2
-    d1, u, v = xgcd(a1, a2)
-    d, u2, v2 = xgcd(d1, s)
-    a3 = a1 * a2 // (d * d)
-    num = u2 * (u * a1 * b2 + v * a2 * b1) + v2 * (b1 * b2 + D) // 2
-    assert num % d == 0, "composition arithmetic broke"
-    b3 = (num // d) % (2 * a3)
-    r = (b3 * b3 - D) % (4 * a3)
-    assert r == 0, "composed form is not integral"
-    c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce_form(IndefForm(a3, b3, c3, D))
-
-
-def inverse(f: IndefForm) -> IndefForm:
-    return IndefForm(f.a, -f.b, f.c, f.D)
-
-
-def power(f: IndefForm, k: int) -> IndefForm:
-    if k < 0:
-        return power(inverse(f), -k)
-    result = reduce_form(principal_form(f.D))
-    base = f
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        k >>= 1
-        if k:
-            base = compose(base, base)
-    return result
 
 
 def _check_fundamental(D: int) -> None:
@@ -220,7 +87,7 @@ def class_number(D: int) -> int:
     return cycles
 
 
-def _canonical_root(D: int, q: int, k: int = 1) -> int:
+def _canonical_root(D: int, q: int, k: int) -> int:
     """b with b^2 = D (mod 4 q^k), b = -e*s (mod q^k), b = D (mod 2).
 
     e*s is the canonical image of sqrt(D) under the labelled embedding
@@ -235,15 +102,9 @@ def _canonical_root(D: int, q: int, k: int = 1) -> int:
     if (b - D) % 2:
         b += qk  # q odd, so this flips the parity
     b %= 2 * qk
-    assert (b * b - D) % (4 * qk) == 0
+    if (b * b - D) % (4 * qk):
+        raise ArithmeticError("canonical root does not solve b^2 = D (mod 4q^k)")
     return b
-
-
-def prime_form(D: int, q: int) -> IndefForm:
-    """Form (q, t, .) attached to the canonical prime ideal above split q."""
-    _check_fundamental(D)
-    t = _canonical_root(D, q, 1)
-    return IndefForm(q, t, (t * t - D) // (4 * q), D)
 
 
 def _ideal_walk(A: int, B: int, D: int, want_gamma: bool):
@@ -282,15 +143,11 @@ def _ideal_walk(A: int, B: int, D: int, want_gamma: bool):
     return gA, gB, gC
 
 
-def is_wide_principal(f: IndefForm) -> bool:
-    """Principality of the ideal [|a|, (b+sqrt(D))/2] (sign classes merged)."""
-    return _ideal_walk(abs(f.a), f.b, f.D, want_gamma=False) is not None
-
-
-def class_order(f: IndefForm, h: int) -> int:
-    """Order of the class of f, in the wide sense; divides h."""
+def class_order(D: int, q: int, h: int) -> int:
+    """Order of the first prime above split q, in the wide sense; divides h."""
+    _check_fundamental(D)
     for d in divisors(h):
-        if is_wide_principal(power(f, d)):
+        if _ideal_walk(q**d, _canonical_root(D, q, d), D, want_gamma=False) is not None:
             return d
     raise ArithmeticError("class order does not divide the class number")
 
@@ -315,40 +172,36 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
     return x
 
 
-def represent(D: int, target: int) -> QuadElem | None:
-    """Generator of the canonical prime-power ideal of norm |target|.
+def represent(D: int, q: int, k: int) -> QuadElem | None:
+    """Generator of p^k, with p the first prime above q.
 
-    target must be +-q^k for an odd prime q split in the order.  Returns
-    alpha with |norm(alpha)| = q^k and (alpha) the k-th power of the
-    canonical prime above q, reduced modulo units and with positive
-    trace, or None when that ideal is not (wide-)principal.
+    q must be an odd prime split in the order and k >= 1; the caller
+    passes what it already knows instead of a norm to factor.  Returns
+    alpha with |norm(alpha)| = q^k and (alpha) = p^k, reduced modulo
+    units and with positive trace, or None when p^k is not
+    (wide-)principal.
     """
     _check_fundamental(D)
-    t = abs(target)
-    if t <= 1:
-        raise ValueError("target must be a nontrivial prime power")
-    fac = factorize(t)
-    if len(fac) != 1:
-        raise ValueError(f"target {target} is not a prime power")
-    (q, k), = fac.items()
-    if q == 2 or kronecker(D, q) != 1:
+    if k < 1:
+        raise ValueError(f"exponent k={k} must be >= 1")
+    if q == 2 or not is_prime(q) or kronecker(D, q) != 1:
         raise ValueError(f"q={q} is not an odd split prime for D={D}")
 
     m = D // 4 if D % 4 == 0 else D
-    B = _canonical_root(D, q, k)
-    res = _ideal_walk(q**k, B, D, want_gamma=True)
+    res = _ideal_walk(q**k, _canonical_root(D, q, k), D, want_gamma=True)
     if res is None:
         return None
     gA, gB, gC = res
     if gC not in (1, 2):
         raise ArithmeticError("generator is not integral")
     alpha = make_elem(gA, gB, gC, m)
-    assert abs(alpha.norm()) == q**k, "generator has the wrong norm"
+    if abs(alpha.norm()) != q**k:
+        raise ArithmeticError("generator has the wrong norm")
     alpha = _unit_reduce(alpha, m)
 
     # the walk targeted the canonical prime; double-check the support
     s = hensel_sqrt(m, q, k + 1)
     r1 = embed(alpha, s, q, k + 1).r1
-    v1 = valuation(r1, q) if r1 else k + 1
-    assert v1 == k, "generator supports the wrong prime"
+    if (valuation(r1, q) if r1 else k + 1) != k:
+        raise ArithmeticError("generator supports the wrong prime")
     return alpha

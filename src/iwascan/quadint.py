@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
-from .arith import kronecker, sqrt_mod_prime, valuation
+from .arith import kronecker, sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,6 @@ def make_elem(a: int, b: int, den: int, m: int) -> QuadElem:
     return QuadElem(a, b, den, m)
 
 
-def one(m: int) -> QuadElem:
-    return QuadElem(1, 0, 1, m)
-
-
 @dataclass(frozen=True)
 class QuadResidue:
     """Image of an element under both embeddings into Z/p^N.
@@ -172,22 +167,3 @@ def embed(x: QuadElem, s: int, p: int, N: int) -> QuadResidue:
     r1 = (x.a + x.b * s) * inv_den % mod
     r2 = (x.a - x.b * s) * inv_den % mod
     return QuadResidue(r1, r2, mod)
-
-
-def pow_mod(r: QuadResidue, e: int) -> QuadResidue:
-    return r.pow(e)
-
-
-def coord_valuation(x: QuadElem, p: int) -> int:
-    """min of the p-valuations of the two prime factors above split p.
-
-    Equals min(v_p(a), v_p(b)) for x = a + b*sqrt(m): the content of x
-    at p.  Only meaningful when p is odd and unramified.
-    """
-    if x.a == 0 and x.b == 0:
-        raise ValueError("zero element")
-    if x.a == 0:
-        return valuation(x.b, p)
-    if x.b == 0:
-        return valuation(x.a, p)
-    return min(valuation(x.a, p), valuation(x.b, p))

@@ -51,7 +51,8 @@ class StatTally:
     skipped_nonprincipal: int
 
     def __post_init__(self) -> None:
-        assert sum(self.counts) == self.total
+        if sum(self.counts) != self.total:
+            raise ValueError(f"counts sum to {sum(self.counts)}, not total={self.total}")
 
     @property
     def proportions(self) -> tuple[float, ...]:
@@ -100,7 +101,7 @@ def _tally_block(args: tuple[int, int, int, int, tuple[int, ...]]) -> tuple[list
     counts = [0] * (rmax + 1)
     skipped = 0
     for ell in primes:
-        alpha = represent(D, ell)
+        alpha = represent(D, ell, 1)
         if alpha is None:
             skipped += 1
             continue

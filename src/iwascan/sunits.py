@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arith import is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
-from .qforms import class_number, class_order, prime_form, represent
+from .qforms import class_number, class_order, represent
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
 
@@ -60,11 +60,12 @@ def build_context(m: int, p: int, N: int | None = None) -> FieldContext:
     eps = fundamental_unit(m)
     h_narrow = class_number(D)
     h = h_narrow // 2 if eps.norm() == 1 else h_narrow
-    h0 = class_order(prime_form(D, p), h)
+    h0 = class_order(D, p, h)
     if N is None:
         N = max(9, h0 + 2)
-    pi1 = represent(D, p**h0)
-    assert pi1 is not None, "p1^h0 must be principal by the definition of h0"
+    pi1 = represent(D, p, h0)
+    if pi1 is None:
+        raise ArithmeticError("p1^h0 must be principal by the definition of h0")
     pi2 = pi1.conjugate()
     s = hensel_sqrt(m, p, N)
 

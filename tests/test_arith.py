@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from sympy import isprime, kronecker_symbol
 from sympy.ntheory import n_order, sqrt_mod
 
-from iwascan.arith import (divisors, factorize, inv_mod, is_prime, is_squarefree,
+from iwascan.arith import (divisors, factorize, is_prime, is_squarefree,
                            kronecker, multiplicative_order_p_power,
                            primitive_root_mod_prime_power, sqrt_mod_prime,
                            valuation, xgcd)
@@ -24,10 +24,10 @@ def test_xgcd_bezout(a, b):
 def test_inv_mod(n, a):
     from math import gcd
     if gcd(a, n) == 1:
-        assert a * inv_mod(a, n) % n == 1
+        assert a * pow(a, -1, n) % n == 1
     else:
         with pytest.raises(ValueError):
-            inv_mod(a, n)
+            pow(a, -1, n)
 
 
 @given(st.integers(0, 10**7))

@@ -6,7 +6,8 @@ import pytest
 
 from iwascan.arith import kronecker
 from iwascan.fermat import (Capped, check_product_dichotomy, delta_bezout,
-                            delta_embed, delta_exact, torsion_valuation)
+                            delta_embed, delta_exact)
+from iwascan.greenberg import check_field
 from iwascan.quadint import make_elem
 from iwascan.sunits import build_context
 
@@ -133,12 +134,9 @@ def test_delta_rejects_zero_and_bad_n():
 
 
 def test_torsion_valuation():
-    ctx3 = build_context(103, 3)
-    assert torsion_valuation(ctx3, 1) == 1  # h = 1, delta = 1
-    ctx = build_context(2659, 3)
-    assert torsion_valuation(ctx, 2) == 3  # v_3(3) + 2
-    with pytest.raises(ValueError):
-        torsion_valuation(ctx, Capped(4))
+    # v_p of the torsion order is v_p(h) + delta(eps)
+    assert check_field(103, 3).torsion_v == 1  # h = 1, delta = 1
+    assert check_field(2659, 3).torsion_v == 3  # v_3(3) + 2
 
 
 def test_known_deltas():

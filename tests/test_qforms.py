@@ -1,8 +1,13 @@
-"""Indefinite forms: reduction, composition, class numbers, generators.
+"""Class numbers, class orders and generators.
 
 The class-number oracle is the analytic formula
     h * 2*log(eps) = -sum_{a=1}^{D-1} kronecker(D, a) * log(sin(pi*a/D)),
 an entirely different route from the cycle enumeration under test.
+
+The class-order oracle is Gauss composition of forms: the order of the
+prime form (q, t, .) is the first d | h whose d-th power lies in a cycle
+holding a form with |a| = 1, an independent route from the walk on the
+prime-power ideal [q^d, (b_d+sqrt(D))/2] under test.
 """
 
 import math
@@ -11,12 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from iwascan.arith import is_squarefree, kronecker, valuation
+from iwascan.arith import divisors, is_squarefree, kronecker, valuation, xgcd
 from iwascan.pell import fundamental_unit
-from iwascan.qforms import (IndefForm, class_number, class_order, compose,
-                            form, inverse, is_reduced, is_wide_principal,
-                            power, prime_form, principal_form, reduce_form,
-                            reduced_forms, represent)
+from iwascan.qforms import class_number, class_order, reduced_forms, represent
+from iwascan.quadint import hensel_sqrt
 
 
 def fundamental_discriminants(limit):
@@ -57,63 +60,155 @@ def test_class_number_against_analytic_formula(D):
     assert class_number(D) == narrow
 
 
-def test_apply_transform_reproduces_reduction():
-    rng = random.Random(11)
-    for _ in range(300):
-        D = rng.choice([5, 13, 17, 412, 10636, 120028])
-        # scramble the principal form by a random SL2 word
-        a, b, c = principal_form(D).key()
-        for _ in range(rng.randint(1, 8)):
-            if rng.random() < 0.5:
-                n = rng.randint(-9, 9)
-                a, b, c = a, b + 2 * a * n, a * n * n + b * n + c
-            else:
-                a, b, c = c, -b, a
-        f = form(a, b, c)
-        assert f.D == D
-        g = reduce_form(f)
-        assert is_reduced(g)
-        # the recorded GL2 word sends f exactly onto g
-        (p, q), (r, s) = g.transform
-        assert p * s - q * r == 1
-        aa = f.a * p * p + f.b * p * r + f.c * r * r
-        bb = 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s
-        cc = f.a * q * q + f.b * q * s + f.c * s * s
-        assert (aa, bb, cc) == (g.a, g.b, g.c)
+# --- composition oracle: forms are (a, b, c) tuples of discriminant D ---
+
+def is_reduced(f, D):
+    a, b, _ = f
+    s = math.isqrt(D)
+    return 1 <= b <= s and max(1, s - b + 1) <= 2 * abs(a) <= s + b
+
+
+def _into_window(b, half, D):
+    """b' = b (mod 2*half) in the reduction window for a form with |a| = half."""
+    s = math.isqrt(D)
+    if half > s:
+        t = b % (2 * half)
+        return t - 2 * half if t > half else t
+    return s - ((s - b) % (2 * half))
+
+
+def rho(f, D):
+    _, b, c = f
+    b2 = _into_window(-b, abs(c), D)
+    return c, b2, (b2 * b2 - D) // (4 * c)
+
+
+def reduce_form(f, D):
+    a, b, _ = f
+    if not is_reduced(f, D):
+        b = _into_window(b, abs(a), D)
+        f = a, b, (b * b - D) // (4 * a)
+    while not is_reduced(f, D):
+        f = rho(f, D)
+    return f
+
+
+def principal_form(D):
+    k = D % 2
+    return 1, k, (k * k - D) // 4
+
+
+def prime_form(D, q):
+    """(q, t, .) with t from the root of m fixing the first prime above q."""
+    m, e = (D // 4, 2) if D % 4 == 0 else (D, 1)
+    t = (-e * hensel_sqrt(m, q, 1)) % q
+    if (t - D) % 2:
+        t += q
+    return q, t, (t * t - D) // (4 * q)
+
+
+def inverse(f):
+    a, b, c = f
+    return a, -b, c
+
+
+def compose(f, g, D):
+    """Gauss composition (Dirichlet's united forms), returned reduced."""
+    f, g = reduce_form(f, D), reduce_form(g, D)
+    if f[0] < 0:
+        f = rho(f, D)  # neighbours in a cycle alternate the sign of a
+    if g[0] < 0:
+        g = rho(g, D)
+    (a1, b1, _), (a2, b2, _) = f, g
+    d1, u, v = xgcd(a1, a2)
+    d, u2, v2 = xgcd(d1, (b1 + b2) // 2)
+    a3 = a1 * a2 // (d * d)
+    num = u2 * (u * a1 * b2 + v * a2 * b1) + v2 * (b1 * b2 + D) // 2
+    assert num % d == 0
+    b3 = (num // d) % (2 * a3)
+    assert (b3 * b3 - D) % (4 * a3) == 0
+    return reduce_form((a3, b3, (b3 * b3 - D) // (4 * a3)), D)
+
+
+def power(f, k, D):
+    if k < 0:
+        return power(inverse(f), -k, D)
+    result, base = reduce_form(principal_form(D), D), f
+    while k:
+        if k & 1:
+            result = compose(result, base, D)
+        k >>= 1
+        if k:
+            base = compose(base, base, D)
+    return result
+
+
+def is_wide_principal(f, D):
+    """The reduced cycle of f holds a form with |a| = 1."""
+    start = cur = reduce_form(f, D)
+    while abs(cur[0]) != 1:
+        cur = rho(cur, D)
+        if cur == start:
+            return False
+    return True
+
+
+def same_class(f, g, D):
+    return is_wide_principal(compose(f, inverse(g), D), D)
+
+
+def oracle_class_order(D, q, h):
+    f = prime_form(D, q)
+    return next(d for d in divisors(h) if is_wide_principal(power(f, d, D), D))
+
+
+def wide_class_number(D):
+    m = D // 4 if D % 4 == 0 else D
+    return class_number(D) // (2 if fundamental_unit(m).norm() == 1 else 1)
+
+
+SPLIT_Q = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def test_class_order_matches_composition_oracle():
+    pairs = 0
+    for D in fundamental_discriminants(10**4):
+        h = wide_class_number(D)
+        for q in SPLIT_Q:
+            if kronecker(D, q) == 1:
+                assert class_order(D, q, h) == oracle_class_order(D, q, h), (D, q)
+                pairs += 1
+    assert pairs == 18230
 
 
 @pytest.mark.parametrize("D", [40, 60, 316, 412, 520, 1756])
 def test_composition_group_laws(D):
-    reps = [form(*t) for t in reduced_forms(D)]
+    reps = reduced_forms(D)
     rng = random.Random(D)
     sample = rng.sample(reps, min(6, len(reps)))
-    e = reduce_form(principal_form(D))
+    e = reduce_form(principal_form(D), D)
     for f in sample:
-        assert compose(f, inverse(f)).D == D
-        assert is_wide_principal(compose(f, inverse(f)))
+        assert is_wide_principal(compose(f, inverse(f), D), D)
         g = rng.choice(sample)
-        left = compose(compose(f, g), sample[0])
-        right = compose(f, compose(g, sample[0]))
+        left = compose(compose(f, g, D), sample[0], D)
+        right = compose(f, compose(g, sample[0], D), D)
         # associativity up to equivalence: same cycle
-        assert _same_class(left, right)
-        assert _same_class(compose(f, e), f)
-
-
-def _same_class(f, g):
-    return is_wide_principal(compose(f, inverse(g)))
+        assert same_class(left, right, D)
+        assert same_class(compose(f, e, D), f, D)
 
 
 def test_power_consistency():
-    f = prime_form(412, 3)
-    assert _same_class(power(f, 3), compose(compose(f, f), f))
-    assert is_wide_principal(power(f, 1)) == is_wide_principal(f)
+    D = 412
+    f = prime_form(D, 3)
+    assert same_class(power(f, 3, D), compose(compose(f, f, D), f, D), D)
+    assert is_wide_principal(power(f, 1, D), D) == is_wide_principal(f, D)
 
 
 @pytest.mark.parametrize("D,q", [(412, 3), (412, 11), (10636, 3), (120172, 3)])
 def test_prime_form_is_valid(D, q):
-    f = prime_form(D, q)
-    assert f.a == q and f.b * f.b - 4 * f.a * f.c == D
-    assert 0 <= f.b < 2 * q
+    a, b, c = prime_form(D, q)
+    assert a == q and b * b - 4 * a * c == D
+    assert 0 <= b < 2 * q
 
 
 def test_class_numbers_known():
@@ -126,13 +221,13 @@ def test_class_numbers_known():
 
 def test_class_order_30043():
     D = 120172
-    f = prime_form(D, 3)
-    assert class_order(f, 18) == 9
+    assert class_order(D, 3, 18) == 9
+    assert oracle_class_order(D, 3, 18) == 9
 
 
 @pytest.mark.parametrize("D,q,k", [(412, 3, 1), (10636, 3, 3), (120172, 3, 9)])
 def test_represent_gives_generator(D, q, k):
-    alpha = represent(D, q**k)
+    alpha = represent(D, q, k)
     assert alpha is not None
     assert abs(alpha.norm()) == q**k
     assert alpha.trace() > 0
@@ -140,24 +235,26 @@ def test_represent_gives_generator(D, q, k):
 
 def test_represent_nonprincipal_returns_none():
     # m = 10: the prime above 3 is not principal (h = 2, form class of order 2)
-    assert represent(40, 3) is None
-    assert class_order(prime_form(40, 3), 2) == 2
-    assert represent(40, 9) is not None
+    assert represent(40, 3, 1) is None
+    assert class_order(40, 3, 2) == 2
+    assert represent(40, 3, 2) is not None
 
 
 def test_represent_validates_input():
-    with pytest.raises(ValueError):
-        represent(412, 15)  # not a prime power
-    with pytest.raises(ValueError):
-        represent(412, 5)  # kronecker(412, 5) = -1, not split
+    for D, q, k in ((412, 15, 1),   # q not prime
+                    (412, 3, 0),    # exponent below 1
+                    (412, 2, 1),    # q even
+                    (412, 5, 1)):   # kronecker(412, 5) = -1, not split
+        with pytest.raises(ValueError):
+            represent(D, q, k)
 
 
 def test_represent_supports_canonical_prime():
     # norm sign is free, but the q-adic support must sit at the labelled prime
-    from iwascan.quadint import embed, hensel_sqrt
+    from iwascan.quadint import embed
     for D, q in ((412, 3), (10636, 3), (412, 11), (120028, 3)):
-        k = class_order(prime_form(D, q), class_number(D))
-        alpha = represent(D, q**k)
+        k = class_order(D, q, class_number(D))
+        alpha = represent(D, q, k)
         m = D // 4 if D % 4 == 0 else D
         s = hensel_sqrt(m, q, k + 1)
         r = embed(alpha, s, q, k + 1)
@@ -167,7 +264,7 @@ def test_represent_supports_canonical_prime():
 def test_reduced_forms_are_reduced_and_complete():
     for D in (40, 316, 412, 1304):
         reps = set(reduced_forms(D))
-        assert all(is_reduced(form(*t)) for t in reps)
+        assert all(is_reduced(t, D) for t in reps)
         # brute scan of the coefficient box, filtered only by the predicate
         s = math.isqrt(D)
         brute = set()
@@ -176,8 +273,8 @@ def test_reduced_forms_are_reduced_and_complete():
                 if (b * b - D) % (4 * aa):
                     continue
                 for a in (aa, -aa):
-                    f = form(a, b, (b * b - D) // (4 * a))
-                    if is_reduced(f):
-                        brute.add(f.key())
+                    f = (a, b, (b * b - D) // (4 * a))
+                    if is_reduced(f, D):
+                        brute.add(f)
         assert reps == brute
         assert len(reps) >= class_number(D)

@@ -1,5 +1,7 @@
 """Statistics harnesses: tallies, expected laws, determinism."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,15 @@ def test_density_validates():
 
 
 def test_tally_validates_totals():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StatTally(m=103, p=3, n=5, bound=10, rmax=1, total=5, counts=(1, 1),
                   skipped_nonprincipal=0)
+
+
+def test_tally_validation_survives_optimize_flag():
+    # `python -O` strips assert statements; the totals check must not be one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_tally_validates_totals"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
