@@ -7,7 +7,7 @@ from .fermat import (AssociateWitness, Capped, DeltaReport, check_product_dichot
 from .greenberg import (FieldVerdict, ScanResult, admissible, check_field,
                         scan_range)
 from .pell import continued_fraction_sqrt, fundamental_unit
-from .qforms import class_number, class_order, reduced_forms, represent
+from .qforms import class_number, class_order, represent
 from .quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem
 from .stats import (DensityTally, NORM_CONSTRAINED, StatTally, UNCONSTRAINED,
                     expected_proportions, prime_fermat_scan, random_elem_density)
@@ -23,6 +23,6 @@ __all__ = [
     "class_order", "continued_fraction_sqrt", "delta_bezout", "delta_embed",
     "delta_exact", "expected_proportions", "fundamental_unit", "hensel_sqrt",
     "is_prime", "is_squarefree", "kronecker", "make_elem", "prime_fermat_scan",
-    "random_elem_density", "reduced_forms", "represent", "scan_range",
+    "random_elem_density", "represent", "scan_range",
     "validate_field", "valuation",
 ]

@@ -6,6 +6,8 @@ the package, so these are safe to use from any module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24
 # (first 13 primes; classical result of Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -163,7 +165,13 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+@lru_cache(maxsize=1024)
 def is_squarefree(n: int) -> bool:
+    """True when no prime square divides n >= 1.
+
+    Cached because one field's m is checked in turn by the scan filter,
+    `validate_field`, `fundamental_unit` and `qforms`; it is factored once.
+    """
     if n < 1:
         return False
     for p, e in factorize(n).items():

@@ -112,7 +112,8 @@ def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitne
     mod = p ** (n + 1)
     t1 = ctx.embed(ctx.pi1, n).pow(n + 1)
     t2 = ctx.embed(ctx.pi2, n).pow(n + 1)
-    assert t1.r1 == 0 and t2.r2 == 0, "pi powers must vanish mod p^(n+1)"
+    if t1.r1 or t2.r2:
+        raise ArithmeticError("pi powers must vanish mod p^(n+1)")
     U1 = QuadResidue(0, pow(t1.r2, -1, mod), mod)
     U2 = QuadResidue(pow(t2.r1, -1, mod), 0, mod)
 
@@ -122,7 +123,8 @@ def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitne
     a1 = U1.mul(t1)
     a2 = U2.mul(t2).mul(rx)
     xprime = QuadResidue((a1.r1 + a2.r1) % mod, (a1.r2 + a2.r2) % mod, mod)
-    assert xprime.r2 == 1, "associate must be trivial at the second prime"
+    if xprime.r2 != 1:
+        raise ArithmeticError("associate must be trivial at the second prime")
     normval = xprime.norm()
     y = pow(normval, p - 1, mod)
     order = multiplicative_order_p_power(y, p, mod)

@@ -61,7 +61,8 @@ def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     rep = delta_exact(ctx.eps, ctx, n0)
     if isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped):
         raise ArithmeticError(f"delta(eps) out of range for m={m}, p={p}")
-    assert rep.delta1 == rep.delta2, "unit deltas must agree at both primes"
+    if rep.delta1 != rep.delta2:
+        raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
     delta_eps = rep.delta1
     # delta at the first prime of the conjugate generator; multiplying by
     # units can only move it when it ties delta_eps, and never below the

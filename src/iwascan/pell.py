@@ -83,5 +83,6 @@ def fundamental_unit(m: int) -> QuadElem:
         eps = make_elem(2 * c + q_prev, q_prev, 2, m)
     else:
         eps = make_elem(c, q_prev, 1, m)
-    assert eps.norm() in (1, -1), "period matrix did not give a unit"
+    if eps.norm() not in (1, -1):
+        raise ArithmeticError(f"period matrix did not give a unit for m={m}")
     return eps

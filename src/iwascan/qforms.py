@@ -1,14 +1,16 @@
-"""Class numbers, class orders and generators in real quadratic orders.
+"""Class numbers, class orders and generators in real quadratic fields.
 
-Forms (a, b, c) of positive nonsquare discriminant D = b^2 - 4ac.
-`class_number` counts rho-cycles of reduced forms, i.e. proper (SL2)
-classes, which is the narrow class number of the order.  `class_order`
-and `represent` deliberately work in the *wide* sense instead (the
-reduction walk runs on positive-norm ideals and ignores the sign of the
-leading coefficient), because a prime-power ideal is what gets tested
-for principality and a generator of either norm sign is acceptable.
+D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
+radicand.  `class_number` evaluates the analytic class number formula
+in about sqrt(D) terms with the regulator of the exact fundamental unit,
+under an explicit error bound that must separate h from every other
+integer, or it raises ArithmeticError.
 
-Both rest on one mechanism, `_ideal_walk`.  The k-th power of the first
+`class_order` and `represent` work in the *wide* sense (the reduction
+walk runs on positive-norm ideals and ignores the sign of the leading
+coefficient), because a prime-power ideal is what gets tested for
+principality and a generator of either norm sign is acceptable.  Both
+rest on one mechanism, `_ideal_walk`.  The k-th power of the first
 prime above a split q is the ideal [q^k, (b_k+sqrt(D))/2], with b_k from
 `_canonical_root`.  Each reduction step [a, (b+sqrt(D))/2] ->
 [|c|, (b'+sqrt(D))/2] multiplies the ideal by c / ((b+sqrt(D))/2); the
@@ -18,9 +20,9 @@ accumulated factor is then its generator (Cohen, GTM 138, ch. 5).
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import erfc, exp, expm1, gcd, isqrt, log, pi, sqrt
 
-from .arith import divisors, factorize, is_prime, kronecker, valuation
+from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
 
@@ -38,53 +40,114 @@ def _window_b(b: int, half: int, s: int) -> int:
 def _check_fundamental(D: int) -> None:
     if D <= 0 or isqrt(D) ** 2 == D:
         raise ValueError("discriminant must be positive and nonsquare")
-    if D % 4 == 1:
-        fac = factorize(D)
-    elif D % 4 == 0:
-        m = D // 4
-        if m % 4 == 1:
-            raise ValueError(f"D={D} is not fundamental")
-        fac = factorize(m)
-    else:
+    if D % 4 not in (0, 1):
         raise ValueError(f"D={D} is not a discriminant")
-    if any(e > 1 for e in fac.values()):
+    m = D // 4 if D % 4 == 0 else D
+    if (D % 4 == 0 and m % 4 == 1) or not is_squarefree(m):
         raise ValueError(f"D={D} is not fundamental")
 
 
-def reduced_forms(D: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of discriminant D (both signs of a)."""
-    s = isqrt(D)
-    out = []
-    for b in range(2 - (D % 2), s + 1, 2):
-        n = (D - b * b) // 4  # = |a|*|c|
-        lo = (max(1, s - b + 1) + 1) // 2
-        hi = (s + b) // 2
-        for aa in range(lo, hi + 1):
-            if n % aa == 0:
-                c = -(n // aa)
-                out.append((aa, b, c))
-                out.append((-aa, b, -c))
-    return out
+# Abramowitz-Stegun 5.1.53 on 0 < x <= 1 and 5.1.56 on x >= 1.  Both
+# leave an absolute error in E1(x) below _E1_ERR (5.1.56 bounds the error
+# of x*e^x*E1(x) by 2e-8, i.e. of E1(x) by 2e-8*e^-x/x < 2e-7).
+_E1_SMALL = (-0.57721566, 0.99999193, -0.24991055, 0.05519968, -0.00976004,
+             0.00107857)
+_E1_NUM = (8.5733287401, 18.0590169730, 8.6347608925, 0.2677737343)
+_E1_DEN = (9.5733223454, 25.6329561486, 21.0996530827, 3.9584969228)
+_E1_ERR = 2e-7
+_MACHINE_EPS = 2.0**-52
+
+
+def _regulator(eps: QuadElem) -> float:
+    """log(eps) of a unit eps > 1, to a relative error far below 1e-13."""
+    if eps.a.bit_length() > 1000:
+        # eps = 2a/den - N(eps)/eps, and 1/eps^2 is below float resolution
+        return log(2 * eps.a) - log(eps.den)
+    return log((eps.a + eps.b * sqrt(eps.m)) / eps.den)
+
+
+def _tail_bound(N: int, D: int) -> float:
+    """Bound on the terms n > N of the series in `class_number`.
+
+    With u = n*sqrt(pi/D), erfc(u) <= e^(-u^2)/(u*sqrt(pi)) and
+    E1(u^2) <= e^(-u^2)/u^2 make the n-th term at most 2/x * e^(-x) with
+    x = u^2 = pi n^2/D; the sum over n > N is then at most that bound at
+    n = N+1 times the geometric series of e^(-2 pi (N+1) j/D), j >= 0.
+    """
+    x = pi * (N + 1) ** 2 / D
+    return 2 / x * exp(-x) / -expm1(-2 * pi * (N + 1) / D)
 
 
 def class_number(D: int) -> int:
-    """Form class number: number of rho-cycles of reduced forms."""
+    """Narrow class number of the fundamental discriminant D > 0.
+
+    The wide class number h comes from the analytic class number formula
+    in its rapidly convergent form (Cohen, GTM 138, sec. 5.6),
+
+        2 h R = sum_{n >= 1} chi(n) * ((sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D)),
+
+    with chi(n) = kronecker(D, n) and R = log(eps) from the exact unit.
+    The sum stops at the least N whose tail bound is below R/8; the
+    tail, the E1 approximation and the float rounding are bounded
+    explicitly, and the result is refused (ArithmeticError) unless that
+    bound leaves h as the only integer within 1/2 of the sum / (2R).
+    About sqrt(D) terms.  The narrow number is 2h when N(eps) = +1.
+    """
     _check_fundamental(D)
-    todo = set(reduced_forms(D))
-    s = isqrt(D)
-    cycles = 0
-    while todo:
-        start = next(iter(todo))
-        cycles += 1
-        cur = start
-        while True:
-            todo.discard(cur)
-            a, b, c = cur
-            b2 = _window_b(b, abs(c), s)
-            cur = (c, b2, (b2 * b2 - D) // (4 * c))
-            if cur == start:
-                break
-    return cycles
+    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+    R = _regulator(eps)
+
+    # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
+    lo, N = 0, 1
+    while _tail_bound(N, D) > R / 8:
+        lo, N = N, 2 * N
+    while N - lo > 1:
+        mid = (lo + N) // 2
+        lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
+
+    # chi is completely multiplicative: kronecker on primes only, the
+    # rest from the smallest prime factor.  Writing q = isqrt(N)..2 in
+    # descending order leaves the smallest divisor; 0 marks a prime.
+    spf = [0] * (N + 1)
+    for q in range(isqrt(N), 1, -1):
+        spf[q * q :: q] = [q] * ((N - q * q) // q + 1)
+    chi = [0] * (N + 1)
+    chi[1] = 1
+    a0, a1, a2, a3, a4, a5 = _E1_SMALL
+    c1, c2, c3, c4 = _E1_NUM
+    d1, d2, d3, d4 = _E1_DEN
+    rootD, step, scale = sqrt(D), sqrt(pi / D), pi / D
+    total = size = 0.0
+    for n in range(1, N + 1):
+        if n > 1:
+            q = spf[n]
+            chi[n] = chi[q] * chi[n // q] if q else kronecker(D, n)
+        c = chi[n]
+        if not c:
+            continue
+        x = scale * n * n
+        if x <= 1:
+            e1 = (((((a5 * x + a4) * x + a3) * x + a2) * x + a1) * x + a0) - log(x)
+        else:
+            e1 = (exp(-x) / x * ((((x + c1) * x + c2) * x + c3) * x + c4)
+                  / ((((x + d1) * x + d2) * x + d3) * x + d4))
+        t = rootD / n * erfc(step * n) + e1
+        total += t if c > 0 else -t
+        size += t
+
+    y = total / (2 * R)
+    # Float rounding, relative to the sum of |terms|: recursive summation
+    # loses at most N machine epsilons, and one term at most 256 plus 2x
+    # (erfc and exp amplify their argument's error by about x = pi n^2/D).
+    # R's relative error carries over to y.
+    rounding = (N + 2 * scale * N * N + 256) * _MACHINE_EPS * size
+    err = (_tail_bound(N, D) + _E1_ERR * N + rounding) / (2 * R) + 1e-13 * abs(y)
+    h = round(y)
+    if not (err < 0.5 and abs(y - h) <= err and h >= 1):
+        raise ArithmeticError(
+            f"analytic class number not separated at D={D}: "
+            f"sum/(2R) = {y!r}, error bound {err:.3g}")
+    return 2 * h if eps.norm() == 1 else h
 
 
 def _canonical_root(D: int, q: int, k: int) -> int:

@@ -69,12 +69,14 @@ class QuadElem:
     def norm(self) -> int:
         num = self.a * self.a - self.m * self.b * self.b
         q, r = divmod(num, self.den * self.den)
-        assert r == 0, "norm of an integral element must be an integer"
+        if r:
+            raise ArithmeticError("norm of an integral element must be an integer")
         return q
 
     def trace(self) -> int:
         q, r = divmod(2 * self.a, self.den)
-        assert r == 0
+        if r:
+            raise ArithmeticError("trace of an integral element must be an integer")
         return q
 
     def pow(self, e: int) -> "QuadElem":
@@ -153,7 +155,8 @@ def hensel_sqrt(m: int, p: int, N: int) -> int:
         mod = p**prec
         s = (s - (s * s - m) * pow(2 * s, -1, mod)) % mod
     s %= p**N
-    assert pow(s, 2, p**N) == m % p**N
+    if pow(s, 2, p**N) != m % p**N:
+        raise ArithmeticError(f"Newton lift did not give a root of {m} mod {p}^{N}")
     return s
 
 

@@ -28,6 +28,8 @@ NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
 
 _CHUNK = 1 << 17  # fixed so a given seed always yields the same stream
+_DRAW = 10**6  # coordinates are drawn from [0, _DRAW)
+_INT64_MAX = 2**63 - 1
 
 
 def expected_proportions(p: int, d: int = 2, rmax: int = 5) -> tuple[Fraction, ...]:
@@ -106,12 +108,12 @@ def _tally_block(args: tuple[int, int, int, int, tuple[int, ...]]) -> tuple[list
             skipped += 1
             continue
         nrm = alpha.norm()
-        assert abs(nrm) == ell and pow(nrm, p - 1, mod) == 1, \
-            "generator must satisfy the defining congruence"
+        if abs(nrm) != ell or pow(nrm, p - 1, mod) != 1:
+            raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
         rep = delta_embed(alpha, ctx, n)
         c1, c2 = isinstance(rep.delta1, Capped), isinstance(rep.delta2, Capped)
-        assert c1 == c2 and (c1 or rep.delta1 == rep.delta2), \
-            f"delta dichotomy violated at ell={ell}"
+        if c1 != c2 or not (c1 or rep.delta1 == rep.delta2):
+            raise ArithmeticError(f"delta dichotomy violated at ell={ell}")
         counts[rmax if c1 else min(rep.delta1, rmax)] += 1
     return counts, skipped
 
@@ -195,6 +197,10 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     if samples < 0:
         raise ValueError("samples must be >= 0")
     p2 = p * p
+    # residues stay below p^2 and draws below 10^6; the int64 products
+    # r1*r2, base*base and a*s must not wrap
+    if max((p2 - 1) ** 2, _DRAW * p2) > _INT64_MAX:
+        raise PreconditionError(f"p={p} is too large for int64 sampling (needs p^4 < 2^63)")
     s = hensel_sqrt(m, p, 1) % p2
     rng = np.random.default_rng(seed)
     accepted = hits = 0
@@ -202,7 +208,7 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     while left > 0:
         k = min(_CHUNK, left)
         left -= k
-        draw = rng.integers(0, 10**6, size=(k, 2), dtype=np.int64)
+        draw = rng.integers(0, _DRAW, size=(k, 2), dtype=np.int64)
         a, b = draw[:, 0], draw[:, 1]
         r1 = (b + a * s) % p2
         r2 = (b - a * s) % p2

@@ -1,8 +1,10 @@
 """Class numbers, class orders and generators.
 
-The class-number oracle is the analytic formula
-    h * 2*log(eps) = -sum_{a=1}^{D-1} kronecker(D, a) * log(sin(pi*a/D)),
-an entirely different route from the cycle enumeration under test.
+Two class-number oracles check the erfc/E1 series under test.  The
+finite log-sin formula
+    h * 2*log(eps) = -sum_{a=1}^{D-1} kronecker(D, a) * log(sin(pi*a/D))
+shares only the regulator with it; the cycle count of reduced forms
+(`cycle_class_number`) shares nothing.
 
 The class-order oracle is Gauss composition of forms: the order of the
 prime form (q, t, .) is the first d | h whose d-th power lies in a cycle
@@ -16,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
+from iwascan import qforms
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation, xgcd
 from iwascan.pell import fundamental_unit
-from iwascan.qforms import class_number, class_order, reduced_forms, represent
+from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
 
 
@@ -60,7 +63,91 @@ def test_class_number_against_analytic_formula(D):
     assert class_number(D) == narrow
 
 
-# --- composition oracle: forms are (a, b, c) tuples of discriminant D ---
+# --- cycle-count oracle: forms are (a, b, c) tuples of discriminant D ---
+
+def reduced_forms(D):
+    """All reduced forms of discriminant D (both signs of a)."""
+    s = math.isqrt(D)
+    out = []
+    for b in range(2 - (D % 2), s + 1, 2):
+        n = (D - b * b) // 4  # = |a|*|c|
+        lo = (max(1, s - b + 1) + 1) // 2
+        hi = (s + b) // 2
+        for aa in range(lo, hi + 1):
+            if n % aa == 0:
+                c = -(n // aa)
+                out.append((aa, b, c))
+                out.append((-aa, b, -c))
+    return out
+
+
+def cycle_class_number(D):
+    """Narrow class number: the number of rho-cycles of reduced forms."""
+    todo = set(reduced_forms(D))
+    cycles = 0
+    while todo:
+        start = cur = next(iter(todo))
+        cycles += 1
+        while True:
+            todo.discard(cur)
+            cur = rho(cur, D)
+            if cur == start:
+                break
+    return cycles
+
+
+def test_class_number_matches_cycle_count():
+    Ds = fundamental_discriminants(2 * 10**4)
+    assert len(Ds) == 6081
+    assert [class_number(D) for D in Ds] == [cycle_class_number(D) for D in Ds]
+
+
+# squarefree m spread over the window of perfbench's scan-large-m workload
+LARGE_M = [m for m in range(10**6, 10**6 + 1151) if is_squarefree(m)][::44]
+
+
+@pytest.mark.parametrize("m", LARGE_M)
+def test_class_number_matches_cycle_count_near_a_million(m):
+    D = m if m % 4 == 1 else 4 * m
+    assert class_number(D) == cycle_class_number(D)
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.3])
+def test_wrong_regulator_raises_instead_of_misrounding(monkeypatch, factor):
+    """A regulator off by `factor` moves sum/(2R) to h/factor.
+
+    The error bound must then refuse every h it cannot confirm.  No bound
+    can see h/factor landing on another integer (first at h = 20 for 1.05
+    and h = 13 for 1.3), so the discriminants stay below wide h = 13.
+    """
+    Ds = fundamental_discriminants(2000)
+    narrow = {D: cycle_class_number(D) for D in Ds}
+    wide = [narrow[D] // (2 if fundamental_unit(D // 4 if D % 4 == 0 else D).norm() == 1
+                          else 1) for D in Ds]
+    assert 3 <= max(wide) < 13  # at 1.3, plain rounding turns h = 3 into 2
+    regulator = qforms._regulator
+    monkeypatch.setattr(qforms, "_regulator", lambda eps: factor * regulator(eps))
+    refused = 0
+    for D in Ds:
+        try:
+            got = class_number(D)
+        except ArithmeticError:
+            refused += 1
+            continue
+        assert got == narrow[D], (D, factor)
+    assert refused > len(Ds) // 4
+
+
+@pytest.mark.parametrize("D", [-8, 0, 9, 7, 20, 45, 4 * 18])
+def test_non_fundamental_discriminants_are_rejected(D):
+    # negative, square, 3 mod 4, 4*(1 mod 4), 9*5 and 4*18 (not squarefree)
+    for call in (lambda: class_number(D), lambda: class_order(D, 3, 1),
+                 lambda: represent(D, 3, 1)):
+        with pytest.raises(ValueError):
+            call()
+
+
+# --- composition oracle ---
 
 def is_reduced(f, D):
     a, b, _ = f
@@ -277,4 +364,4 @@ def test_reduced_forms_are_reduced_and_complete():
                     if is_reduced(f, D):
                         brute.add(f)
         assert reps == brute
-        assert len(reps) >= class_number(D)
+        assert len(reps) >= cycle_class_number(D) == class_number(D)

@@ -4,8 +4,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from iwascan.arith import kronecker
+from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
@@ -100,6 +104,50 @@ def test_density_validates():
         random_elem_density(7, 3, 100, mode="bogus")
     with pytest.raises(ValueError):
         random_elem_density(7, 3, -5)
+
+
+def exact_density(m, p, samples, mode, seed):
+    """(accepted, hits) of `random_elem_density` redone in Python ints."""
+    p2 = p * p
+    s = hensel_sqrt(m, p, 1) % p2
+    draw = np.random.default_rng(seed).integers(0, 10**6, size=(samples, 2), dtype=np.int64)
+    accepted = hits = 0
+    for a, b in draw.tolist():
+        r1, r2 = (b + a * s) % p2, (b - a * s) % p2
+        fermat1, fermat2 = pow(r1, p - 1, p2) != 1, pow(r2, p - 1, p2) != 1
+        if mode == NORM_CONSTRAINED:
+            if pow(r1 * r2, p - 1, p2) == 1:
+                accepted += 1
+                hits += fermat1
+        elif r1 * r2 % p:
+            accepted += 1
+            hits += fermat1 or fermat2
+    return accepted, hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([2, 3, 6, 7, 10, 14]),
+       p=st.sampled_from([3, 5, 7, 11, 13, 17, 23, 101, 1009]),
+       mode=st.sampled_from([NORM_CONSTRAINED, UNCONSTRAINED]),
+       samples=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def test_density_matches_exact_integers(m, p, mode, samples, seed):
+    assume(kronecker(m, p) == 1)
+    t = random_elem_density(m, p, samples, mode, seed)
+    assert (t.accepted, t.hits) == exact_density(m, p, samples, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
+def test_density_exact_at_the_largest_int64_safe_prime(mode):
+    # 55103 is the largest prime split in Q(sqrt 3) with p^4 < 2^63
+    t = random_elem_density(3, 55103, 2000, mode, seed=9)
+    assert (t.accepted, t.hits) == exact_density(3, 55103, 2000, mode, 9)
+
+
+@pytest.mark.parametrize("p", [55117, 60013])
+def test_density_refuses_primes_that_overflow_int64(p):
+    # the int64 path gave (0, 0) at p = 60013 where exact ints give (1, 1)
+    with pytest.raises(PreconditionError):
+        random_elem_density(3, p, 20_000, NORM_CONSTRAINED, seed=0)
 
 
 def test_tally_validates_totals():
