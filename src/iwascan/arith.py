@@ -16,21 +16,6 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n < 3.3e24."""
     if n < 2:
@@ -194,19 +179,3 @@ def primitive_root_mod_prime_power(p: int, k: int) -> int:
     if pow(g, p - 1, p * p) == 1:
         g += p
     return g
-
-
-def multiplicative_order_p_power(y: int, p: int, modulus: int) -> int:
-    """Order of y in (Z/modulus)^* assuming it is a power of p.
-
-    Used for norms of (p-1)-th powers, whose order always divides
-    p^(N-1) when modulus = p^N.
-    """
-    y %= modulus
-    order = 1
-    while y != 1:
-        y = pow(y, p, modulus)
-        order *= p
-        if order > modulus:
-            raise ArithmeticError("order is not a p-power")
-    return order

@@ -6,10 +6,11 @@ Subcommands
     stats-primes delta tally of split-prime generators in the residue classes
     stats-random delta densities of random elements
 
-Formats: ``table`` (human), ``csv`` (machine, round-trippable), ``json``
-(schema-versioned).  Identical flags produce byte-identical data; the only
-run-dependent line is the timestamped ``#`` header, off via --no-header.
-Exit codes: 0 success, 2 bad arguments, 3 precondition violation.
+Formats: ``table`` (human), ``csv`` and ``json`` (schema-versioned); both
+machine formats come from one column spec per record type.  Identical
+flags give byte-identical data; the only run-dependent line is the
+timestamped ``#`` header, off via --no-header.  Exit codes: 0 success,
+2 bad arguments or an unwritable --output, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -20,43 +21,18 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 from .arith import is_prime
-from .greenberg import FieldVerdict, ScanResult, check_field, scan_range
-from .stats import (DensityTally, NORM_CONSTRAINED, StatTally, UNCONSTRAINED,
-                    prime_fermat_scan, random_elem_density)
-from .sunits import PreconditionError, build_context
-
-VERDICT_COLUMNS = ("m", "p", "h", "h0", "v_p_h", "delta_eps", "delta_pi",
-                   "z_eps", "z_pi", "class_ok", "normic_ok", "resolved",
-                   "torsion_v")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    m: int | None = None
-    p_list: tuple[int, ...] = ()
-    m_min: int = 2
-    m_max: int = 10_000
-    n0: int = 1
-    n: int = 12
-    bound: int = 10**10
-    rmax: int = 5
-    samples: int = 10**6
-    mode: str = NORM_CONSTRAINED
-    seed: int = 0
-    workers: int = 1
-    fmt: str = "table"
-    header: bool = True
-    output: str | None = None
+from .greenberg import check_field, scan_range
+from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
+                    random_elem_density)
+from .sunits import build_context
 
 
 @dataclass(frozen=True)
@@ -72,25 +48,22 @@ class ScanCount:
         return self.c1 - self.c2
 
 
+# An attribute, or (CSV header, attribute); tuples spread over header0, ...
+Column = str | tuple[str, str]
+
+VERDICT_COLUMNS: tuple[Column, ...] = (
+    "m", "p", "h", "h0", "v_p_h", "delta_eps", "delta_pi", "z_eps", "z_pi",
+    "class_ok", "normic_ok", "resolved", "torsion_v")
+COUNT_COLUMNS: tuple[Column, ...] = ("p", "c1", "c2", "unresolved")
+TALLY_COLUMNS: tuple[Column, ...] = (
+    "m", "p", "n", "bound", "rmax", "total",
+    ("skipped", "skipped_nonprincipal"), ("c", "counts"),
+    ("prop", "proportions"), ("exp", "expected"))
+DENSITY_COLUMNS: tuple[Column, ...] = ("m", "p", "mode", "seed", "samples",
+                                        "accepted", "hits", "density", "expected")
+
+
 # ---------------------------------------------------------------- helpers
-
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def _fmt_bool(x: bool) -> str:
-    return "true" if x else "false"
-
-
-def _parse_bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise ValueError(f"not a boolean: {s!r}")
-    return s == "true"
-
 
 def parse_count(s: str) -> int:
     """Integer-valued sizes, allowing scientific notation like 1e10."""
@@ -112,8 +85,7 @@ def parse_prime_range(s: str) -> tuple[int, ...]:
         if not ps:
             raise argparse.ArgumentTypeError(f"no odd primes in {s!r}")
         return ps
-    q = int(s)
-    return (q,)
+    return (int(s),)
 
 
 def _coords(x) -> str:
@@ -122,268 +94,137 @@ def _coords(x) -> str:
     return core if x.den == 1 else f"({core})/2"
 
 
-# ------------------------------------------------------------- emit / parse
+# -------------------------------------------------------------- serializer
 
-def emit_verdicts_csv(rows: Iterable[FieldVerdict]) -> str:
+def _pairs(columns: Sequence[Column]) -> list[tuple[str, str]]:
+    return [(c, c) if isinstance(c, str) else c for c in columns]
+
+
+def to_csv(rows: Sequence, columns: Sequence[Column]) -> str:
+    """Header, then one line per record: bools as true/false, None empty."""
+    pairs = _pairs(columns)
+    get = attrgetter(*(attr for _, attr in pairs))
+    first = get(rows[0]) if rows else (None,) * len(pairs)
+    header: list[str] = []
+    for (head, _), value in zip(pairs, first):
+        header += ([f"{head}{i}" for i in range(len(value))]
+                   if isinstance(value, tuple) else [head])
+    spread = any(isinstance(value, tuple) for value in first)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(VERDICT_COLUMNS)
+    w.writerow(header)
     for r in rows:
-        w.writerow([r.m, r.p, r.h, r.h0, r.v_p_h, r.delta_eps, r.delta_pi,
-                    _fmt_fraction(r.z_eps), _fmt_fraction(r.z_pi),
-                    _fmt_bool(r.class_ok), _fmt_bool(r.normic_ok),
-                    _fmt_bool(r.resolved), r.torsion_v])
+        cells = get(r)
+        if spread:
+            cells = [x for v in cells for x in (v if isinstance(v, tuple) else (v,))]
+        w.writerow([("true" if x else "false") if type(x) is bool else x
+                    for x in cells])
     return buf.getvalue()
 
 
-def parse_verdicts_csv(text: str) -> list[FieldVerdict]:
-    rows = _data_rows(text, VERDICT_COLUMNS)
-    out = []
-    for rec in rows:
-        v = FieldVerdict(
-            m=int(rec["m"]), p=int(rec["p"]), h=int(rec["h"]), h0=int(rec["h0"]),
-            v_p_h=int(rec["v_p_h"]), delta_eps=int(rec["delta_eps"]),
-            delta_pi=int(rec["delta_pi"]), class_ok=_parse_bool(rec["class_ok"]),
-            normic_ok=_parse_bool(rec["normic_ok"]),
-            resolved=_parse_bool(rec["resolved"]), torsion_v=int(rec["torsion_v"]))
-        if (_parse_fraction(rec["z_eps"]) != v.z_eps
-                or _parse_fraction(rec["z_pi"]) != v.z_pi):
-            raise ValueError(f"inconsistent z columns at m={v.m}")
-        out.append(v)
-    return out
+def _plain(x):
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
 
 
-COUNT_COLUMNS = ("p", "c1", "c2", "unresolved")
+def to_json(record, columns: Sequence[Column]) -> dict:
+    """The dataclass fields of `record`, then its other columns in spec order."""
+    names = [f.name for f in fields(record)] + [attr for _, attr in _pairs(columns)]
+    return {a: _plain(getattr(record, a)) for a in dict.fromkeys(names)}
 
 
-def emit_counts_csv(rows: Iterable[ScanCount]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(COUNT_COLUMNS)
-    for r in rows:
-        w.writerow([r.p, r.c1, r.c2, r.unresolved])
-    return buf.getvalue()
-
-
-def parse_counts_csv(text: str) -> list[ScanCount]:
-    out = []
-    for rec in _data_rows(text, COUNT_COLUMNS):
-        row = ScanCount(p=int(rec["p"]), c1=int(rec["c1"]), c2=int(rec["c2"]))
-        if row.unresolved != int(rec["unresolved"]):
-            raise ValueError(f"inconsistent counts at p={row.p}")
-        out.append(row)
-    return out
-
-
-def _tally_columns(rmax: int) -> tuple[str, ...]:
-    return (("m", "p", "n", "bound", "rmax", "total", "skipped")
-            + tuple(f"c{r}" for r in range(rmax + 1))
-            + tuple(f"prop{r}" for r in range(rmax + 1))
-            + tuple(f"exp{r}" for r in range(rmax + 1)))
-
-
-def emit_tally_csv(t: StatTally) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_tally_columns(t.rmax))
-    w.writerow([t.m, t.p, t.n, t.bound, t.rmax, t.total, t.skipped_nonprincipal]
-               + list(t.counts)
-               + [repr(x) for x in t.proportions]
-               + [_fmt_fraction(x) for x in t.expected])
-    return buf.getvalue()
-
-
-def parse_tally_csv(text: str) -> StatTally:
-    first = next(csv.reader(_strip_comments(text).splitlines()[:1]))
-    rmax = int(first[4]) if first[4].isdigit() else None
-    if rmax is None:  # header present: read it for rmax via column count
-        n_cols = len(first)
-        rmax = (n_cols - 7) // 3 - 1
-    recs = _data_rows(text, _tally_columns(rmax))
-    if len(recs) != 1:
-        raise ValueError("expected exactly one tally row")
-    rec = recs[0]
-    t = StatTally(m=int(rec["m"]), p=int(rec["p"]), n=int(rec["n"]),
-                  bound=int(rec["bound"]), rmax=rmax, total=int(rec["total"]),
-                  counts=tuple(int(rec[f"c{r}"]) for r in range(rmax + 1)),
-                  skipped_nonprincipal=int(rec["skipped"]))
-    for r in range(rmax + 1):
-        if float(rec[f"prop{r}"]) != t.proportions[r]:
-            raise ValueError("inconsistent proportion column")
-    return t
-
-
-DENSITY_COLUMNS = ("m", "p", "mode", "seed", "samples", "accepted", "hits",
-                   "density", "expected")
-
-
-def emit_density_csv(t: DensityTally) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(DENSITY_COLUMNS)
-    w.writerow([t.m, t.p, t.mode, t.seed, t.samples, t.accepted, t.hits,
-                "" if t.density is None else repr(t.density),
-                _fmt_fraction(t.expected)])
-    return buf.getvalue()
-
-
-def parse_density_csv(text: str) -> DensityTally:
-    recs = _data_rows(text, DENSITY_COLUMNS)
-    if len(recs) != 1:
-        raise ValueError("expected exactly one density row")
-    rec = recs[0]
-    t = DensityTally(m=int(rec["m"]), p=int(rec["p"]), mode=rec["mode"],
-                     seed=int(rec["seed"]), samples=int(rec["samples"]),
-                     accepted=int(rec["accepted"]), hits=int(rec["hits"]))
-    if rec["density"] and float(rec["density"]) != t.density:
-        raise ValueError("inconsistent density column")
-    return t
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-
-
-def _data_rows(text: str, columns: Sequence[str]) -> list[dict[str, str]]:
-    lines = _strip_comments(text).splitlines()
-    rows = list(csv.reader(lines))
-    if not rows or tuple(rows[0]) != tuple(columns):
-        raise ValueError(f"missing or wrong header, want {','.join(columns)}")
-    return [dict(zip(columns, row)) for row in rows[1:]]
-
-
-# ------------------------------------------------------------------ output
-
-def _header_line(cfg: RunConfig) -> str:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# iwascan {cfg.command} generated {stamp}"
-
-
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+def _write(ns: argparse.Namespace, out: str | dict | list[str]) -> int:
+    """Write a command's CSV text, JSON document or table lines, with the header."""
+    if ns.fmt == "json":
+        body = json.dumps({"schema": 1, **out}, indent=2) + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _render(cfg: RunConfig, body: str) -> str:
-    if cfg.header and cfg.fmt != "json":
-        return _header_line(cfg) + "\n" + body
-    return body
+        body = out if ns.fmt == "csv" else "\n".join(out) + "\n"
+        if not ns.no_header:
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            body = f"# iwascan {ns.command} generated {stamp}\n" + body
+    if not ns.output:
+        sys.stdout.write(body)
+        return 0
+    try:
+        with open(ns.output, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ------------------------------------------------------------- subcommands
 
-def _verdict_json(v: FieldVerdict) -> dict:
-    d = {c: getattr(v, c) for c in VERDICT_COLUMNS if c not in ("z_eps", "z_pi")}
-    d["z_eps"] = _fmt_fraction(v.z_eps)
-    d["z_pi"] = _fmt_fraction(v.z_pi)
-    return d
+def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
+    v = check_field(ns.m, ns.p[0], ns.n0)
+    ctx = build_context(ns.m, ns.p[0])
+    if ns.fmt == "csv":
+        return to_csv([v], VERDICT_COLUMNS)
+    if ns.fmt == "json":
+        return {"verdict": {**to_json(v, VERDICT_COLUMNS),
+                            "eps": [ctx.eps.a, ctx.eps.b, ctx.eps.den],
+                            "pi1": [ctx.pi1.a, ctx.pi1.b, ctx.pi1.den]}}
+    return [
+        f"m = {v.m}, p = {v.p}",
+        f"h = {v.h}, h0 = {v.h0}, v_p(h) = {v.v_p_h}",
+        f"eps = {_coords(ctx.eps)}",
+        f"pi1 = {_coords(ctx.pi1)}   (norm {ctx.pi1.norm()})",
+        f"delta(eps) = {v.delta_eps}, z_eps = {v.z_eps}",
+        f"delta(pi)  = {v.delta_pi}, z_pi  = {v.z_pi}",
+        f"class test:  {'ok' if v.class_ok else 'FAIL'}",
+        f"normic test: {'ok' if v.normic_ok else 'FAIL'}",
+        f"torsion valuation = {v.torsion_v}",
+        "verdict: vanishing certified" if v.resolved else "verdict: unresolved",
+    ]
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    v = check_field(cfg.m, cfg.p_list[0], cfg.n0)
-    ctx = build_context(cfg.m, cfg.p_list[0])
-    if cfg.fmt == "csv":
-        body = emit_verdicts_csv([v])
-    elif cfg.fmt == "json":
-        d = _verdict_json(v)
-        d["eps"] = [ctx.eps.a, ctx.eps.b, ctx.eps.den]
-        d["pi1"] = [ctx.pi1.a, ctx.pi1.b, ctx.pi1.den]
-        body = json.dumps({"schema": 1, "verdict": d}, indent=2) + "\n"
-    else:
-        lines = [
-            f"m = {v.m}, p = {v.p}",
-            f"h = {v.h}, h0 = {v.h0}, v_p(h) = {v.v_p_h}",
-            f"eps = {_coords(ctx.eps)}",
-            f"pi1 = {_coords(ctx.pi1)}   (norm {ctx.pi1.norm()})",
-            f"delta(eps) = {v.delta_eps}, z_eps = {_fmt_fraction(v.z_eps)}",
-            f"delta(pi)  = {v.delta_pi}, z_pi  = {_fmt_fraction(v.z_pi)}",
-            f"class test:  {'ok' if v.class_ok else 'FAIL'}",
-            f"normic test: {'ok' if v.normic_ok else 'FAIL'}",
-            f"torsion valuation = {v.torsion_v}",
-            "verdict: vanishing certified" if v.resolved else "verdict: unresolved",
-        ]
-        body = "\n".join(lines) + "\n"
-    _write(cfg, _render(cfg, body))
-    return 0
-
-
-def cmd_scan(cfg: RunConfig) -> int:
-    counts: list[ScanCount] = []
-    all_rows: list[FieldVerdict] = []
-    for p in cfg.p_list:
-        res: ScanResult = scan_range(p, cfg.m_min, cfg.m_max, cfg.n0, cfg.workers)
+def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
+    counts, rows = [], []
+    for p in ns.p:
+        res = scan_range(p, ns.min_m, ns.max_m, ns.n0, ns.workers)
         counts.append(ScanCount(p=p, c1=res.tested, c2=res.resolved))
-        all_rows.extend(res.rows)
-    if cfg.fmt == "csv":
-        body = emit_counts_csv(counts) + emit_verdicts_csv(all_rows)
-    elif cfg.fmt == "json":
-        body = json.dumps({
-            "schema": 1,
-            "counts": [{"p": c.p, "c1": c.c1, "c2": c.c2,
-                        "unresolved": c.unresolved} for c in counts],
-            "rows": [_verdict_json(v) for v in all_rows],
-        }, indent=2) + "\n"
-    else:
-        lines = [f"m in [{cfg.m_min}, {cfg.m_max}]", "p  c1  c2  unresolved"]
-        lines += [f"{c.p}  {c.c1}  {c.c2}  {c.unresolved}" for c in counts]
-        body = "\n".join(lines) + "\n"
-    _write(cfg, _render(cfg, body))
-    return 0
+        rows.extend(res.rows)
+    if ns.fmt == "csv":
+        return to_csv(counts, COUNT_COLUMNS) + to_csv(rows, VERDICT_COLUMNS)
+    if ns.fmt == "json":
+        return {"counts": [to_json(c, COUNT_COLUMNS) for c in counts],
+                "rows": [to_json(v, VERDICT_COLUMNS) for v in rows]}
+    return ([f"m in [{ns.min_m}, {ns.max_m}]", "p  c1  c2  unresolved"]
+            + [f"{c.p}  {c.c1}  {c.c2}  {c.unresolved}" for c in counts])
 
 
-def cmd_stats_primes(cfg: RunConfig) -> int:
-    t = prime_fermat_scan(cfg.m, cfg.p_list[0], cfg.n, cfg.bound, cfg.rmax,
-                          cfg.workers)
-    if cfg.fmt == "csv":
-        body = emit_tally_csv(t)
-    elif cfg.fmt == "json":
-        body = json.dumps({
-            "schema": 1,
-            "tally": {"m": t.m, "p": t.p, "n": t.n, "bound": t.bound,
-                      "rmax": t.rmax, "total": t.total,
-                      "skipped_nonprincipal": t.skipped_nonprincipal,
-                      "counts": list(t.counts),
-                      "proportions": list(t.proportions),
-                      "expected": [_fmt_fraction(x) for x in t.expected]},
-        }, indent=2) + "\n"
-    else:
-        lines = [f"m = {t.m}, p = {t.p}, n = {t.n}, bound = {t.bound}",
-                 f"N_L = {t.total}  (skipped non-principal: {t.skipped_nonprincipal})"]
-        for r in range(t.rmax + 1):
-            tag = f"delta = {r}" if r < t.rmax else f"delta >= {r}"
-            lines.append(f"  C{r} = {t.counts[r]:<8d} {tag:<11s}"
-                         f" observed {t.proportions[r]:.5f}"
-                         f"  expected {float(t.expected[r]):.5f}")
-        body = "\n".join(lines) + "\n"
-    _write(cfg, _render(cfg, body))
-    return 0
+def cmd_stats_primes(ns: argparse.Namespace) -> str | dict | list[str]:
+    t = prime_fermat_scan(ns.m, ns.p[0], ns.n, ns.bound, ns.rmax, ns.workers)
+    if ns.fmt == "csv":
+        return to_csv([t], TALLY_COLUMNS)
+    if ns.fmt == "json":
+        return {"tally": to_json(t, TALLY_COLUMNS)}
+    lines = [f"m = {t.m}, p = {t.p}, n = {t.n}, bound = {t.bound}",
+             f"N_L = {t.total}  (skipped non-principal: {t.skipped_nonprincipal})"]
+    for r in range(t.rmax + 1):
+        tag = f"delta = {r}" if r < t.rmax else f"delta >= {r}"
+        lines.append(f"  C{r} = {t.counts[r]:<8d} {tag:<11s}"
+                     f" observed {t.proportions[r]:.5f}"
+                     f"  expected {float(t.expected[r]):.5f}")
+    return lines
 
 
-def cmd_stats_random(cfg: RunConfig) -> int:
-    t = random_elem_density(cfg.m, cfg.p_list[0], cfg.samples, cfg.mode, cfg.seed)
-    if cfg.fmt == "csv":
-        body = emit_density_csv(t)
-    elif cfg.fmt == "json":
-        body = json.dumps({
-            "schema": 1,
-            "density": {"m": t.m, "p": t.p, "mode": t.mode, "seed": t.seed,
-                        "samples": t.samples, "accepted": t.accepted,
-                        "hits": t.hits, "density": t.density,
-                        "expected": _fmt_fraction(t.expected)},
-        }, indent=2) + "\n"
-    else:
-        obs = "undefined (no accepted samples)" if t.density is None \
-            else f"{t.density:.6f}"
-        body = "\n".join([
-            f"m = {t.m}, p = {t.p}, mode = {t.mode}, seed = {t.seed}",
-            f"samples = {t.samples}, accepted = {t.accepted}, hits = {t.hits}",
-            f"density = {obs}  expected {float(t.expected):.6f}",
-        ]) + "\n"
-    _write(cfg, _render(cfg, body))
-    return 0
+def cmd_stats_random(ns: argparse.Namespace) -> str | dict | list[str]:
+    t = random_elem_density(ns.m, ns.p[0], ns.samples, ns.mode, ns.seed)
+    if ns.fmt == "csv":
+        return to_csv([t], DENSITY_COLUMNS)
+    if ns.fmt == "json":
+        return {"density": to_json(t, DENSITY_COLUMNS)}
+    obs = "undefined (no accepted samples)" if t.density is None else f"{t.density:.6f}"
+    return [
+        f"m = {t.m}, p = {t.p}, mode = {t.mode}, seed = {t.seed}",
+        f"samples = {t.samples}, accepted = {t.accepted}, hits = {t.hits}",
+        f"density = {obs}  expected {float(t.expected):.6f}",
+    ]
 
 
 # -------------------------------------------------------------- arg parsing
@@ -395,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "real quadratic fields with p split.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(sp: argparse.ArgumentParser, run) -> None:
+        sp.set_defaults(run=run)
         sp.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", dest="fmt")
         sp.add_argument("--no-header", action="store_true",
@@ -408,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_prime_range, required=True)
     sp.add_argument("--n0", type=int, default=8)
-    common(sp)
+    common(sp, cmd_check)
 
     sp = sub.add_parser("scan", help="counting table over an m-range")
     sp.add_argument("--p", type=parse_prime_range, required=True,
@@ -416,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-m", type=int, default=2)
     sp.add_argument("--max-m", type=int, default=10_000)
     sp.add_argument("--n0", type=int, default=1)
-    common(sp)
+    common(sp, cmd_scan)
 
     sp = sub.add_parser("stats-primes", help="delta tally over split primes")
     sp.add_argument("--m", type=int, required=True)
@@ -424,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=12)
     sp.add_argument("--bound", type=parse_count, default=10**10)
     sp.add_argument("--rmax", type=int, default=5)
-    common(sp)
+    common(sp, cmd_stats_primes)
 
     sp = sub.add_parser("stats-random", help="delta density of random elements")
     sp.add_argument("--m", type=int, required=True)
@@ -433,46 +275,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=(NORM_CONSTRAINED, UNCONSTRAINED),
                     default=NORM_CONSTRAINED)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    common(sp, cmd_stats_random)
     return ap
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kw = dict(command=ns.command, fmt=ns.fmt, header=not ns.no_header,
-              output=ns.output, workers=ns.workers, p_list=ns.p)
-    if ns.command == "check":
-        kw.update(m=ns.m, n0=ns.n0)
-    elif ns.command == "scan":
-        kw.update(m_min=ns.min_m, m_max=ns.max_m, n0=ns.n0)
-    elif ns.command == "stats-primes":
-        kw.update(m=ns.m, n=ns.n, bound=ns.bound, rmax=ns.rmax)
-    else:
-        kw.update(m=ns.m, samples=ns.samples, mode=ns.mode, seed=ns.seed)
-    return RunConfig(**kw)
-
-
-_DISPATCH = {"check": cmd_check, "scan": cmd_scan,
-             "stats-primes": cmd_stats_primes, "stats-random": cmd_stats_random}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags
         return int(exc.code or 0)
-    cfg = _config_from_args(ns)
-    if len(cfg.p_list) > 1 and cfg.command != "scan":
+    if len(ns.p) > 1 and ns.command != "scan":
         print("error: a prime range is only valid for scan", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[cfg.command](cfg)
-    except PreconditionError as exc:
+        out = ns.run(ns)
+    except (ValueError, ArithmeticError) as exc:  # PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return _write(ns, out)
 
 
 if __name__ == "__main__":

@@ -17,28 +17,6 @@ from .quadint import QuadElem, make_elem
 _MAX_STEPS = 10**6
 
 
-def continued_fraction_sqrt(m: int) -> tuple[int, list[int]]:
-    """CF expansion of sqrt(m): (a0, periodic part).  m nonsquare > 1."""
-    s = isqrt(m)
-    if s * s == m:
-        raise ValueError("m must not be a square")
-    period = []
-    P, Q = 0, 1
-    a = s
-    P, Q = a * Q - P, m - a * a
-    first = (P, Q)
-    while True:
-        ai = (P + s) // Q
-        period.append(ai)
-        P2 = ai * Q - P
-        Q2 = (m - P2 * P2) // Q
-        P, Q = P2, Q2
-        if (P, Q) == first:
-            return s, period
-        if len(period) > _MAX_STEPS:
-            raise ArithmeticError("period did not close")
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadElem:
     """The fundamental unit > 1 of the maximal order of Q(sqrt(m)).

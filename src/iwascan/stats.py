@@ -43,14 +43,16 @@ def expected_proportions(p: int, d: int = 2, rmax: int = 5) -> tuple[Fraction, .
 
 @dataclass(frozen=True)
 class StatTally:
+    """One delta tally; the field order is the key order of the CLI's JSON."""
+
     m: int
     p: int
     n: int
     bound: int
     rmax: int
     total: int  # accepted sample count N_L
-    counts: tuple[int, ...]  # C_0..C_rmax, last bucket cumulative
     skipped_nonprincipal: int
+    counts: tuple[int, ...]  # C_0..C_rmax, last bucket cumulative
 
     def __post_init__(self) -> None:
         if sum(self.counts) != self.total:
@@ -122,8 +124,12 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
                       workers: int = 1) -> StatTally:
     """Tally generator deltas over split primes ell^(p-1) = 1 mod p^(n+1), ell < bound."""
     validate_field(m, p)
+    if rmax < 0:
+        raise ValueError("rmax must be >= 0")
     if n < rmax:
         raise ValueError("need n >= rmax to fill every bucket")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
@@ -133,7 +139,7 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     primes = [ell for ell in _candidate_primes(residues, mod, bound)
               if kronecker(m, ell) == 1]
 
-    workers = max(1, min(workers, len(primes) or 1))
+    workers = min(workers, len(primes) or 1)
     blocks = []
     span = len(primes)
     for i in range(workers):

@@ -1,0 +1,146 @@
+"""Independent reference routes that the tests check the package against.
+
+None of these is used by the package itself:
+
+* `delta_bezout` recovers delta at the first prime from the S-unit
+  associate x' = U1*pi1^(n+1) + U2*pi2^(n+1)*x, congruent to x at the
+  first prime and to 1 at the second, through the multiplicative order of
+  norm(x')^(p-1) mod p^(n+1), which is p^(n-delta).  It shares no step
+  with `fermat.delta_embed` beyond the labelled embedding.
+* `check_product_dichotomy` asserts that both deltas of an element whose
+  norm is a local (p-1)-th root of unity agree below n, or are both >= n.
+* `continued_fraction_sqrt` is the plain expansion of sqrt(m), and
+  `xgcd` the extended Euclidean algorithm behind Gauss composition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import isqrt
+
+from iwascan.arith import valuation
+from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
+from iwascan.quadint import QuadElem, QuadResidue
+from iwascan.sunits import FieldContext
+
+_MAX_STEPS = 10**6
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def multiplicative_order_p_power(y: int, p: int, modulus: int) -> int:
+    """Order of y in (Z/modulus)^* assuming it is a power of p.
+
+    Used for norms of (p-1)-th powers, whose order always divides
+    p^(N-1) when modulus = p^N.
+    """
+    y %= modulus
+    order = 1
+    while y != 1:
+        y = pow(y, p, modulus)
+        order *= p
+        if order > modulus:
+            raise ArithmeticError("order is not a p-power")
+    return order
+
+
+def continued_fraction_sqrt(m: int) -> tuple[int, list[int]]:
+    """CF expansion of sqrt(m): (a0, periodic part).  m nonsquare > 1."""
+    s = isqrt(m)
+    if s * s == m:
+        raise ValueError("m must not be a square")
+    period = []
+    P, Q = 0, 1
+    a = s
+    P, Q = a * Q - P, m - a * a
+    first = (P, Q)
+    while True:
+        ai = (P + s) // Q
+        period.append(ai)
+        P2 = ai * Q - P
+        Q2 = (m - P2 * P2) // Q
+        P, Q = P2, Q2
+        if (P, Q) == first:
+            return s, period
+        if len(period) > _MAX_STEPS:
+            raise ArithmeticError("period did not close")
+
+
+@dataclass(frozen=True)
+class AssociateWitness:
+    """The Bezout data behind one delta_bezout computation."""
+
+    xprime: QuadResidue
+    normval: int
+    order: int
+    U1: QuadResidue
+    U2: QuadResidue
+
+
+def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitness, DeltaReport]:
+    """delta at the first prime via the S-unit associate of x.
+
+    Follows the norm-residue computation exactly: U1, U2 satisfy
+    U1*pi1^(n+1) + U2*pi2^(n+1) = 1 mod p^(n+1), the associate
+    x' = U1*pi1^(n+1) + U2*pi2^(n+1)*x is = x at the first prime and
+    = 1 at the second, and ord(norm(x')^(p-1)) = p^(n-delta).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = ctx.p
+    mod = p ** (n + 1)
+    t1 = ctx.embed(ctx.pi1, n).pow(n + 1)
+    t2 = ctx.embed(ctx.pi2, n).pow(n + 1)
+    if t1.r1 or t2.r2:
+        raise ArithmeticError("pi powers must vanish mod p^(n+1)")
+    U1 = QuadResidue(0, pow(t1.r2, -1, mod), mod)
+    U2 = QuadResidue(pow(t2.r1, -1, mod), 0, mod)
+
+    rx = ctx.embed(x, n)
+    if rx.r1 % p == 0:
+        raise ValueError("x must be prime to the first prime above p")
+    a1 = U1.mul(t1)
+    a2 = U2.mul(t2).mul(rx)
+    xprime = QuadResidue((a1.r1 + a2.r1) % mod, (a1.r2 + a2.r2) % mod, mod)
+    if xprime.r2 != 1:
+        raise ArithmeticError("associate must be trivial at the second prime")
+    normval = xprime.norm()
+    y = pow(normval, p - 1, mod)
+    order = multiplicative_order_p_power(y, p, mod)
+    k = valuation(order, p) if order > 1 else 0
+    delta: Delta = Capped(n) if order == 1 else n - k
+    witness = AssociateWitness(xprime=xprime, normval=normval, order=order,
+                               U1=U1, U2=U2)
+    return witness, DeltaReport(delta1=delta, delta2=None, n=n)
+
+
+def check_product_dichotomy(x: QuadElem, ctx: FieldContext, n: int) -> str:
+    """Both deltas of x agree below n, or both are >= n.
+
+    Requires norm(x)^(p-1) = 1 mod p^(n+1); returns "equal" or "capped",
+    and raises if the dichotomy fails (which would be a bug).
+    """
+    p, mod = ctx.p, ctx.p ** (n + 1)
+    nx = x.norm()
+    if nx % p == 0 or pow(nx, p - 1, mod) != 1:
+        raise ValueError("norm(x)^(p-1) must be 1 mod p^(n+1)")
+    rep = delta_embed(x, ctx, n)
+    c1, c2 = isinstance(rep.delta1, Capped), isinstance(rep.delta2, Capped)
+    if c1 and c2:
+        return "capped"
+    if not c1 and not c2 and rep.delta1 == rep.delta2:
+        return "equal"
+    raise ArithmeticError(f"dichotomy violated for {x}: {rep}")

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from iwascan.arith import is_squarefree, valuation
-from iwascan.fermat import check_product_dichotomy, delta_bezout, delta_embed, delta_exact
+from iwascan.fermat import delta_embed
 from iwascan.greenberg import check_field, scan_range
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number
@@ -21,6 +21,7 @@ from iwascan.quadint import make_elem
 from iwascan.stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
                            random_elem_density)
 from iwascan.sunits import build_context
+from oracles import check_product_dichotomy, delta_bezout
 
 
 def _line(num, label, ok):

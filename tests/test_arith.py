@@ -6,9 +6,9 @@ from sympy import isprime, kronecker_symbol
 from sympy.ntheory import n_order, sqrt_mod
 
 from iwascan.arith import (divisors, factorize, is_prime, is_squarefree,
-                           kronecker, multiplicative_order_p_power,
-                           primitive_root_mod_prime_power, sqrt_mod_prime,
-                           valuation, xgcd)
+                           kronecker, primitive_root_mod_prime_power,
+                           sqrt_mod_prime, valuation)
+from oracles import multiplicative_order_p_power, xgcd
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))

@@ -5,8 +5,9 @@ import pytest
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 from iwascan.arith import is_squarefree
-from iwascan.pell import continued_fraction_sqrt, fundamental_unit
+from iwascan.pell import fundamental_unit
 from iwascan.quadint import make_elem
+from oracles import continued_fraction_sqrt
 
 SQUAREFREE = [m for m in range(2, 300) if is_squarefree(m)]
 

@@ -19,10 +19,11 @@ from fractions import Fraction
 import pytest
 
 from iwascan import qforms
-from iwascan.arith import divisors, is_squarefree, kronecker, valuation, xgcd
+from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
+from oracles import xgcd
 
 
 def fundamental_discriminants(limit):
