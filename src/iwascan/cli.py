@@ -32,7 +32,7 @@ from .arith import is_prime
 from .greenberg import check_field, scan_range
 from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
                     random_elem_density)
-from .sunits import build_context
+from .sunits import PreconditionError, build_context
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,14 @@ def parse_count(s: str) -> int:
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
     return int(d)
+
+
+def parse_positive(s: str) -> int:
+    """An int >= 1, like a worker count."""
+    n = int(s)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {s!r}")
+    return n
 
 
 def parse_prime_range(s: str) -> tuple[int, ...]:
@@ -183,11 +191,9 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
 
 
 def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
-    counts, rows = [], []
-    for p in ns.p:
-        res = scan_range(p, ns.min_m, ns.max_m, ns.n0, ns.workers)
-        counts.append(ScanCount(p=p, c1=res.tested, c2=res.resolved))
-        rows.extend(res.rows)
+    results = scan_range(ns.p, ns.min_m, ns.max_m, ns.n0, ns.workers)
+    counts = [ScanCount(p=r.p, c1=r.tested, c2=r.resolved) for r in results]
+    rows = [v for r in results for v in r.rows]
     if ns.fmt == "csv":
         return to_csv(counts, COUNT_COLUMNS) + to_csv(rows, VERDICT_COLUMNS)
     if ns.fmt == "json":
@@ -243,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-header", action="store_true",
                         help="omit the timestamped comment line")
         sp.add_argument("--output", default=None, help="write here, not stdout")
-        sp.add_argument("--workers", type=int,
-                        default=max(1, os.cpu_count() or 1))
 
     sp = sub.add_parser("check", help="verdict for one field")
     sp.add_argument("--m", type=int, required=True)
@@ -258,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-m", type=int, default=2)
     sp.add_argument("--max-m", type=int, default=10_000)
     sp.add_argument("--n0", type=int, default=1)
+    sp.add_argument("--workers", type=parse_positive, default=os.cpu_count() or 1)
     common(sp, cmd_scan)
 
     sp = sub.add_parser("stats-primes", help="delta tally over split primes")
@@ -266,6 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=12)
     sp.add_argument("--bound", type=parse_count, default=10**10)
     sp.add_argument("--rmax", type=int, default=5)
+    sp.add_argument("--workers", type=parse_positive, default=os.cpu_count() or 1)
     common(sp, cmd_stats_primes)
 
     sp = sub.add_parser("stats-random", help="delta density of random elements")
@@ -289,9 +295,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         out = ns.run(ns)
-    except (ValueError, ArithmeticError) as exc:  # PreconditionError included
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # a plain ValueError is a flag value the library refuses
+        return 3 if isinstance(exc, (PreconditionError, ArithmeticError)) else 2
     return _write(ns, out)
 
 

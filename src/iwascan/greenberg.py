@@ -5,7 +5,7 @@ vanish as soon as (a) the p-part of the class number is already carried by
 the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
-admissible m in an interval.
+admissible m in an interval, for several primes at once.
 """
 
 from __future__ import annotations
@@ -86,9 +86,14 @@ def admissible(m: int, p: int) -> bool:
     return m > 1 and is_squarefree(m) and kronecker(m, p) == 1
 
 
-def _scan_block(args: tuple[int, int, int, int]) -> list[FieldVerdict]:
-    p, lo, hi, n0 = args
-    return [check_field(m, p, n0) for m in range(lo, hi + 1) if admissible(m, p)]
+_CHUNK = 100  # m-values per work item: small, so a pool balances costs rising with m
+
+
+def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
+    # m outermost: after its first prime, a field's unit and h come from cache
+    primes, lo, hi, n0 = args
+    return [check_field(m, p, n0) for m in range(lo, hi + 1) for p in primes
+            if admissible(m, p)]
 
 
 @dataclass(frozen=True)
@@ -101,22 +106,27 @@ class ScanResult:
     rows: tuple[FieldVerdict, ...]
 
 
-def scan_range(p: int, m_min: int, m_max: int, n0: int = 1,
-               workers: int = 1) -> ScanResult:
-    """Test every admissible m in [m_min, m_max]; rows come back m-ascending."""
+def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
+               workers: int = 1) -> tuple[ScanResult, ...]:
+    """Every admissible m in [m_min, m_max] at each prime: one ScanResult
+    per prime, in the given order, with rows m-ascending."""
     if m_min > m_max:
         raise ValueError("empty range")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    span = m_max - m_min + 1
-    workers = min(workers, span)
-    bounds = [m_min + (span * i) // workers for i in range(workers + 1)]
-    blocks = [(p, bounds[i], bounds[i + 1] - 1, n0) for i in range(workers)]
+    if not primes or len(set(primes)) < len(primes):
+        raise ValueError("need at least one prime, none repeated")
+    blocks = [(primes, lo, min(lo + _CHUNK - 1, m_max), n0)
+              for lo in range(m_min, m_max + 1, _CHUNK)]
     if workers == 1:
-        parts = [_scan_block(blocks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = map(_scan_block, blocks)
+    else:  # one pool; pool.map hands out the blocks in order as workers free up
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(_scan_block, blocks))
-    rows = tuple(r for part in parts for r in part)
-    return ScanResult(p=p, m_min=m_min, m_max=m_max, tested=len(rows),
-                      resolved=sum(r.resolved for r in rows), rows=rows)
+    rows: dict[int, list[FieldVerdict]] = {p: [] for p in primes}
+    for part in parts:
+        for r in part:
+            rows[r.p].append(r)
+    return tuple(ScanResult(p=p, m_min=m_min, m_max=m_max, tested=len(rs),
+                            resolved=sum(r.resolved for r in rs), rows=tuple(rs))
+                 for p, rs in rows.items())

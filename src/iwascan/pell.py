@@ -17,7 +17,7 @@ from .quadint import QuadElem, make_elem
 _MAX_STEPS = 10**6
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def fundamental_unit(m: int) -> QuadElem:
     """The fundamental unit > 1 of the maximal order of Q(sqrt(m)).
 

@@ -20,6 +20,7 @@ accumulated factor is then its generator (Cohen, GTM 138, ch. 5).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import erfc, exp, expm1, gcd, isqrt, log, pi, sqrt
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
@@ -78,6 +79,7 @@ def _tail_bound(N: int, D: int) -> float:
     return 2 / x * exp(-x) / -expm1(-2 * pi * (N + 1) / D)
 
 
+@lru_cache(maxsize=1024)
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0.
 

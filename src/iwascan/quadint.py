@@ -134,7 +134,7 @@ class QuadResidue:
         return self.r1 * self.r2 % self.modulus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def hensel_sqrt(m: int, p: int, N: int) -> int:
     """The square root s of m modulo p^N with s = s0 (mod p).
 

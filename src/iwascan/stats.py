@@ -178,15 +178,11 @@ class DensityTally:
         return Fraction(self.p**2 - 1, self.p**2)
 
 
-def _powmod_vec(base: np.ndarray, e: int, mod: int) -> np.ndarray:
-    out = np.ones_like(base)
-    base = base % mod
-    while e:
-        if e & 1:
-            out = out * base % mod
-        base = base * base % mod
-        e >>= 1
-    return out
+def _teichmuller(p: int) -> np.ndarray:
+    """Lifts a^p mod p^2 of a = 1..p-1, and -1 at 0: for 0 <= r < p^2,
+    r^(p-1) = 1 (mod p^2) exactly when table[r % p] == r."""
+    p2 = p * p
+    return np.array([-1] + [pow(a, p, p2) for a in range(1, p)], dtype=np.int64)
 
 
 def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAINED,
@@ -204,10 +200,11 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
         raise ValueError("samples must be >= 0")
     p2 = p * p
     # residues stay below p^2 and draws below 10^6; the int64 products
-    # r1*r2, base*base and a*s must not wrap
+    # r1*r2 and a*s must not wrap
     if max((p2 - 1) ** 2, _DRAW * p2) > _INT64_MAX:
         raise PreconditionError(f"p={p} is too large for int64 sampling (needs p^4 < 2^63)")
     s = hensel_sqrt(m, p, 1) % p2
+    teich = _teichmuller(p)
     rng = np.random.default_rng(seed)
     accepted = hits = 0
     left = samples
@@ -219,12 +216,12 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
         r1 = (b + a * s) % p2
         r2 = (b - a * s) % p2
         if mode == NORM_CONSTRAINED:
-            acc = _powmod_vec(r1 * r2 % p2, p - 1, p2) == 1
-            hit = acc & (_powmod_vec(r1, p - 1, p2) != 1)
+            nrm = r1 * r2 % p2
+            acc = teich[nrm % p] == nrm
+            hit = acc & (teich[r1 % p] != r1)
         else:
             acc = (r1 * r2) % p != 0
-            hit = acc & ((_powmod_vec(r1, p - 1, p2) != 1)
-                         | (_powmod_vec(r2, p - 1, p2) != 1))
+            hit = acc & ((teich[r1 % p] != r1) | (teich[r2 % p] != r2))
         accepted += int(acc.sum())
         hits += int(hit.sum())
     return DensityTally(m=m, p=p, mode=mode, seed=seed, samples=samples,

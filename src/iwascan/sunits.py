@@ -52,7 +52,7 @@ def validate_field(m: int, p: int) -> None:
         raise PreconditionError(f"p={p} is not split in Q(sqrt({m}))")
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=256)
 def build_context(m: int, p: int, N: int | None = None) -> FieldContext:
     """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)

@@ -35,10 +35,8 @@ COUNTS = {3: (2279, 2042), 5: (2534, 2459), 7: (2660, 2599),
 
 
 def test_criterion_1_counting_table():
-    got = {p: None for p in COUNTS}
-    for p in COUNTS:
-        res = scan_range(p, 2, 10000, n0=1)
-        got[p] = (res.tested, res.resolved)
+    got = {res.p: (res.tested, res.resolved)
+           for res in scan_range(tuple(COUNTS), 2, 10000, n0=1)}
     ok = got == COUNTS
     _line(1, "tested/resolved counts for p in {3,5,7,11,43}, m <= 10^4", ok)
     assert ok, f"expected {COUNTS}, got {got}"
@@ -244,8 +242,8 @@ def test_criterion_6_oracle_suites():
     if check_product_dichotomy(ctx.eps, ctx, 2) not in ("equal", "capped"):
         bad.append(("dichotomy unit",))
 
-    lo = scan_range(3, 2, 10000, n0=1)
-    hi = scan_range(3, 2, 10000, n0=8)
+    lo = scan_range((3,), 2, 10000, n0=1)
+    hi = scan_range((3,), 2, 10000, n0=8)
     if lo != hi:
         bad.append(("n0 stability",))
 

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+from iwascan import greenberg
 from iwascan.cli import (COUNT_COLUMNS, DENSITY_COLUMNS, TALLY_COLUMNS,
                          VERDICT_COLUMNS, ScanCount, main, parse_count,
                          parse_prime_range, to_csv)
@@ -207,10 +208,23 @@ def test_exit_codes():
                          "--samples", "0", "--no-header")
     assert code == 0
     tally = ("stats-primes", "--m", "103", "--p", "3", "--n", "5", "--bound", "1e6")
+    # flag values the library refuses are bad arguments, not preconditions
     code, _, err = run_cli(*tally, "--rmax", "-1")
-    assert code == 3 and err == "error: rmax must be >= 0\n"
+    assert code == 2 and err == "error: rmax must be >= 0\n"
+    code, _, err = run_cli(*tally, "--n", "3")
+    assert code == 2 and err == "error: need n >= rmax to fill every bucket\n"
+    code, _, err = run_cli("scan", "--p", "3", "--min-m", "50", "--max-m", "10")
+    assert code == 2 and err == "error: empty range\n"
+    # --workers is a positive int, and only scan and stats-primes take it
     code, _, err = run_cli(*tally, "--workers", "0")
-    assert code == 3 and err == "error: workers must be >= 1\n"
+    assert code == 2 and "argument --workers: must be >= 1" in err
+    code, _, err = run_cli("scan", "--p", "3", "--max-m", "10", "--workers", "-1")
+    assert code == 2 and "argument --workers: must be >= 1" in err
+    code, _, err = run_cli("check", "--m", "103", "--p", "3", "--workers", "0")
+    assert code == 2 and "unrecognized arguments: --workers 0" in err
+    code, _, err = run_cli("stats-random", "--m", "7", "--p", "3", "--samples", "0",
+                           "--workers", "-3")
+    assert code == 2 and "unrecognized arguments: --workers -3" in err
 
 
 def test_unwritable_output_is_a_bad_argument(tmp_path):
@@ -326,3 +340,18 @@ def test_output_bytes_are_pinned(case, fmt, capsys):
     assert main([*GOLDEN_CASES[case], "--format", fmt, "--no-header"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case, fmt]
+
+
+def test_a_multi_prime_scan_builds_one_pool(monkeypatch, capsys):
+    pools = []
+
+    class CountedPool(greenberg.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", CountedPool)
+    assert main(["scan", "--p", "3..11", "--max-m", "300", "--workers", "2",
+                 "--no-header"]) == 0
+    assert pools == [{"max_workers": 2}]
+    assert "11  82  82  0" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 import pytest
 
 from iwascan.fermat import Capped, delta_embed, delta_exact
-from iwascan.greenberg import admissible, check_field, scan_range
+from iwascan.greenberg import _CHUNK, admissible, check_field, scan_range
 from iwascan.sunits import PreconditionError, build_context
 
 WINDOW = [30001, 30007, 30010, 30013, 30019, 30022, 30031, 30034, 30043,
@@ -82,18 +82,64 @@ def test_torsion_and_z_columns():
 
 
 def test_scan_range_counts_and_order():
-    res = scan_range(3, 30001, 30097)
+    [res] = scan_range((3,), 30001, 30097)
     assert [r.m for r in res.rows] == WINDOW
     assert res.tested == 22 and res.resolved == 19
     assert {r.m for r in res.rows if not r.resolved} == {30007, 30031, 30055}
 
 
 def test_scan_range_workers_agree():
-    seq = scan_range(3, 2, 400, workers=1)
-    par = scan_range(3, 2, 400, workers=2)
+    seq = scan_range((3,), 2, 400, workers=1)
+    par = scan_range((3,), 2, 400, workers=2)
     assert seq == par
 
 
 def test_scan_range_rejects_empty():
     with pytest.raises(ValueError):
-        scan_range(3, 10, 5)
+        scan_range((3,), 10, 5)
+
+
+@pytest.mark.parametrize("primes", [(), (3, 5, 3)])
+def test_scan_range_rejects_missing_or_repeated_primes(primes):
+    with pytest.raises(ValueError):
+        scan_range(primes, 2, 50)
+
+
+def serial_scan(primes, m_min, m_max):
+    """The plain loop: one prime at a time, every admissible m in order."""
+    return {p: [check_field(m, p) for m in range(m_min, m_max + 1) if admissible(m, p)]
+            for p in primes}
+
+
+MULTI = (3, 5, 7, 11, 13)
+
+
+@pytest.fixture(scope="module")
+def serial_multi():
+    return serial_scan(MULTI, 2, 1500)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_multi_prime_scan_equals_the_serial_loop(workers, serial_multi):
+    got = scan_range(MULTI, 2, 1500, workers=workers)
+    assert 2 * _CHUNK < 1500  # the range spans several chunks
+    assert [r.p for r in got] == list(MULTI)
+    for res in got:
+        want = serial_multi[res.p]
+        assert list(res.rows) == want
+        assert (res.m_min, res.m_max) == (2, 1500)
+        assert res.tested == len(want)
+        assert res.resolved == sum(v.resolved for v in want)
+
+
+@pytest.mark.parametrize("m_min, m_max, workers", [
+    (30007, 30007, 1), (30007, 30007, 2),  # one m, admissible at p = 3
+    (4, 4, 2),                             # one m, a square: nothing tested
+    (30001, 30001 + _CHUNK // 3, 2),       # narrower than one chunk
+    (2, 2 + 2 * _CHUNK, 8),                # more workers than chunks
+])
+def test_scan_range_edges(m_min, m_max, workers):
+    primes = (3, 7)
+    want = serial_scan(primes, m_min, m_max)
+    got = scan_range(primes, m_min, m_max, workers=workers)
+    assert {r.p: list(r.rows) for r in got} == want

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from iwascan.arith import kronecker
 from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
-                           UNCONSTRAINED, expected_proportions,
+                           UNCONSTRAINED, _teichmuller, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError
 
@@ -163,3 +163,10 @@ def test_tally_validation_survives_optimize_flag():
          f"{__file__}::test_tally_validates_totals"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_teichmuller_table_decides_the_fermat_congruence(p):
+    r = np.arange(p * p, dtype=np.int64)
+    got = _teichmuller(p)[r % p] == r
+    assert got.tolist() == [pow(x, p - 1, p * p) == 1 for x in range(p * p)]
