@@ -10,7 +10,8 @@ Formats: ``table`` (human), ``csv`` and ``json`` (schema-versioned); both
 machine formats come from one column spec per record type.  Identical
 flags give byte-identical data; the only run-dependent line is the
 timestamped ``#`` header, off via --no-header.  Exit codes: 0 success,
-2 bad arguments or an unwritable --output, 3 precondition violation.
+2 bad arguments or an unwritable --output, 3 precondition violation,
+4 internal error (any other ValueError: a defect, reported in one line).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .arith import is_prime
 from .greenberg import check_field, scan_range
 from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
                     random_elem_density)
-from .sunits import PreconditionError, build_context
+from .sunits import PreconditionError, UsageError, build_context
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="verdict for one field")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_prime_range, required=True)
-    sp.add_argument("--n0", type=int, default=8)
+    sp.add_argument("--n0", type=parse_positive, default=8)
     common(sp, cmd_check)
 
     sp = sub.add_parser("scan", help="counting table over an m-range")
@@ -261,14 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="single prime or range like 3..43")
     sp.add_argument("--min-m", type=int, default=2)
     sp.add_argument("--max-m", type=int, default=10_000)
-    sp.add_argument("--n0", type=int, default=1)
+    sp.add_argument("--n0", type=parse_positive, default=1)
     sp.add_argument("--workers", type=parse_positive, default=os.cpu_count() or 1)
     common(sp, cmd_scan)
 
     sp = sub.add_parser("stats-primes", help="delta tally over split primes")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_prime_range, required=True)
-    sp.add_argument("--n", type=int, default=12)
+    sp.add_argument("--n", type=parse_positive, default=12)
     sp.add_argument("--bound", type=parse_count, default=10**10)
     sp.add_argument("--rmax", type=int, default=5)
     sp.add_argument("--workers", type=parse_positive, default=os.cpu_count() or 1)
@@ -293,13 +294,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     if len(ns.p) > 1 and ns.command != "scan":
         print("error: a prime range is only valid for scan", file=sys.stderr)
         return 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # units and generators print at any size
     try:
-        out = ns.run(ns)
-    except (ValueError, ArithmeticError) as exc:
+        return _write(ns, ns.run(ns))
+    except UsageError as exc:  # a flag value the library refuses
         print(f"error: {exc}", file=sys.stderr)
-        # a plain ValueError is a flag value the library refuses
-        return 3 if isinstance(exc, (PreconditionError, ArithmeticError)) else 2
-    return _write(ns, out)
+        return 2
+    except (PreconditionError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # anything else is a defect in the engine
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import is_squarefree, kronecker, valuation
 from .fermat import Capped, delta_exact
-from .sunits import FieldContext, build_context
+from .sunits import FieldContext, UsageError, build_context
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
     """Every admissible m in [m_min, m_max] at each prime: one ScanResult
     per prime, in the given order, with rows m-ascending."""
     if m_min > m_max:
-        raise ValueError("empty range")
+        raise UsageError("empty range")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise UsageError("workers must be >= 1")
     if not primes or len(set(primes)) < len(primes):
-        raise ValueError("need at least one prime, none repeated")
+        raise UsageError("need at least one prime, none repeated")
     blocks = [(primes, lo, min(lo + _CHUNK - 1, m_max), n0)
               for lo in range(m_min, m_max + 1, _CHUNK)]
     if workers == 1:

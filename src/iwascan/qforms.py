@@ -6,36 +6,32 @@ in about sqrt(D) terms with the regulator of the exact fundamental unit,
 under an explicit error bound that must separate h from every other
 integer, or it raises ArithmeticError.
 
-`class_order` and `represent` work in the *wide* sense (the reduction
+Class orders and generators work in the *wide* sense (the reduction
 walk runs on positive-norm ideals and ignores the sign of the leading
 coefficient), because a prime-power ideal is what gets tested for
-principality and a generator of either norm sign is acceptable.  Both
-rest on one mechanism, `_ideal_walk`.  The k-th power of the first
-prime above a split q is the ideal [q^k, (b_k+sqrt(D))/2], with b_k from
-`_canonical_root`.  Each reduction step [a, (b+sqrt(D))/2] ->
-[|c|, (b'+sqrt(D))/2] multiplies the ideal by c / ((b+sqrt(D))/2); the
-ideal is principal iff the walk reaches the unit ideal, and the
-accumulated factor is then its generator (Cohen, GTM 138, ch. 5).
+principality and a generator of either norm sign is acceptable.  The
+k-th power of the first prime above a split q is the ideal
+[q^k, (b_k+sqrt(D))/2], with b_k from `_canonical_root`.  Each step of
+`_ideal_walk` [a, (b+sqrt(D))/2] -> [|c|, (b'+sqrt(D))/2] multiplies the
+ideal by c / ((b+sqrt(D))/2); the ideal is principal iff the walk
+reaches the unit ideal, and the product of those factors is then its
+generator (Cohen, GTM 138, ch. 5).  A walk records only its small steps
+(c, b').  `_principal_power` walks p^d for each divisor d of h in turn
+and rebuilds, by a gcd-free recurrence, only the generator of the first
+walk that closes: one pass gives h0 and a generator of p^h0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from math import erfc, exp, expm1, gcd, isqrt, log, pi, sqrt
+from math import erfc, exp, expm1, isqrt, log, pi, sqrt
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
 
 _MAX_WALK = 10**6
-
-
-def _window_b(b: int, half: int, s: int) -> int:
-    """Normalized b' = -b (mod 2*half) in the reduction window."""
-    if half > s:
-        t = (-b) % (2 * half)
-        return t - 2 * half if t > half else t
-    return s - ((s + b) % (2 * half))
 
 
 def _check_fundamental(D: int) -> None:
@@ -172,47 +168,41 @@ def _canonical_root(D: int, q: int, k: int) -> int:
     return b
 
 
-def _ideal_walk(A: int, B: int, D: int, want_gamma: bool):
-    """Walk [A, (B+sqrt(D))/2] through reduction steps to the unit ideal.
+def _ideal_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
+    """Reduction steps of [A, (B+sqrt(D))/2] down to the unit ideal.
 
-    Returns the accumulated factor (gA, gB, gC) meaning (gA + gB*sqrt(m))/gC
-    with J = gamma * O once A = 1 is reached, or None when the walk closes
-    a cycle first (ideal not principal in the wide sense).
+    Step i multiplies the ideal [A_i, w_i], w_i = (B_i+sqrt(D))/2, by
+    c_i / w_i with c_i = (B_i^2-D)/(4 A_i), and records (c_i, B_(i+1)).
+    Returns the steps, or None when the walk closes a cycle first (ideal
+    not principal in the wide sense).
     """
-    m = D // 4 if D % 4 == 0 else D
-    e = 2 if D % 4 == 0 else 1
     s = isqrt(D)
-    gA, gB, gC = 1, 0, 1
     seen: set[tuple[int, int]] = set()
-    steps = 0
+    steps: list[tuple[int, int]] = []
     while A != 1:
         if (A, B) in seen:
             return None
         if A <= s:
             seen.add((A, B))
         c = (B * B - D) // (4 * A)
-        b2 = _window_b(B, abs(c), s)
-        if want_gamma:
-            # gamma *= (B + sqrt(D))/2 / c, with sqrt(D) = e*sqrt(m)
-            gA, gB = gA * B + gB * e * m, gA * e + gB * B
-            gC *= 2 * c
-            if gC < 0:
-                gA, gB, gC = -gA, -gB, -gC
-            g = gcd(gcd(gA, gB), gC)
-            if g > 1:
-                gA, gB, gC = gA // g, gB // g, gC // g
-        A, B = abs(c), b2
-        steps += 1
-        if steps > _MAX_WALK:
+        A = abs(c)
+        # B' = -B (mod 2A'), normalized into the reduction window
+        if A > s:
+            t = (-B) % (2 * A)
+            B = t - 2 * A if t > A else t
+        else:
+            B = s - (s + B) % (2 * A)
+        steps.append((c, B))
+        if len(steps) > _MAX_WALK:
             raise ArithmeticError("ideal walk did not terminate")
-    return gA, gB, gC
+    return steps
 
 
 def class_order(D: int, q: int, h: int) -> int:
     """Order of the first prime above split q, in the wide sense; divides h."""
     _check_fundamental(D)
     for d in divisors(h):
-        if _ideal_walk(q**d, _canonical_root(D, q, d), D, want_gamma=False) is not None:
+        if _ideal_walk(q**d, _canonical_root(D, q, d), D) is not None:
             return d
     raise ArithmeticError("class order does not divide the class number")
 
@@ -237,13 +227,49 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
     return x
 
 
+def _principal_power(D: int, q: int,
+                     exponents: Iterable[int]) -> tuple[int, QuadElem] | None:
+    """First k in `exponents` with p^k principal, and a generator alpha.
+
+    p is the first prime above q, an odd split prime that is not checked
+    here (`represent` checks it).  (alpha) = p^k, |norm(alpha)| = q^k, and
+    alpha is reduced modulo units with positive trace.  None if no p^k is.
+    """
+    m = D // 4 if D % 4 == 0 else D
+    for k in exponents:
+        A, B = q**k, _canonical_root(D, q, k)
+        steps = _ideal_walk(A, B, D)
+        if steps is None:
+            continue
+        # P_i = gamma_i*A_i and Q_i = gamma_i*w_i as (x + y*sqrt(D))/2, with
+        # gamma_i = prod_{j<i} w_j/c_j.  As B_(i+1) = 2 c_i t_i - B_i,
+        # w_i*w_(i+1)/c_i = t_i*w_i - A_i: P -> sign(c_i)*Q, Q -> t_i*Q - P,
+        # and gamma = P once A = 1.  No gcd; make_elem refuses a non-integer.
+        px, py, qx, qy = 2 * A, 0, B, 1
+        for c, b2 in steps:
+            t = (B + b2) // (2 * c)
+            px, py, qx, qy = qx, qy, t * qx - px, t * qy - py
+            if c < 0:
+                px, py = -px, -py
+            B = b2
+        alpha = make_elem(px, py * (2 if D % 4 == 0 else 1), 2, m)
+        if abs(alpha.norm()) != A:
+            raise ArithmeticError("generator has the wrong norm")
+        alpha = _unit_reduce(alpha, m)
+        # the walk targeted the canonical prime; double-check the support
+        r1 = embed(alpha, hensel_sqrt(m, q, k + 1), q, k + 1).r1
+        if (valuation(r1, q) if r1 else k + 1) != k:
+            raise ArithmeticError("generator supports the wrong prime")
+        return k, alpha
+    return None
+
+
 def represent(D: int, q: int, k: int) -> QuadElem | None:
     """Generator of p^k, with p the first prime above q.
 
     q must be an odd prime split in the order and k >= 1; the caller
     passes what it already knows instead of a norm to factor.  Returns
-    alpha with |norm(alpha)| = q^k and (alpha) = p^k, reduced modulo
-    units and with positive trace, or None when p^k is not
+    the generator of `_principal_power`, or None when p^k is not
     (wide-)principal.
     """
     _check_fundamental(D)
@@ -251,22 +277,5 @@ def represent(D: int, q: int, k: int) -> QuadElem | None:
         raise ValueError(f"exponent k={k} must be >= 1")
     if q == 2 or not is_prime(q) or kronecker(D, q) != 1:
         raise ValueError(f"q={q} is not an odd split prime for D={D}")
-
-    m = D // 4 if D % 4 == 0 else D
-    res = _ideal_walk(q**k, _canonical_root(D, q, k), D, want_gamma=True)
-    if res is None:
-        return None
-    gA, gB, gC = res
-    if gC not in (1, 2):
-        raise ArithmeticError("generator is not integral")
-    alpha = make_elem(gA, gB, gC, m)
-    if abs(alpha.norm()) != q**k:
-        raise ArithmeticError("generator has the wrong norm")
-    alpha = _unit_reduce(alpha, m)
-
-    # the walk targeted the canonical prime; double-check the support
-    s = hensel_sqrt(m, q, k + 1)
-    r1 = embed(alpha, s, q, k + 1).r1
-    if (valuation(r1, q) if r1 else k + 1) != k:
-        raise ArithmeticError("generator supports the wrong prime")
-    return alpha
+    found = _principal_power(D, q, (k,))
+    return None if found is None else found[1]

@@ -20,9 +20,9 @@ import numpy as np
 
 from .arith import is_prime, kronecker, primitive_root_mod_prime_power
 from .fermat import Capped, delta_embed
-from .qforms import represent
+from .qforms import _principal_power
 from .quadint import hensel_sqrt
-from .sunits import PreconditionError, build_context, validate_field
+from .sunits import PreconditionError, UsageError, build_context, validate_field
 
 NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
@@ -105,10 +105,11 @@ def _tally_block(args: tuple[int, int, int, int, tuple[int, ...]]) -> tuple[list
     counts = [0] * (rmax + 1)
     skipped = 0
     for ell in primes:
-        alpha = represent(D, ell, 1)
-        if alpha is None:
+        found = _principal_power(D, ell, (1,))  # ell: a proven split prime
+        if found is None:
             skipped += 1
             continue
+        alpha = found[1]
         nrm = alpha.norm()
         if abs(nrm) != ell or pow(nrm, p - 1, mod) != 1:
             raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
@@ -125,11 +126,11 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     """Tally generator deltas over split primes ell^(p-1) = 1 mod p^(n+1), ell < bound."""
     validate_field(m, p)
     if rmax < 0:
-        raise ValueError("rmax must be >= 0")
+        raise UsageError("rmax must be >= 0")
     if n < rmax:
-        raise ValueError("need n >= rmax to fill every bucket")
+        raise UsageError("need n >= rmax to fill every bucket")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise UsageError("workers must be >= 1")
     ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
@@ -195,9 +196,9 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     """
     validate_field(m, p)
     if mode not in (NORM_CONSTRAINED, UNCONSTRAINED):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     if samples < 0:
-        raise ValueError("samples must be >= 0")
+        raise UsageError("samples must be >= 0")
     p2 = p * p
     # residues stay below p^2 and draws below 10^6; the int64 products
     # r1*r2 and a*s must not wrap

@@ -12,14 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, is_squarefree, kronecker, valuation
+from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
-from .qforms import class_number, class_order, represent
+from .qforms import _principal_power, class_number
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
 
 class PreconditionError(ValueError):
     """Raised when (m, p) violates the engine's standing hypotheses."""
+
+
+class UsageError(ValueError):
+    """Raised for a run parameter outside its range (a bad flag value)."""
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,12 @@ def build_context(m: int, p: int, N: int | None = None) -> FieldContext:
     eps = fundamental_unit(m)
     h_narrow = class_number(D)
     h = h_narrow // 2 if eps.norm() == 1 else h_narrow
-    h0 = class_order(D, p, h)
+    found = _principal_power(D, p, divisors(h))
+    if found is None:
+        raise ArithmeticError("class order does not divide the class number")
+    h0, pi1 = found
     if N is None:
         N = max(9, h0 + 2)
-    pi1 = represent(D, p, h0)
-    if pi1 is None:
-        raise ArithmeticError("p1^h0 must be principal by the definition of h0")
     pi2 = pi1.conjugate()
     s = hensel_sqrt(m, p, N)
 

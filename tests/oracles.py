@@ -11,16 +11,20 @@ None of these is used by the package itself:
   norm is a local (p-1)-th root of unity agree below n, or are both >= n.
 * `continued_fraction_sqrt` is the plain expansion of sqrt(m), and
   `xgcd` the extended Euclidean algorithm behind Gauss composition.
+* `two_walk_principal_power` is the former route to (h0, pi1): one walk
+  per divisor for the class order, then a second walk of p^h0 that
+  carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
-from iwascan.arith import valuation
+from iwascan.arith import divisors, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
-from iwascan.quadint import QuadElem, QuadResidue
+from iwascan.qforms import _canonical_root, _unit_reduce
+from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
 from iwascan.sunits import FieldContext
 
 _MAX_STEPS = 10**6
@@ -144,3 +148,57 @@ def check_product_dichotomy(x: QuadElem, ctx: FieldContext, n: int) -> str:
     if not c1 and not c2 and rep.delta1 == rep.delta2:
         return "equal"
     raise ArithmeticError(f"dichotomy violated for {x}: {rep}")
+
+
+def _gamma_walk(A: int, B: int, D: int) -> tuple[int, int, int] | None:
+    """Walk [A, (B+sqrt(D))/2] to the unit ideal, carrying the generator.
+
+    Each reduction step multiplies the ideal by c / ((B+sqrt(D))/2); the
+    accumulated factor (gA + gB*sqrt(m))/gC is kept in lowest terms with
+    gC > 0.  None when the walk closes a cycle first.
+    """
+    m = D // 4 if D % 4 == 0 else D
+    e = 2 if D % 4 == 0 else 1
+    s = isqrt(D)
+    gA, gB, gC = 1, 0, 1
+    seen: set[tuple[int, int]] = set()
+    for _ in range(_MAX_STEPS):
+        if A == 1:
+            return gA, gB, gC
+        if (A, B) in seen:
+            return None
+        if A <= s:
+            seen.add((A, B))
+        c = (B * B - D) // (4 * A)
+        half = abs(c)
+        if half > s:
+            t = (-B) % (2 * half)
+            b2 = t - 2 * half if t > half else t
+        else:
+            b2 = s - ((s + B) % (2 * half))
+        gA, gB = gA * B + gB * e * m, gA * e + gB * B
+        gC *= 2 * c
+        if gC < 0:
+            gA, gB, gC = -gA, -gB, -gC
+        g = gcd(gcd(gA, gB), gC)
+        gA, gB, gC = gA // g, gB // g, gC // g
+        A, B = half, b2
+    raise ArithmeticError("ideal walk did not terminate")
+
+
+def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
+    """(h0, pi1) by the class-order walk, then a generator walk of p^h0."""
+    h0 = next(d for d in divisors(h)
+              if _gamma_walk(q**d, _canonical_root(D, q, d), D) is not None)
+    gA, gB, gC = _gamma_walk(q**h0, _canonical_root(D, q, h0), D)
+    if gC not in (1, 2):
+        raise ArithmeticError("generator is not integral")
+    m = D // 4 if D % 4 == 0 else D
+    alpha = make_elem(gA, gB, gC, m)
+    if abs(alpha.norm()) != q**h0:
+        raise ArithmeticError("generator has the wrong norm")
+    alpha = _unit_reduce(alpha, m)
+    r1 = embed(alpha, hensel_sqrt(m, q, h0 + 1), q, h0 + 1).r1
+    if (valuation(r1, q) if r1 else h0 + 1) != h0:
+        raise ArithmeticError("generator supports the wrong prime")
+    return h0, alpha

@@ -3,19 +3,21 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
 
-from iwascan import greenberg
+from iwascan import cli, greenberg
 from iwascan.cli import (COUNT_COLUMNS, DENSITY_COLUMNS, TALLY_COLUMNS,
                          VERDICT_COLUMNS, ScanCount, main, parse_count,
                          parse_prime_range, to_csv)
 from iwascan.greenberg import FieldVerdict, check_field
 from iwascan.stats import (NORM_CONSTRAINED, DensityTally, StatTally,
                            prime_fermat_scan, random_elem_density)
+from iwascan.sunits import UsageError
 
 
 def run_cli(*args):
@@ -355,3 +357,63 @@ def test_a_multi_prime_scan_builds_one_pool(monkeypatch, capsys):
                  "--no-header"]) == 0
     assert pools == [{"max_workers": 2}]
     assert "11  82  82  0" in capsys.readouterr().out
+
+
+# m = 100000039 at p = 3: h = h0 = 1 and a unit of about 4400 digits,
+# past Python's default 4300-digit limit on int <-> str conversion
+BIG_UNIT_M = 100000039
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_units_past_4300_digits_print_exactly(fmt, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["check", "--m", str(BIG_UNIT_M), "--p", "3", "--format", fmt,
+                 "--no-header"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted inside main only
+    out, err = capsys.readouterr()
+    assert err == ""
+    sys.set_int_max_str_digits(0)  # to read the digits back
+    try:
+        if fmt == "json":
+            v = json.loads(out)["verdict"]
+            (a, b, den), (x, y, _) = v["eps"], v["pi1"]
+        else:
+            den = 1
+            a, b = map(int, re.search(r"eps = (\d+) [+-] (\d+)\*sqrt", out).groups())
+            x, y = map(int, re.search(r"pi1 = (\d+) [+-] (\d+)\*sqrt", out).groups())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert a.bit_length() > 14300  # more than 4300 decimal digits
+    assert den == 1 and a * a - BIG_UNIT_M * b * b in (1, -1)
+    assert x * x - BIG_UNIT_M * y * y in (3, -3)
+
+
+def test_an_engine_value_error_is_an_internal_error(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("den=2 needs a = b (mod 2)")
+
+    monkeypatch.setattr(cli, "check_field", broken)
+    assert main(["check", "--m", "103", "--p", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: den=2 needs a = b (mod 2)\n"
+
+
+def test_refused_flag_values_are_usage_errors():
+    refused = (
+        (lambda: greenberg.scan_range((3,), 50, 10), "empty range"),
+        (lambda: greenberg.scan_range((3,), 2, 10, workers=0), "workers must be >= 1"),
+        (lambda: greenberg.scan_range((3, 3), 2, 10), "none repeated"),
+        (lambda: prime_fermat_scan(103, 3, 5, 10**4, rmax=-1), "rmax must be >= 0"),
+        (lambda: prime_fermat_scan(103, 3, 3, 10**4), "need n >= rmax"),
+        (lambda: prime_fermat_scan(103, 3, 5, 10**4, workers=0), "workers must be >= 1"),
+        (lambda: random_elem_density(7, 3, -1), "samples must be >= 0"),
+        (lambda: random_elem_density(7, 3, 10, "other"), "unknown mode"))
+    for call, message in refused:
+        with pytest.raises(UsageError, match=message):
+            call()
+    # precisions below 1 are refused by the parser
+    for argv in (("check", "--m", "103", "--p", "3", "--n0", "0"),
+                 ("scan", "--p", "3", "--max-m", "10", "--n0", "-1"),
+                 ("stats-primes", "--m", "103", "--p", "3", "--n", "0", "--rmax", "0")):
+        code, _, err = run_cli(*argv)
+        assert code == 2 and "must be >= 1" in err, argv

@@ -10,6 +10,10 @@ The class-order oracle is Gauss composition of forms: the order of the
 prime form (q, t, .) is the first d | h whose d-th power lies in a cycle
 holding a form with |a| = 1, an independent route from the walk on the
 prime-power ideal [q^d, (b_d+sqrt(D))/2] under test.
+
+The one-pass `_principal_power` is checked against the former two-walk
+route (`oracles.two_walk_principal_power`), which walks p^h0 a second
+time and carries the generator with a gcd on every step.
 """
 
 import math
@@ -23,7 +27,7 @@ from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
-from oracles import xgcd
+from oracles import two_walk_principal_power, xgcd
 
 
 def fundamental_discriminants(limit):
@@ -267,6 +271,41 @@ def test_class_order_matches_composition_oracle():
                 assert class_order(D, q, h) == oracle_class_order(D, q, h), (D, q)
                 pairs += 1
     assert pairs == 18230
+
+
+def test_principal_power_matches_two_walk_oracle():
+    pairs = 0
+    for D in fundamental_discriminants(10**4):
+        h = wide_class_number(D)
+        for q in SPLIT_Q:
+            if kronecker(D, q) == 1:
+                want = two_walk_principal_power(D, q, h)
+                assert qforms._principal_power(D, q, divisors(h)) == want, (D, q)
+                pairs += 1
+    assert pairs == 18230
+
+
+# the first 16 squarefree m above 10^7
+NEAR_1E7 = (10000001, 10000002, 10000003, 10000005, 10000006, 10000007,
+            10000009, 10000010, 10000011, 10000013, 10000014, 10000015,
+            10000019, 10000021, 10000022, 10000023)
+
+
+@pytest.mark.parametrize("m", NEAR_1E7)
+def test_principal_power_matches_two_walk_oracle_near_1e7(m):
+    D = m if m % 4 == 1 else 4 * m
+    h = wide_class_number(D)
+    split = [q for q in SPLIT_Q if kronecker(D, q) == 1]
+    assert split
+    for q in split:
+        assert qforms._principal_power(D, q, divisors(h)) == \
+            two_walk_principal_power(D, q, h), q
+
+
+def test_principal_power_none_when_no_power_closes():
+    # m = 10: p above 3 has order 2, so p^1 alone is not principal
+    assert qforms._principal_power(40, 3, (1,)) is None
+    assert qforms._principal_power(40, 3, (1, 2)) == (2, represent(40, 3, 2))
 
 
 @pytest.mark.parametrize("D", [40, 60, 316, 412, 520, 1756])

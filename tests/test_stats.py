@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from iwascan import qforms
 from iwascan.arith import kronecker
 from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
@@ -50,6 +51,16 @@ def test_prime_scan_skips_nonprincipal():
     assert t.skipped_nonprincipal == 11
     assert t.total == 11
     assert t.counts == (8, 1, 0, 1, 1, 0)
+
+
+def test_prime_scan_proves_each_prime_once(monkeypatch):
+    # the candidate sieve proves every ell prime; the walk must not again
+    proved = []
+    is_prime = qforms.is_prime
+    monkeypatch.setattr(qforms, "is_prime", lambda n: proved.append(n) or is_prime(n))
+    t = prime_fermat_scan(10, 3, 5, 10**5)
+    assert t.total + t.skipped_nonprincipal == 22
+    assert proved == []
 
 
 def test_prime_scan_empty_below_modulus():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from iwascan.arith import valuation
+from iwascan import qforms
+from iwascan.arith import divisors, valuation
 from iwascan.quadint import make_elem
 from iwascan.sunits import (FieldContext, PreconditionError, build_context,
                             validate_field)
@@ -77,3 +78,21 @@ def test_context_values_30043():
     assert abs(ctx.pi1.norm()) == 3**9
     # unit-reduced generator is the tiny one: 317 +- 2*sqrt(m)
     assert (abs(ctx.pi1.a), abs(ctx.pi1.b)) == (317, 2)
+
+
+@pytest.mark.parametrize("m,p,h,h0", [(30043, 3, 18, 9), (103, 3, 1, 1),
+                                      (10, 3, 2, 2), (2659, 3, 3, 3)])
+def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
+    """One walk per divisor d <= h0 of h, and no second walk of p1^h0."""
+    walked = []
+    walk = qforms._ideal_walk
+
+    def counting(A, *args, **kwargs):
+        walked.append(A)
+        return walk(A, *args, **kwargs)
+
+    monkeypatch.setattr(qforms, "_ideal_walk", counting)
+    build_context.cache_clear()
+    ctx = build_context(m, p)
+    assert (ctx.h, ctx.h0) == (h, h0)
+    assert walked == [p**d for d in divisors(h) if d <= h0]
