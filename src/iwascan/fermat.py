@@ -69,13 +69,10 @@ def delta_embed(x: QuadElem, ctx: FieldContext, n: int) -> DeltaReport:
     return DeltaReport(delta1=d1, delta2=d2, n=n)
 
 
-def delta_exact(x: QuadElem, ctx: FieldContext, n: int = 1,
-                n_cap: int = N_CAP) -> DeltaReport:
+def delta_exact(x: QuadElem, ctx: FieldContext, n: int = 1) -> DeltaReport:
     """delta_embed with automatic doubling of n while a value is capped."""
-    while True:
+    rep = delta_embed(x, ctx, n)
+    while n < N_CAP and (isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped)):
+        n = min(2 * n, N_CAP)
         rep = delta_embed(x, ctx, n)
-        if not (isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped)):
-            return rep
-        if n >= n_cap:
-            return rep
-        n = min(2 * n, n_cap)
+    return rep

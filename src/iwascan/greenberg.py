@@ -5,7 +5,8 @@ vanish as soon as (a) the p-part of the class number is already carried by
 the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
-admissible m in an interval, for several primes at once.
+admissible m in an interval, for several primes at once.  `map_blocks` is
+the package's one process pool: both scans hand it fixed work items.
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ def admissible(m: int, p: int) -> bool:
     return m > 1 and is_squarefree(m) and kronecker(m, p) == 1
 
 
+def map_blocks(fn, blocks: list, workers: int) -> list:
+    """[fn(b) for b in blocks]: in-process at one worker or below two blocks,
+    else on one pool whose map hands the blocks out in order as workers free up."""
+    if workers < 1:
+        raise UsageError("workers must be >= 1")
+    if workers == 1 or len(blocks) < 2:
+        return [fn(b) for b in blocks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        return list(pool.map(fn, blocks))
+
+
 _CHUNK = 100  # m-values per work item: small, so a pool balances costs rising with m
 
 
@@ -109,20 +121,16 @@ class ScanResult:
 def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
                workers: int = 1) -> tuple[ScanResult, ...]:
     """Every admissible m in [m_min, m_max] at each prime: one ScanResult
-    per prime, in the given order, with rows m-ascending."""
+    per prime, in the given order, with rows m-ascending.  The m-range is
+    cut into blocks of _CHUNK values, each checked at every prime, m
+    outermost, by `map_blocks` on `workers` processes."""
     if m_min > m_max:
         raise UsageError("empty range")
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
     if not primes or len(set(primes)) < len(primes):
         raise UsageError("need at least one prime, none repeated")
     blocks = [(primes, lo, min(lo + _CHUNK - 1, m_max), n0)
               for lo in range(m_min, m_max + 1, _CHUNK)]
-    if workers == 1:
-        parts = map(_scan_block, blocks)
-    else:  # one pool; pool.map hands out the blocks in order as workers free up
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_scan_block, blocks))
+    parts = map_blocks(_scan_block, blocks, workers)
     rows: dict[int, list[FieldVerdict]] = {p: [] for p in primes}
     for part in parts:
         for r in part:

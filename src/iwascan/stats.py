@@ -2,17 +2,19 @@
 
 Two experiments:
 
-* `prime_fermat_scan` walks primes ell in the residue classes mod p^(n+1)
-  where ell^(p-1) = 1, extracts a generator of a prime ideal above each
-  split ell, and tallies the common delta of the generator, whose expected
-  law is P(delta = r) = (p-1)/p^(r+1);
+* `prime_fermat_scan` tallies the common delta of a generator of a prime
+  ideal above each split prime ell < bound with ell^(p-1) = 1 mod p^(n+1),
+  whose expected law is P(delta = r) = (p-1)/p^(r+1).  Fixed blocks of at
+  most _SPAN candidates ell = r + j*p^(n+1) are each sieved, proved prime,
+  filtered by kronecker(m, ell) = 1 and tallied on `greenberg.map_blocks`:
+  a tally is a sum, so it does not depend on the worker count, and the
+  memory per block is fixed;
 * `random_elem_density` samples random field elements and measures how
   often delta = 0, under a norm congruence or unconstrained.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from .arith import is_prime, kronecker, primitive_root_mod_prime_power
 from .fermat import Capped, delta_embed
+from .greenberg import map_blocks
 from .qforms import _principal_power
 from .quadint import hensel_sqrt
 from .sunits import PreconditionError, UsageError, build_context, validate_field
@@ -28,6 +31,7 @@ NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
 
 _CHUNK = 1 << 17  # fixed so a given seed always yields the same stream
+_SPAN = 1 << 14  # candidates per prime-scan work item
 _DRAW = 10**6  # coordinates are drawn from [0, _DRAW)
 _INT64_MAX = 2**63 - 1
 
@@ -78,34 +82,24 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def _candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]:
-    """Primes ell = r + j*modulus, j >= 1, ell < bound, presieved then proven."""
-    out: list[int] = []
-    sieve = _small_primes(min(3000, max(10, bound)))
-    for r in residues:
-        top = bound - 1 - r
-        if top < modulus:
-            continue
-        cand = r + modulus * np.arange(1, top // modulus + 1, dtype=np.int64)
-        keep = np.ones(len(cand), dtype=bool)
-        for q in sieve:
-            if q * q > bound:
-                break
-            keep &= (cand % q != 0) | (cand == q)
-        out.extend(int(c) for c in cand[keep] if is_prime(int(c)))
-    out.sort()
-    return out
+_SIEVE = _small_primes(3000)  # presieve only: survivors are proven by is_prime
 
 
-def _tally_block(args: tuple[int, int, int, int, tuple[int, ...]]) -> tuple[list[int], int]:
-    m, p, n, rmax, primes = args
-    ctx = build_context(m, p)
-    D = ctx.D
+def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
+    """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1."""
+    m, p, n, rmax, r, j0, j1 = item
     mod = p ** (n + 1)
+    cand = r + mod * np.arange(j0, j1, dtype=np.int64)
+    keep = np.ones(len(cand), dtype=bool)
+    for q in _SIEVE[_SIEVE * _SIEVE <= cand[-1]]:
+        keep &= (cand % q != 0) | (cand == q)
+    ctx = build_context(m, p)
     counts = [0] * (rmax + 1)
     skipped = 0
-    for ell in primes:
-        found = _principal_power(D, ell, (1,))  # ell: a proven split prime
+    for ell in cand[keep].tolist():
+        if kronecker(m, ell) != 1 or not is_prime(ell):
+            continue
+        found = _principal_power(ctx.D, ell, (1,))  # ell: a proven split prime
         if found is None:
             skipped += 1
             continue
@@ -129,28 +123,20 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
         raise UsageError("rmax must be >= 0")
     if n < rmax:
         raise UsageError("need n >= rmax to fill every bucket")
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
+    if bound > 2**63:  # candidates are sieved in int64
+        raise UsageError("bound must be <= 2^63")
     ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
     mod = p ** (n + 1)
     rho = primitive_root_mod_prime_power(p, n + 1)
     residues = sorted(pow(rho, k * p**n, mod) for k in range(1, p))
-    primes = [ell for ell in _candidate_primes(residues, mod, bound)
-              if kronecker(m, ell) == 1]
-
-    workers = min(workers, len(primes) or 1)
-    blocks = []
-    span = len(primes)
-    for i in range(workers):
-        part = tuple(primes[(span * i) // workers : (span * (i + 1)) // workers])
-        blocks.append((m, p, n, rmax, part))
-    if workers == 1:
-        parts = [_tally_block(blocks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_tally_block, blocks))
+    items = []
+    for r in residues:
+        top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
+        items += [(m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1))
+                  for j0 in range(1, top + 1, _SPAN)]
+    parts = map_blocks(_tally_block, items, workers)
     counts = [sum(part[0][i] for part in parts) for i in range(rmax + 1)]
     skipped = sum(part[1] for part in parts)
     return StatTally(m=m, p=p, n=n, bound=bound, rmax=rmax,

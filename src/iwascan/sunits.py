@@ -57,7 +57,7 @@ def validate_field(m: int, p: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def build_context(m: int, p: int, N: int | None = None) -> FieldContext:
+def build_context(m: int, p: int) -> FieldContext:
     """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)
     D = m if m % 4 == 1 else 4 * m
@@ -68,8 +68,7 @@ def build_context(m: int, p: int, N: int | None = None) -> FieldContext:
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
-    if N is None:
-        N = max(9, h0 + 2)
+    N = max(9, h0 + 2)
     pi2 = pi1.conjugate()
     s = hensel_sqrt(m, p, N)
 

@@ -14,6 +14,9 @@ None of these is used by the package itself:
 * `two_walk_principal_power` is the former route to (h0, pi1): one walk
   per divisor for the class order, then a second walk of p^h0 that
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
+* `candidate_primes` is the former candidate stream of
+  `stats.prime_fermat_scan`: every residue class sieved in one int64
+  array in the calling process, each survivor proven, then sorted.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from iwascan.arith import divisors, valuation
+import numpy as np
+
+from iwascan.arith import divisors, is_prime, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
 from iwascan.qforms import _canonical_root, _unit_reduce
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
+from iwascan.stats import _small_primes
 from iwascan.sunits import FieldContext
 
 _MAX_STEPS = 10**6
@@ -202,3 +208,22 @@ def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     if (valuation(r1, q) if r1 else h0 + 1) != h0:
         raise ArithmeticError("generator supports the wrong prime")
     return h0, alpha
+
+
+def candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]:
+    """Primes ell = r + j*modulus, j >= 1, ell < bound, presieved then proven."""
+    out: list[int] = []
+    sieve = _small_primes(min(3000, max(10, bound)))
+    for r in residues:
+        top = bound - 1 - r
+        if top < modulus:
+            continue
+        cand = r + modulus * np.arange(1, top // modulus + 1, dtype=np.int64)
+        keep = np.ones(len(cand), dtype=bool)
+        for q in sieve:
+            if q * q > bound:
+                break
+            keep &= (cand % q != 0) | (cand == q)
+        out.extend(int(c) for c in cand[keep] if is_prime(int(c)))
+    out.sort()
+    return out

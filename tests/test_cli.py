@@ -359,6 +359,29 @@ def test_a_multi_prime_scan_builds_one_pool(monkeypatch, capsys):
     assert "11  82  82  0" in capsys.readouterr().out
 
 
+def test_a_split_prime_tally_builds_one_pool(monkeypatch, capsys):
+    pools = []
+
+    class CountedPool(greenberg.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", CountedPool)
+    assert main(["stats-primes", "--m", "103", "--p", "3", "--n", "5", "--bound", "1e6",
+                 "--workers", "2", "--no-header"]) == 0
+    assert pools == [{"max_workers": 2}]
+    assert "N_L = 162  (skipped non-principal: 0)" in capsys.readouterr().out
+
+
+def test_a_bound_past_int64_is_refused_in_one_line(capsys):
+    # the int64 candidate stream once wrapped here and printed N_L = 0
+    assert main(["stats-primes", "--m", "103", "--p", "3", "--n", "38",
+                 "--bound", "1e20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bound must be <= 2^63\n"
+
+
 # m = 100000039 at p = 3: h = h0 = 1 and a unit of about 4400 digits,
 # past Python's default 4300-digit limit on int <-> str conversion
 BIG_UNIT_M = 100000039

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iwascan import qforms
+from sympy import isprime
+
+from iwascan import qforms, stats
 from iwascan.arith import kronecker
 from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, _teichmuller, expected_proportions,
                            prime_fermat_scan, random_elem_density)
-from iwascan.sunits import PreconditionError
+from iwascan.sunits import PreconditionError, UsageError
+from oracles import candidate_primes
 
 
 def test_expected_proportions_values():
@@ -66,6 +69,90 @@ def test_prime_scan_proves_each_prime_once(monkeypatch):
 def test_prime_scan_empty_below_modulus():
     t = prime_fermat_scan(103, 3, 5, 3**6)
     assert t.total == 0 and all(c == 0 for c in t.counts)
+
+
+def oracle_split_primes(m, p, n, bound):
+    """The split primes the former parent-side sieve handed to the tally."""
+    mod = p ** (n + 1)
+    residues = [r for r in range(1, mod) if pow(r, p - 1, mod) == 1]
+    return [ell for ell in candidate_primes(residues, mod, bound) if kronecker(m, ell) == 1]
+
+
+def reached_primes(monkeypatch, m, p, n, bound):
+    """(tally, every ell the tally walks) of a one-worker scan."""
+    seen = []
+    walk = qforms._principal_power
+    monkeypatch.setattr(stats, "_principal_power",
+                        lambda D, ell, exps: seen.append(ell) or walk(D, ell, exps))
+    return prime_fermat_scan(m, p, n, bound), seen
+
+
+@pytest.mark.parametrize("span", [1, 7, stats._SPAN])
+@pytest.mark.parametrize("m, p, n, bound", [(10, 3, 5, 10**5), (103, 3, 5, 3 * 10**5),
+                                            (44853, 7, 5, 10**7)])
+def test_blocks_reach_the_oracle_primes(monkeypatch, span, m, p, n, bound):
+    monkeypatch.setattr(stats, "_SPAN", span)
+    t, seen = reached_primes(monkeypatch, m, p, n, bound)
+    assert sorted(seen) == oracle_split_primes(m, p, n, bound)
+    assert t.total + t.skipped_nonprincipal == len(seen) > 0
+
+
+def test_blocks_stop_exactly_below_the_bound(monkeypatch):
+    m, p, n = 103, 3, 5
+    mod = p ** (n + 1)
+    ell = oracle_split_primes(m, p, n, 10**5)[3]  # r + k*mod for some k
+    for bound in (mod - 1, mod, ell, ell + 1):
+        _, seen = reached_primes(monkeypatch, m, p, n, bound)
+        assert sorted(seen) == oracle_split_primes(m, p, n, bound), bound
+        assert (ell in seen) == (bound > ell)
+        assert (seen == []) == (bound <= mod)
+
+
+@pytest.mark.parametrize("span", [7, stats._SPAN])
+def test_work_items_are_spans_that_tile_each_residue_class(monkeypatch, span):
+    m, p, n, bound = 44853, 7, 5, 10**9
+    mod = p ** (n + 1)
+    items = []
+    monkeypatch.setattr(stats, "_SPAN", span)
+    monkeypatch.setattr(stats, "map_blocks",
+                        lambda fn, blocks, workers: items.extend(blocks) or [])
+    prime_fermat_scan(m, p, n, bound)
+    assert all(1 <= j1 - j0 <= span for *_, j0, j1 in items)
+    for r in [r for r in range(1, mod) if pow(r, p - 1, mod) == 1]:
+        spans = [(j0, j1) for *_, r_, j0, j1 in items if r_ == r]
+        js = [j for j0, j1 in spans for j in range(j0, j1)]
+        assert js == list(range(1, (bound - 1 - r) // mod + 1)), r
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_small_blocks_on_any_worker_count_give_the_serial_tally(monkeypatch, workers):
+    serial = prime_fermat_scan(103, 3, 5, 10**6)
+    monkeypatch.setattr(stats, "_SPAN", 50)
+    assert prime_fermat_scan(103, 3, 5, 10**6, workers=workers) == serial
+
+
+def test_an_empty_stream_on_two_workers_tallies_zero():
+    t = prime_fermat_scan(103, 3, 5, 3**6, workers=2)
+    assert t.total == t.skipped_nonprincipal == 0 and t.counts == (0,) * 6
+
+
+def test_bound_2_pow_63_tallies_exactly_in_int64():
+    # candidates run up to 2^63 - 1; a Python-int recount finds the same two
+    m, p, n = 103, 3, 35
+    mod, top = p ** (n + 1), 2**63
+    split = [ell for k in range(1, top // mod + 2) for ell in (k * mod - 1, k * mod + 1)
+             if mod < ell < top and isprime(ell) and kronecker(m, ell) == 1]
+    t = prime_fermat_scan(m, p, n, top)
+    assert len(split) == 2
+    assert t.total + t.skipped_nonprincipal == len(split)
+
+
+def test_bounds_past_int64_are_refused():
+    # the int64 candidates wrapped: bound 1e20 once tallied N_L = 0
+    with pytest.raises(UsageError, match="bound must be <= 2\\^63"):
+        prime_fermat_scan(103, 3, 38, 10**20)
+    with pytest.raises(UsageError):
+        prime_fermat_scan(103, 3, 38, 2**63 + 1)
 
 
 def test_prime_scan_preconditions():
