@@ -165,17 +165,8 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def primitive_root_mod_prime_power(p: int, k: int) -> int:
-    """Smallest primitive root modulo p**k for odd prime p."""
-    fac = factorize(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            break
-        g += 1
-    if k == 1:
-        return g
-    # g generates (Z/p)^*; it lifts to p^k unless g^(p-1) = 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+def teichmuller(p: int, k: int) -> tuple[int, ...]:
+    """The p-1 roots of x^(p-1) = 1 (mod p^k) for odd prime p: the lifts
+    a^(p^(k-1)) mod p^k of a = 1..p-1, the lift of a being = a (mod p)."""
+    e, mod = p ** (k - 1), p**k
+    return tuple(pow(a, e, mod) for a in range(1, p))

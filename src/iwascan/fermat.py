@@ -7,7 +7,8 @@ labelled embedding mod p^(n+1).  (The tests check it against an
 independent route through the S-unit Bezout associate of x.)
 
 A computation can only certify delta < n; larger values surface as a
-`Capped` marker and callers retry at doubled n (up to N_CAP).
+`Capped` marker.  `delta_exact` retries at doubled n up to N_CAP and
+raises ArithmeticError for a value still capped there.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ def delta_embed(x: QuadElem, ctx: FieldContext, n: int) -> DeltaReport:
 
 
 def delta_exact(x: QuadElem, ctx: FieldContext, n: int = 1) -> DeltaReport:
-    """delta_embed with automatic doubling of n while a value is capped."""
+    """delta_embed with n doubled while a value is capped, up to N_CAP."""
     rep = delta_embed(x, ctx, n)
-    while n < N_CAP and (isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped)):
+    while isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped):
+        if n >= N_CAP:
+            raise ArithmeticError(f"delta >= {n} for m={ctx.m}, p={ctx.p}")
         n = min(2 * n, N_CAP)
         rep = delta_embed(x, ctx, n)
     return rep

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_squarefree, kronecker, valuation
-from .fermat import Capped, delta_exact
-from .sunits import FieldContext, UsageError, build_context
+from .fermat import delta_exact
+from .sunits import UsageError, build_context, validate_prime
 
 
 @dataclass(frozen=True)
@@ -45,30 +45,21 @@ class FieldVerdict:
         return Fraction(1, self.p**self.delta_pi)
 
 
-def _exact_delta(x, ctx: FieldContext, n0: int, what: str) -> int:
-    rep = delta_exact(x, ctx, n0)
-    if isinstance(rep.delta1, Capped):
-        raise ArithmeticError(f"delta({what}) >= {rep.n} for m={ctx.m}, p={ctx.p}")
-    return rep.delta1
-
-
 def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     """Run the vanishing test for Q(sqrt(m)) at p.
 
-    n0 is only the starting precision; deltas that exceed it are recomputed
-    at doubled precision, so the verdict does not depend on n0.
+    n0 is only the starting precision; `delta_exact` recomputes deltas that
+    exceed it at doubled precision, so the verdict does not depend on n0.
     """
     ctx = build_context(m, p)
     rep = delta_exact(ctx.eps, ctx, n0)
-    if isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped):
-        raise ArithmeticError(f"delta(eps) out of range for m={m}, p={p}")
     if rep.delta1 != rep.delta2:
         raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
     delta_eps = rep.delta1
     # delta at the first prime of the conjugate generator; multiplying by
     # units can only move it when it ties delta_eps, and never below the
     # min, so min(delta_eps, delta_pi) is convention-free.
-    delta_pi = _exact_delta(ctx.pi2, ctx, n0, "pi")
+    delta_pi = delta_exact(ctx.pi2, ctx, n0).delta1
 
     v_p_h = valuation(ctx.h, p)
     class_ok = v_p_h == valuation(ctx.h0, p)
@@ -128,6 +119,8 @@ def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
         raise UsageError("empty range")
     if not primes or len(set(primes)) < len(primes):
         raise UsageError("need at least one prime, none repeated")
+    for p in primes:  # even when no m in the range is admissible at p
+        validate_prime(p)
     blocks = [(primes, lo, min(lo + _CHUNK - 1, m_max), n0)
               for lo in range(m_min, m_max + 1, _CHUNK)]
     parts = map_blocks(_scan_block, blocks, workers)

@@ -212,16 +212,9 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
     eps = fundamental_unit(m)
     eps_inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
 
-    def height(y: QuadElem) -> int:
-        return abs(y.trace())
-
     for step in (eps_inv, eps):
-        while True:
-            y = x * step
-            if height(y) < height(x):
-                x = y
-            else:
-                break
+        while abs((y := x * step).trace()) < abs(x.trace()):
+            x = y
     if x.a < 0:
         x = -x
     return x

@@ -49,19 +49,8 @@ class QuadElem:
         b = self.a * other.b + self.b * other.a
         return make_elem(a, b, self.den * other.den, self.m)
 
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        if self.m != other.m:
-            raise ValueError("mixed fields")
-        d = max(self.den, other.den)
-        a = self.a * (d // self.den) + other.a * (d // other.den)
-        b = self.b * (d // self.den) + other.b * (d // other.den)
-        return make_elem(a, b, d, self.m)
-
     def __neg__(self) -> "QuadElem":
         return QuadElem(-self.a, -self.b, self.den, self.m)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        return self + (-other)
 
     def conjugate(self) -> "QuadElem":
         return QuadElem(self.a, -self.b, self.den, self.m)
@@ -78,20 +67,6 @@ class QuadElem:
         if r:
             raise ArithmeticError("trace of an integral element must be an integer")
         return q
-
-    def pow(self, e: int) -> "QuadElem":
-        if e < 0:
-            raise ValueError("negative powers leave the order")
-        result = QuadElem(1, 0, 1, self.m)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    __pow__ = pow
 
 
 def make_elem(a: int, b: int, den: int, m: int) -> QuadElem:
@@ -119,19 +94,6 @@ class QuadResidue:
     r1: int
     r2: int
     modulus: int
-
-    def mul(self, other: "QuadResidue") -> "QuadResidue":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        n = self.modulus
-        return QuadResidue(self.r1 * other.r1 % n, self.r2 * other.r2 % n, n)
-
-    def pow(self, e: int) -> "QuadResidue":
-        n = self.modulus
-        return QuadResidue(pow(self.r1, e, n), pow(self.r2, e, n), n)
-
-    def norm(self) -> int:
-        return self.r1 * self.r2 % self.modulus
 
 
 @lru_cache(maxsize=4096)
@@ -163,10 +125,7 @@ def hensel_sqrt(m: int, p: int, N: int) -> int:
 def embed(x: QuadElem, s: int, p: int, N: int) -> QuadResidue:
     """Map x into Z/p^N x Z/p^N via sqrt(m) -> +-s."""
     mod = p**N
-    if x.den == 2:
-        inv_den = (mod + 1) // 2  # p is odd
-    else:
-        inv_den = 1
+    inv_den = (mod + 1) // 2 if x.den == 2 else 1  # p is odd
     r1 = (x.a + x.b * s) * inv_den % mod
     r2 = (x.a - x.b * s) * inv_den % mod
     return QuadResidue(r1, r2, mod)

@@ -8,7 +8,8 @@ Two experiments:
   most _SPAN candidates ell = r + j*p^(n+1) are each sieved, proved prime,
   filtered by kronecker(m, ell) = 1 and tallied on `greenberg.map_blocks`:
   a tally is a sum, so it does not depend on the worker count, and the
-  memory per block is fixed;
+  memory per block is fixed.  The r are `arith.teichmuller(p, n+1)`; a
+  bound <= p^(n+1) tallies zero at once; rmax > 63 or bound > 2^63 is refused;
 * `random_elem_density` samples random field elements and measures how
   often delta = 0, under a norm congruence or unconstrained.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import is_prime, kronecker, primitive_root_mod_prime_power
+from .arith import is_prime, kronecker, teichmuller
 from .fermat import Capped, delta_embed
 from .greenberg import map_blocks
 from .qforms import _principal_power
@@ -36,13 +37,10 @@ _DRAW = 10**6  # coordinates are drawn from [0, _DRAW)
 _INT64_MAX = 2**63 - 1
 
 
-def expected_proportions(p: int, d: int = 2, rmax: int = 5) -> tuple[Fraction, ...]:
-    """Reference law P(delta = r) = (q-1)/q^(r+1) with q = p^(d-1), tail-summed."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    q = p ** (d - 1)
-    body = tuple(Fraction(q - 1, q ** (r + 1)) for r in range(rmax))
-    return body + (Fraction(1, q**rmax),)
+def expected_proportions(p: int, rmax: int = 5) -> tuple[Fraction, ...]:
+    """Reference law P(delta = r) = (p-1)/p^(r+1), tail-summed at rmax."""
+    body = tuple(Fraction(p - 1, p ** (r + 1)) for r in range(rmax))
+    return body + (Fraction(1, p**rmax),)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class StatTally:
 
     @property
     def expected(self) -> tuple[Fraction, ...]:
-        return expected_proportions(self.p, 2, self.rmax)
+        return expected_proportions(self.p, self.rmax)
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -121,6 +119,8 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     validate_field(m, p)
     if rmax < 0:
         raise UsageError("rmax must be >= 0")
+    if rmax > 63:  # rmax <= n, and a scan with 3^(n+1) < bound <= 2^63 has n <= 38
+        raise UsageError("rmax must be <= 63")
     if n < rmax:
         raise UsageError("need n >= rmax to fill every bucket")
     if bound > 2**63:  # candidates are sieved in int64
@@ -128,14 +128,15 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
-    mod = p ** (n + 1)
-    rho = primitive_root_mod_prime_power(p, n + 1)
-    residues = sorted(pow(rho, k * p**n, mod) for k in range(1, p))
     items = []
-    for r in residues:
-        top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
-        items += [(m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1))
-                  for j0 in range(1, top + 1, _SPAN)]
+    # every candidate ell = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1),
+    # so the tally is zero, without forming p^(n+1), once 2^(n+1) >= bound
+    if n + 1 < bound.bit_length() and p ** (n + 1) < bound:
+        mod = p ** (n + 1)
+        for r in sorted(teichmuller(p, n + 1)):
+            top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
+            items += [(m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1))
+                      for j0 in range(1, top + 1, _SPAN)]
     parts = map_blocks(_tally_block, items, workers)
     counts = [sum(part[0][i] for part in parts) for i in range(rmax + 1)]
     skipped = sum(part[1] for part in parts)
@@ -165,13 +166,6 @@ class DensityTally:
         return Fraction(self.p**2 - 1, self.p**2)
 
 
-def _teichmuller(p: int) -> np.ndarray:
-    """Lifts a^p mod p^2 of a = 1..p-1, and -1 at 0: for 0 <= r < p^2,
-    r^(p-1) = 1 (mod p^2) exactly when table[r % p] == r."""
-    p2 = p * p
-    return np.array([-1] + [pow(a, p, p2) for a in range(1, p)], dtype=np.int64)
-
-
 def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAINED,
                         seed: int = 0) -> DensityTally:
     """Sample y = a*sqrt(m) + b, a,b uniform in [0, 10^6); measure delta = 0 rates.
@@ -179,19 +173,23 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     NORM_CONSTRAINED keeps y with norm(y)^(p-1) = 1 mod p^2 and measures the
     common delta = 0 (expected (p-1)/p); UNCONSTRAINED keeps norm(y) prime
     to p and measures min(delta_1, delta_2) = 0 (expected (p^2-1)/p^2).
+    A negative samples or seed is refused (UsageError).
     """
     validate_field(m, p)
     if mode not in (NORM_CONSTRAINED, UNCONSTRAINED):
         raise UsageError(f"unknown mode {mode!r}")
     if samples < 0:
         raise UsageError("samples must be >= 0")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     p2 = p * p
     # residues stay below p^2 and draws below 10^6; the int64 products
     # r1*r2 and a*s must not wrap
     if max((p2 - 1) ** 2, _DRAW * p2) > _INT64_MAX:
         raise PreconditionError(f"p={p} is too large for int64 sampling (needs p^4 < 2^63)")
     s = hensel_sqrt(m, p, 1) % p2
-    teich = _teichmuller(p)
+    # for 0 <= r < p^2, r^(p-1) = 1 (mod p^2) exactly when teich[r % p] == r
+    teich = np.array((-1, *teichmuller(p, 2)), dtype=np.int64)
     rng = np.random.default_rng(seed)
     accepted = hits = 0
     left = samples

@@ -32,7 +32,6 @@ class FieldContext:
     D: int
     p: int
     h: int           # wide class number
-    h_narrow: int    # form class number (= h or 2h)
     eps: QuadElem
     s: int           # sqrt(m) mod p^N, in the canonical root class
     N: int           # precision exponent carried by s
@@ -47,11 +46,19 @@ class FieldContext:
         return embed(x, s, self.p, prec)
 
 
+def validate_prime(p: int) -> None:
+    try:
+        odd_prime = p != 2 and is_prime(p)
+    except ValueError as exc:  # is_prime refuses past its Miller-Rabin witness range
+        raise PreconditionError(f"p={p} is too large to prove prime") from exc
+    if not odd_prime:
+        raise PreconditionError(f"p={p} must be an odd prime")
+
+
 def validate_field(m: int, p: int) -> None:
     if not (isinstance(m, int) and m > 1 and is_squarefree(m)):
         raise PreconditionError(f"m={m} must be a squarefree integer > 1")
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"p={p} must be an odd prime")
+    validate_prime(p)
     if kronecker(m, p) != 1:
         raise PreconditionError(f"p={p} is not split in Q(sqrt({m}))")
 
@@ -62,8 +69,8 @@ def build_context(m: int, p: int) -> FieldContext:
     validate_field(m, p)
     D = m if m % 4 == 1 else 4 * m
     eps = fundamental_unit(m)
-    h_narrow = class_number(D)
-    h = h_narrow // 2 if eps.norm() == 1 else h_narrow
+    # class_number is the narrow number, twice the wide h when N(eps) = +1
+    h = class_number(D) // (2 if eps.norm() == 1 else 1)
     found = _principal_power(D, p, divisors(h))
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
@@ -72,8 +79,8 @@ def build_context(m: int, p: int) -> FieldContext:
     pi2 = pi1.conjugate()
     s = hensel_sqrt(m, p, N)
 
-    ctx = FieldContext(m=m, D=D, p=p, h=h, h_narrow=h_narrow, eps=eps, s=s,
-                       N=N, h0=h0, pi1=pi1, pi2=pi2)
+    ctx = FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s, N=N, h0=h0,
+                       pi1=pi1, pi2=pi2)
     _check_context(ctx)
     return ctx
 
@@ -82,11 +89,11 @@ def _check_context(ctx: FieldContext) -> None:
     p, h0 = ctx.p, ctx.h0
     prod = ctx.pi1 * ctx.pi2
     if not (prod.b == 0 and abs(prod.a) == p**h0 and prod.den == 1):
-        raise AssertionError("pi1 * pi2 is not +-p^h0")
+        raise ArithmeticError("pi1 * pi2 is not +-p^h0")
     r = embed(ctx.pi1, ctx.s, p, ctx.N)
     if r.r1 % p**h0 or (r.r1 // p**h0) % p == 0:
-        raise AssertionError("pi1 has the wrong valuation at the first prime")
+        raise ArithmeticError("pi1 has the wrong valuation at the first prime")
     if r.r2 % p == 0:
-        raise AssertionError("pi1 must be prime to the second prime")
+        raise ArithmeticError("pi1 must be prime to the second prime")
     if ctx.h % ctx.h0 or valuation(ctx.h, p) < valuation(ctx.h0, p):
-        raise AssertionError("h0 must divide h")
+        raise ArithmeticError("h0 must divide h")

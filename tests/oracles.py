@@ -6,7 +6,8 @@ None of these is used by the package itself:
   associate x' = U1*pi1^(n+1) + U2*pi2^(n+1)*x, congruent to x at the
   first prime and to 1 at the second, through the multiplicative order of
   norm(x')^(p-1) mod p^(n+1), which is p^(n-delta).  It shares no step
-  with `fermat.delta_embed` beyond the labelled embedding.
+  with `fermat.delta_embed` beyond the labelled embedding, and works on
+  plain residue ints.
 * `check_product_dichotomy` asserts that both deltas of an element whose
   norm is a local (p-1)-th root of unity agree below n, or are both >= n.
 * `continued_fraction_sqrt` is the plain expansion of sqrt(m), and
@@ -17,6 +18,9 @@ None of these is used by the package itself:
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
   array in the calling process, each survivor proven, then sorted.
+* `primitive_root_mod_prime_power` is the former route to the residue
+  classes of that scan: powers rho^(k p^n) of a primitive root rho mod
+  p^(n+1), where `arith.teichmuller` now lifts each a < p directly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from iwascan.arith import divisors, is_prime, valuation
+from iwascan.arith import divisors, factorize, is_prime, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
 from iwascan.qforms import _canonical_root, _unit_reduce
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
@@ -112,22 +116,24 @@ def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitne
         raise ValueError("n must be >= 1")
     p = ctx.p
     mod = p ** (n + 1)
-    t1 = ctx.embed(ctx.pi1, n).pow(n + 1)
-    t2 = ctx.embed(ctx.pi2, n).pow(n + 1)
-    if t1.r1 or t2.r2:
+    # pi1^(n+1) and pi2^(n+1) at the first and at the second prime
+    e1, e2 = ctx.embed(ctx.pi1, n), ctx.embed(ctx.pi2, n)
+    t1 = (pow(e1.r1, n + 1, mod), pow(e1.r2, n + 1, mod))
+    t2 = (pow(e2.r1, n + 1, mod), pow(e2.r2, n + 1, mod))
+    if t1[0] or t2[1]:
         raise ArithmeticError("pi powers must vanish mod p^(n+1)")
-    U1 = QuadResidue(0, pow(t1.r2, -1, mod), mod)
-    U2 = QuadResidue(pow(t2.r1, -1, mod), 0, mod)
+    U1 = QuadResidue(0, pow(t1[1], -1, mod), mod)
+    U2 = QuadResidue(pow(t2[0], -1, mod), 0, mod)
 
     rx = ctx.embed(x, n)
     if rx.r1 % p == 0:
         raise ValueError("x must be prime to the first prime above p")
-    a1 = U1.mul(t1)
-    a2 = U2.mul(t2).mul(rx)
-    xprime = QuadResidue((a1.r1 + a2.r1) % mod, (a1.r2 + a2.r2) % mod, mod)
+    # x' = U1*pi1^(n+1) + U2*pi2^(n+1)*x, one prime at a time
+    xprime = QuadResidue((U1.r1 * t1[0] + U2.r1 * t2[0] * rx.r1) % mod,
+                         (U1.r2 * t1[1] + U2.r2 * t2[1] * rx.r2) % mod, mod)
     if xprime.r2 != 1:
         raise ArithmeticError("associate must be trivial at the second prime")
-    normval = xprime.norm()
+    normval = xprime.r1 * xprime.r2 % mod
     y = pow(normval, p - 1, mod)
     order = multiplicative_order_p_power(y, p, mod)
     k = valuation(order, p) if order > 1 else 0
@@ -227,3 +233,19 @@ def candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]
         out.extend(int(c) for c in cand[keep] if is_prime(int(c)))
     out.sort()
     return out
+
+
+def primitive_root_mod_prime_power(p: int, k: int) -> int:
+    """Smallest primitive root modulo p**k for odd prime p."""
+    fac = factorize(p - 1)
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
+            break
+        g += 1
+    if k == 1:
+        return g
+    # g generates (Z/p)^*; it lifts to p^k unless g^(p-1) = 1 mod p^2
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g

@@ -6,9 +6,9 @@ from sympy import isprime, kronecker_symbol
 from sympy.ntheory import n_order, sqrt_mod
 
 from iwascan.arith import (divisors, factorize, is_prime, is_squarefree,
-                           kronecker, primitive_root_mod_prime_power,
-                           sqrt_mod_prime, valuation)
-from oracles import multiplicative_order_p_power, xgcd
+                           kronecker, sqrt_mod_prime, teichmuller, valuation)
+from oracles import (multiplicative_order_p_power, primitive_root_mod_prime_power,
+                     xgcd)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
@@ -108,6 +108,28 @@ def test_primitive_root(p, k):
     mod = p**k
     order = (p - 1) * p ** (k - 1)
     assert n_order(g, mod) == order
+
+
+ODD_PRIMES_BELOW_200 = [q for q in range(3, 200, 2) if isprime(q)]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_200)
+def test_teichmuller_equals_primitive_root_powers(p):
+    # the former route: rho^(j p^(k-1)) for a primitive root rho mod p^k
+    for k in range(1, 14):
+        mod = p**k
+        rho = primitive_root_mod_prime_power(p, k)
+        old = sorted(pow(rho, j * p ** (k - 1), mod) for j in range(1, p))
+        assert sorted(teichmuller(p, k)) == old, (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 7), (5, 5), (7, 4), (11, 3),
+                                 (13, 3), (31, 2), (101, 2)])
+def test_teichmuller_is_the_root_set_of_x_to_p_minus_1(p, k):
+    mod = p**k
+    lifts = teichmuller(p, k)
+    assert sorted(lifts) == [x for x in range(mod) if pow(x, p - 1, mod) == 1]
+    assert [x % p for x in lifts] == list(range(1, p))  # the lift of a is = a mod p
 
 
 @pytest.mark.parametrize("p,k", [(3, 6), (5, 4), (7, 4)])

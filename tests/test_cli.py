@@ -10,10 +10,11 @@ from dataclasses import fields
 
 import pytest
 
-from iwascan import cli, greenberg
+from iwascan import cli, fermat, greenberg
 from iwascan.cli import (COUNT_COLUMNS, DENSITY_COLUMNS, TALLY_COLUMNS,
                          VERDICT_COLUMNS, ScanCount, main, parse_count,
                          parse_prime_range, to_csv)
+from iwascan.fermat import N_CAP, Capped, DeltaReport
 from iwascan.greenberg import FieldVerdict, check_field
 from iwascan.stats import (NORM_CONSTRAINED, DensityTally, StatTally,
                            prime_fermat_scan, random_elem_density)
@@ -227,6 +228,21 @@ def test_exit_codes():
     code, _, err = run_cli("stats-random", "--m", "7", "--p", "3", "--samples", "0",
                            "--workers", "-3")
     assert code == 2 and "unrecognized arguments: --workers -3" in err
+    code, _, err = run_cli("stats-random", "--m", "7", "--p", "3", "--seed", "-1")
+    assert code == 2 and err == "error: seed must be >= 0\n"
+    code, _, err = run_cli(*tally, "--n", "64", "--rmax", "64")
+    assert code == 2 and err == "error: rmax must be <= 63\n"
+    # a prime past the deterministic Miller-Rabin range is a precondition
+    big = "3317044064679887385962123"
+    for argv in (("check", "--m", "7", "--p", big),
+                 ("scan", "--p", big, "--max-m", "10"),
+                 ("stats-random", "--m", "7", "--p", big, "--samples", "0")):
+        code, _, err = run_cli(*argv)
+        assert code == 3 and err == f"error: p={big} is too large to prove prime\n", argv
+    # a composite p is refused whatever the m-range
+    for max_m in ("2", "9"):
+        code, _, err = run_cli("scan", "--p", "21", "--min-m", "2", "--max-m", max_m)
+        assert code == 3 and err == "error: p=21 must be an odd prime\n", max_m
 
 
 def test_unwritable_output_is_a_bad_argument(tmp_path):
@@ -421,6 +437,24 @@ def test_an_engine_value_error_is_an_internal_error(monkeypatch, capsys):
     assert out == "" and err == "internal error: den=2 needs a = b (mod 2)\n"
 
 
+def test_a_delta_capped_at_n_cap_exits_3_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(fermat, "delta_embed",
+                        lambda x, ctx, n: DeltaReport(Capped(n), Capped(n), n))
+    assert main(["check", "--m", "103", "--p", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: delta >= {N_CAP} for m=103, p=3\n"
+
+
+def test_huge_n_exits_0_with_an_empty_tally():
+    # candidates ell = r + j*3^(n+1) all exceed the bound; no lift is formed
+    argv = ("stats-primes", "--m", "103", "--p", "3", "--n", "100000000",
+            "--rmax", "0", "--bound", "1e6", "--workers", "1", "--no-header")
+    proc = subprocess.run([sys.executable, "-m", "iwascan.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "N_L = 0  (skipped non-principal: 0)" in proc.stdout
+
+
 def test_refused_flag_values_are_usage_errors():
     refused = (
         (lambda: greenberg.scan_range((3,), 50, 10), "empty range"),
@@ -429,7 +463,9 @@ def test_refused_flag_values_are_usage_errors():
         (lambda: prime_fermat_scan(103, 3, 5, 10**4, rmax=-1), "rmax must be >= 0"),
         (lambda: prime_fermat_scan(103, 3, 3, 10**4), "need n >= rmax"),
         (lambda: prime_fermat_scan(103, 3, 5, 10**4, workers=0), "workers must be >= 1"),
+        (lambda: prime_fermat_scan(103, 3, 70, 10**4, rmax=64), "rmax must be <= 63"),
         (lambda: random_elem_density(7, 3, -1), "samples must be >= 0"),
+        (lambda: random_elem_density(7, 3, 10, seed=-1), "seed must be >= 0"),
         (lambda: random_elem_density(7, 3, 10, "other"), "unknown mode"))
     for call, message in refused:
         with pytest.raises(UsageError, match=message):

@@ -51,9 +51,9 @@ def test_bezout_witness_structure():
     assert w.xprime.r1 == ctx.embed(x, 6).r1
     assert w.normval % mod == w.xprime.r1 % mod
     # U1*pi1^(n+1) + U2*pi2^(n+1) is a partition of unity mod p^(n+1)
-    u = w.U1.mul(ctx.embed(ctx.pi1, 6).pow(7))
-    v = w.U2.mul(ctx.embed(ctx.pi2, 6).pow(7))
-    assert (u.r1 + v.r1) % mod == 1 and (u.r2 + v.r2) % mod == 1
+    e1, e2 = ctx.embed(ctx.pi1, 6), ctx.embed(ctx.pi2, 6)
+    assert (w.U1.r1 * pow(e1.r1, 7, mod) + w.U2.r1 * pow(e2.r1, 7, mod)) % mod == 1
+    assert (w.U1.r2 * pow(e1.r2, 7, mod) + w.U2.r2 * pow(e2.r2, 7, mod)) % mod == 1
 
 
 def test_bezout_requires_coprimality():

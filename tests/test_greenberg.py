@@ -2,7 +2,8 @@
 
 import pytest
 
-from iwascan.fermat import Capped, delta_embed, delta_exact
+from iwascan import fermat
+from iwascan.fermat import N_CAP, Capped, DeltaReport, delta_embed, delta_exact
 from iwascan.greenberg import _CHUNK, admissible, check_field, scan_range
 from iwascan.sunits import PreconditionError, build_context
 
@@ -143,3 +144,22 @@ def test_scan_range_edges(m_min, m_max, workers):
     want = serial_scan(primes, m_min, m_max)
     got = scan_range(primes, m_min, m_max, workers=workers)
     assert {r.p: list(r.rows) for r in got} == want
+
+
+def test_a_delta_capped_at_n_cap_raises(monkeypatch):
+    tried = []
+
+    def capped(x, ctx, n):
+        tried.append(n)
+        return DeltaReport(delta1=Capped(n), delta2=Capped(n), n=n)
+
+    monkeypatch.setattr(fermat, "delta_embed", capped)
+    with pytest.raises(ArithmeticError, match=f"^delta >= {N_CAP} for m=103, p=3$"):
+        check_field(103, 3)
+    assert tried == [1, 2, 4, 8, 16, 32, 64]  # doubled up to the cap, then refused
+
+
+def test_scan_range_validates_each_prime_before_scanning():
+    # no m in [2, 2] is admissible at 21, so only the up-front check sees it
+    with pytest.raises(PreconditionError, match="p=21 must be an odd prime"):
+        scan_range((3, 21), 2, 2)

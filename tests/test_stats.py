@@ -11,25 +11,25 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import isprime
 
 from iwascan import qforms, stats
-from iwascan.arith import kronecker
+from iwascan.arith import kronecker, teichmuller
 from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
-                           UNCONSTRAINED, _teichmuller, expected_proportions,
+                           UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError
 from oracles import candidate_primes
 
 
 def test_expected_proportions_values():
-    got = expected_proportions(3, 2, 5)
+    got = expected_proportions(3, 5)
     assert got == (Fraction(2, 3), Fraction(2, 9), Fraction(2, 27),
                    Fraction(2, 81), Fraction(2, 243), Fraction(1, 243))
-    assert expected_proportions(7, 2, 5)[0] == Fraction(6, 7)
+    assert expected_proportions(7)[0] == Fraction(6, 7)
 
 
-@pytest.mark.parametrize("p,d,rmax", [(3, 2, 5), (7, 2, 4), (5, 3, 6), (11, 2, 3)])
-def test_expected_proportions_sum_to_one(p, d, rmax):
-    assert sum(expected_proportions(p, d, rmax)) == 1
+@pytest.mark.parametrize("p,rmax", [(3, 5), (7, 4), (5, 6), (11, 3)])
+def test_expected_proportions_sum_to_one(p, rmax):
+    assert sum(expected_proportions(p, rmax)) == 1
 
 
 def test_prime_scan_small_frozen():
@@ -69,6 +69,20 @@ def test_prime_scan_proves_each_prime_once(monkeypatch):
 def test_prime_scan_empty_below_modulus():
     t = prime_fermat_scan(103, 3, 5, 3**6)
     assert t.total == 0 and all(c == 0 for c in t.counts)
+
+
+def test_huge_n_tallies_zero_without_lifting(monkeypatch):
+    # every candidate exceeds 3^(n+1) > bound: no lift mod 3^(10^8+1) is formed
+    monkeypatch.setattr(stats, "teichmuller", lambda p, k: pytest.fail("lifted"))
+    t = prime_fermat_scan(103, 3, 10**8, 10**6, rmax=0)
+    assert (t.total, t.skipped_nonprincipal, t.counts) == (0, 0, (0,))
+    t = prime_fermat_scan(103, 3, 63, 2**63, rmax=63)  # the largest rmax allowed
+    assert t.total == 0 and t.counts == (0,) * 64
+
+
+def test_rmax_past_63_is_refused():
+    with pytest.raises(UsageError, match="rmax must be <= 63"):
+        prime_fermat_scan(103, 3, 100, 10**6, rmax=64)
 
 
 def oracle_split_primes(m, p, n, bound):
@@ -265,6 +279,9 @@ def test_tally_validation_survives_optimize_flag():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
 def test_teichmuller_table_decides_the_fermat_congruence(p):
+    # the table random_elem_density samples against: the lifts a^p mod p^2
+    table = np.array((-1, *teichmuller(p, 2)), dtype=np.int64)
+    assert table[1:].tolist() == [pow(a, p, p * p) for a in range(1, p)]
     r = np.arange(p * p, dtype=np.int64)
-    got = _teichmuller(p)[r % p] == r
+    got = table[r % p] == r
     assert got.tolist() == [pow(x, p - 1, p * p) == 1 for x in range(p * p)]

@@ -1,9 +1,12 @@
 """Field context assembly: class data, S-unit generators, embeddings."""
 
+import dataclasses
+
 import pytest
 
-from iwascan import qforms
+from iwascan import qforms, sunits
 from iwascan.arith import divisors, valuation
+from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
 from iwascan.sunits import (FieldContext, PreconditionError, build_context,
                             validate_field)
@@ -20,8 +23,9 @@ def test_context_invariants(m, p):
     assert prod.b == 0 and prod.den == 1 and abs(prod.a) == p**ctx.h0
     assert ctx.h % ctx.h0 == 0
     # narrow/wide bookkeeping
-    assert ctx.h_narrow in (ctx.h, 2 * ctx.h)
-    assert (ctx.h_narrow == ctx.h) == (ctx.eps.norm() == -1)
+    h_narrow = class_number(ctx.D)
+    assert h_narrow in (ctx.h, 2 * ctx.h)
+    assert (h_narrow == ctx.h) == (ctx.eps.norm() == -1)
     # the labelled embedding localizes pi1 at the first prime only
     r = ctx.embed(ctx.pi1)
     assert valuation(r.r1, p) == ctx.h0 and r.r2 % p != 0
@@ -58,7 +62,16 @@ def test_validate_field_errors():
         validate_field(7, 2)  # p must be odd
     with pytest.raises(PreconditionError):
         validate_field(103, 9)  # p must be prime
+    with pytest.raises(PreconditionError, match="too large to prove prime"):
+        validate_field(7, 3317044064679887385962123)  # prime, past Miller-Rabin's range
     validate_field(103, 3)
+
+
+def test_context_check_raises_arithmetic_error():
+    # an invariant check, so it must be a one-line error and survive -O
+    bad = dataclasses.replace(build_context(103, 3), h0=2)
+    with pytest.raises(ArithmeticError, match=r"not \+-p\^h0"):
+        sunits._check_context(bad)
 
 
 def test_context_is_cached():
@@ -67,7 +80,7 @@ def test_context_is_cached():
 
 def test_context_values_103():
     ctx = build_context(103, 3)
-    assert (ctx.h, ctx.h0, ctx.h_narrow) == (1, 1, 2)
+    assert (ctx.h, ctx.h0, class_number(ctx.D)) == (1, 1, 2)
     assert (ctx.eps.a, ctx.eps.b) == (227528, 22419)
     assert abs(ctx.pi1.norm()) == 3
 
