@@ -72,6 +72,10 @@ def parse_count(s: str) -> int:
         d = Decimal(s)
     except InvalidOperation as exc:
         raise argparse.ArgumentTypeError(f"not a number: {s!r}") from exc
+    if not d.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {s!r}")
+    if d.adjusted() >= 4300:  # int() is superlinear in the digits; 4300 is int(str)'s own limit
+        raise argparse.ArgumentTypeError(f"too large: {s!r} has 4300 digits or more")
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
     return int(d)

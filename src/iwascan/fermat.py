@@ -71,7 +71,8 @@ def delta_embed(x: QuadElem, ctx: FieldContext, n: int) -> DeltaReport:
 
 
 def delta_exact(x: QuadElem, ctx: FieldContext, n: int = 1) -> DeltaReport:
-    """delta_embed with n doubled while a value is capped, up to N_CAP."""
+    """delta_embed from min(n, N_CAP), n doubled while a value is capped, up to N_CAP."""
+    n = min(n, N_CAP)  # a larger start would only lift further and cap later
     rep = delta_embed(x, ctx, n)
     while isinstance(rep.delta1, Capped) or isinstance(rep.delta2, Capped):
         if n >= N_CAP:

@@ -11,7 +11,10 @@ Two experiments:
   memory per block is fixed.  The r are `arith.teichmuller(p, n+1)`; a
   bound <= p^(n+1) tallies zero at once; rmax > 63 or bound > 2^63 is refused;
 * `random_elem_density` samples random field elements and measures how
-  often delta = 0, under a norm congruence or unconstrained.
+  often delta = 0, under a norm congruence or unconstrained.  The test on
+  y = a*sqrt(m) + b reads only the residue pair (a, b) mod p^2, so while
+  p^4 <= _CHUNK (p <= 19) each chunk of draws is only counted into p^4
+  bins, and the p^4 pairs are classified once; the output is unchanged.
 """
 
 from __future__ import annotations
@@ -173,6 +176,9 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     NORM_CONSTRAINED keeps y with norm(y)^(p-1) = 1 mod p^2 and measures the
     common delta = 0 (expected (p-1)/p); UNCONSTRAINED keeps norm(y) prime
     to p and measures min(delta_1, delta_2) = 0 (expected (p^2-1)/p^2).
+    Both tests depend on (a, b) mod p^2 only: for p^4 <= _CHUNK the draws
+    are tallied per residue pair and each pair is classified once, else
+    every draw is classified; both give the same counts, byte for byte.
     A negative samples or seed is refused (UsageError).
     """
     validate_field(m, p)
@@ -190,6 +196,20 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
     s = hensel_sqrt(m, p, 1) % p2
     # for 0 <= r < p^2, r^(p-1) = 1 (mod p^2) exactly when teich[r % p] == r
     teich = np.array((-1, *teichmuller(p, 2)), dtype=np.int64)
+
+    def classify(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(accepted, hit) masks of y = a*sqrt(m) + b; they read a, b mod p^2 only."""
+        r1 = (b + a * s) % p2
+        r2 = (b - a * s) % p2
+        if mode == NORM_CONSTRAINED:
+            nrm = r1 * r2 % p2
+            acc = teich[nrm % p] == nrm
+            return acc, acc & (teich[r1 % p] != r1)
+        acc = (r1 * r2) % p != 0
+        return acc, acc & ((teich[r1 % p] != r1) | (teich[r2 % p] != r2))
+
+    grid = p2 * p2 <= _CHUNK  # p <= 19: the p^4 residue pairs fit in one chunk
+    hist = np.zeros(p2 * p2 if grid else 0, dtype=np.int64)
     rng = np.random.default_rng(seed)
     accepted = hits = 0
     left = samples
@@ -198,16 +218,14 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
         left -= k
         draw = rng.integers(0, _DRAW, size=(k, 2), dtype=np.int64)
         a, b = draw[:, 0], draw[:, 1]
-        r1 = (b + a * s) % p2
-        r2 = (b - a * s) % p2
-        if mode == NORM_CONSTRAINED:
-            nrm = r1 * r2 % p2
-            acc = teich[nrm % p] == nrm
-            hit = acc & (teich[r1 % p] != r1)
+        if grid:
+            hist += np.bincount(a % p2 * p2 + b % p2, minlength=p2 * p2)
         else:
-            acc = (r1 * r2) % p != 0
-            hit = acc & ((teich[r1 % p] != r1) | (teich[r2 % p] != r2))
-        accepted += int(acc.sum())
-        hits += int(hit.sum())
+            acc, hit = classify(a, b)
+            accepted += int(acc.sum())
+            hits += int(hit.sum())
+    if grid:  # classify each residue pair (a, b) once, weighted by its count
+        acc, hit = classify(*np.divmod(np.arange(p2 * p2, dtype=np.int64), p2))
+        accepted, hits = int(hist[acc].sum()), int(hist[hit].sum())
     return DensityTally(m=m, p=p, mode=mode, seed=seed, samples=samples,
                         accepted=accepted, hits=hits)

@@ -1,5 +1,6 @@
 """CLI surface: parsing, serialization round-trips, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -96,6 +97,10 @@ def test_parse_count():
         parse_count("1.5")
     with pytest.raises(Exception):
         parse_count("ten")
+    assert parse_count("9e4299") == 9 * 10**4299
+    for text in ("1e4300", "-1e4300", "inf", "sNaN"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_count(text)
 
 
 def test_parse_prime_range():
@@ -453,6 +458,17 @@ def test_huge_n_exits_0_with_an_empty_tally():
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and proc.stderr == ""
     assert "N_L = 0  (skipped non-principal: 0)" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats-primes", "--m", "103", "--p", "3", "--bound", "1e10000000"),
+    ("stats-random", "--m", "7", "--p", "3", "--samples", "1e10000000")])
+def test_a_huge_exponent_exits_2_at_once(argv):
+    # int(Decimal("1e10000000")) alone ran for more than 20 s
+    proc = subprocess.run([sys.executable, "-m", "iwascan.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("has 4300 digits or more")
 
 
 def test_refused_flag_values_are_usage_errors():

@@ -51,7 +51,7 @@ def test_normic_stable_under_generator_change(m, p):
 
 @pytest.mark.parametrize("m", WINDOW)
 def test_verdict_independent_of_n0(m):
-    assert check_field(m, 3, n0=1) == check_field(m, 3, n0=8)
+    assert check_field(m, 3, n0=1) == check_field(m, 3, n0=8) == check_field(m, 3, n0=10**7)
 
 
 def test_admissible():

@@ -239,13 +239,22 @@ def exact_density(m, p, samples, mode, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from([2, 3, 6, 7, 10, 14]),
-       p=st.sampled_from([3, 5, 7, 11, 13, 17, 23, 101, 1009]),
+       p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 101, 1009]),
        mode=st.sampled_from([NORM_CONSTRAINED, UNCONSTRAINED]),
        samples=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
 def test_density_matches_exact_integers(m, p, mode, samples, seed):
     assume(kronecker(m, p) == 1)
     t = random_elem_density(m, p, samples, mode, seed)
     assert (t.accepted, t.hits) == exact_density(m, p, samples, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("p", [3, 23])  # residue-pair histogram, then per draw
+def test_density_exact_across_chunks(p, mode):
+    assert (p**4 <= stats._CHUNK) == (p == 3)
+    samples = 2 * stats._CHUNK + 3
+    t = random_elem_density(13, p, samples, mode, seed=11)  # 13: split at 3 and 23
+    assert (t.accepted, t.hits) == exact_density(13, p, samples, mode, 11)
 
 
 @pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
