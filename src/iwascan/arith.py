@@ -6,31 +6,35 @@ the package, so these are safe to use from any module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24
-# (first 13 primes; classical result of Sorenson-Webster).
+# psi_k: the least strong pseudoprime to the first k bases (OEIS A014233; Jaeschke
+# 1993, Jiang-Deng 2014, Sorenson-Webster 2015), so k bases prove every n < psi_k.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < 3.3e24, on only the bases n needs."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
+    if n >= _MR_PSI[-1]:
         raise ValueError(f"deterministic witness set not valid for {n}")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:  # the least k with n < psi_k
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -165,8 +169,8 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def teichmuller(p: int, k: int) -> tuple[int, ...]:
-    """The p-1 roots of x^(p-1) = 1 (mod p^k) for odd prime p: the lifts
-    a^(p^(k-1)) mod p^k of a = 1..p-1, the lift of a being = a (mod p)."""
+def teichmuller(p: int, k: int) -> Iterator[int]:
+    """The p-1 roots of x^(p-1) = 1 (mod p^k) for odd prime p, yielded one at
+    a time: the lifts a^(p^(k-1)) mod p^k of a = 1..p-1, the lift of a = a (mod p)."""
     e, mod = p ** (k - 1), p**k
-    return tuple(pow(a, e, mod) for a in range(1, p))
+    return (pow(a, e, mod) for a in range(1, p))

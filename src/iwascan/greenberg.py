@@ -11,9 +11,11 @@ the package's one process pool: both scans hand it fixed work items.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from .arith import is_squarefree, kronecker, valuation
 from .fermat import delta_exact
@@ -78,18 +80,26 @@ def admissible(m: int, p: int) -> bool:
     return m > 1 and is_squarefree(m) and kronecker(m, p) == 1
 
 
-def map_blocks(fn, blocks: list, workers: int) -> list:
-    """[fn(b) for b in blocks]: in-process at one worker or below two blocks,
-    else on one pool whose map hands the blocks out in order as workers free up."""
+_AHEAD = 4  # blocks in flight per pool worker: enough to keep each busy
+_CHUNK = 100  # m-values per work item: small, so a pool balances costs rising with m
+
+
+def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
+    """fn(b) for b in blocks, yielded in order: in-process at one worker or below
+    two blocks, else on one pool with at most _AHEAD lazy blocks per worker in flight."""
     if workers < 1:
         raise UsageError("workers must be >= 1")
-    if workers == 1 or len(blocks) < 2:
-        return [fn(b) for b in blocks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        return list(pool.map(fn, blocks))
-
-
-_CHUNK = 100  # m-values per work item: small, so a pool balances costs rising with m
+    blocks = iter(blocks)
+    head = list(islice(blocks, workers))
+    if len(head) < 2:
+        yield from map(fn, chain(head, blocks))
+        return
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        ahead = chain(head, islice(blocks, (_AHEAD - 1) * len(head)))
+        flight = [pool.submit(fn, b) for b in ahead]
+        while flight:
+            flight += [pool.submit(fn, b) for b in islice(blocks, 1)]
+            yield flight.pop(0).result()
 
 
 def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
@@ -121,11 +131,10 @@ def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
         raise UsageError("need at least one prime, none repeated")
     for p in primes:  # even when no m in the range is admissible at p
         validate_prime(p)
-    blocks = [(primes, lo, min(lo + _CHUNK - 1, m_max), n0)
-              for lo in range(m_min, m_max + 1, _CHUNK)]
-    parts = map_blocks(_scan_block, blocks, workers)
+    blocks = ((primes, lo, min(lo + _CHUNK - 1, m_max), n0)
+              for lo in range(m_min, m_max + 1, _CHUNK))
     rows: dict[int, list[FieldVerdict]] = {p: [] for p in primes}
-    for part in parts:
+    for part in map_blocks(_scan_block, blocks, workers):
         for r in part:
             rows[r.p].append(r)
     return tuple(ScanResult(p=p, m_min=m_min, m_max=m_max, tested=len(rs),

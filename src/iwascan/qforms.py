@@ -23,7 +23,7 @@ walk that closes: one pass gives h0 and a generator of p^h0.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from functools import lru_cache
 from math import erfc, exp, expm1, isqrt, log, pi, sqrt
 
@@ -148,16 +148,14 @@ def class_number(D: int) -> int:
     return 2 * h if eps.norm() == 1 else h
 
 
-def _canonical_root(D: int, q: int, k: int) -> int:
+def _canonical_root(D: int, q: int, k: int, s: int) -> int:
     """b with b^2 = D (mod 4 q^k), b = -e*s (mod q^k), b = D (mod 2).
 
-    e*s is the canonical image of sqrt(D) under the labelled embedding
-    (s the Hensel root of m = D or D/4), so the ideal [q^k, (b+sqrt(D))/2]
-    is the k-th power of the *first* prime above q.
+    s is the Hensel root of m = D or D/4 modulo q^K for some K >= k, and
+    e*s the canonical image of sqrt(D) under the labelled embedding, so the
+    ideal [q^k, (b+sqrt(D))/2] is the k-th power of the *first* prime above q.
     """
-    m = D // 4 if D % 4 == 0 else D
     e = 2 if D % 4 == 0 else 1
-    s = hensel_sqrt(m, q, k)
     qk = q**k
     b = (-e * s) % qk
     if (b - D) % 2:
@@ -201,10 +199,10 @@ def _ideal_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
 def class_order(D: int, q: int, h: int) -> int:
     """Order of the first prime above split q, in the wide sense; divides h."""
     _check_fundamental(D)
-    for d in divisors(h):
-        if _ideal_walk(q**d, _canonical_root(D, q, d), D) is not None:
-            return d
-    raise ArithmeticError("class order does not divide the class number")
+    found = _principal_power(D, q, divisors(h))
+    if found is None:
+        raise ArithmeticError("class order does not divide the class number")
+    return found[0]
 
 
 def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
@@ -221,16 +219,18 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
 
 
 def _principal_power(D: int, q: int,
-                     exponents: Iterable[int]) -> tuple[int, QuadElem] | None:
+                     exponents: Sequence[int]) -> tuple[int, QuadElem] | None:
     """First k in `exponents` with p^k principal, and a generator alpha.
 
     p is the first prime above q, an odd split prime that is not checked
     here (`represent` checks it).  (alpha) = p^k, |norm(alpha)| = q^k, and
     alpha is reduced modulo units with positive trace.  None if no p^k is.
+    One lift of sqrt(m), to q^(max(exponents)+1), serves every k.
     """
     m = D // 4 if D % 4 == 0 else D
+    s = hensel_sqrt(m, q, max(exponents) + 1)
     for k in exponents:
-        A, B = q**k, _canonical_root(D, q, k)
+        A, B = q**k, _canonical_root(D, q, k, s)
         steps = _ideal_walk(A, B, D)
         if steps is None:
             continue
@@ -250,7 +250,7 @@ def _principal_power(D: int, q: int,
             raise ArithmeticError("generator has the wrong norm")
         alpha = _unit_reduce(alpha, m)
         # the walk targeted the canonical prime; double-check the support
-        r1 = embed(alpha, hensel_sqrt(m, q, k + 1), q, k + 1).r1
+        r1 = embed(alpha, s, q, k + 1).r1
         if (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError("generator supports the wrong prime")
         return k, alpha

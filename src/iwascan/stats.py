@@ -4,12 +4,13 @@ Two experiments:
 
 * `prime_fermat_scan` tallies the common delta of a generator of a prime
   ideal above each split prime ell < bound with ell^(p-1) = 1 mod p^(n+1),
-  whose expected law is P(delta = r) = (p-1)/p^(r+1).  Fixed blocks of at
-  most _SPAN candidates ell = r + j*p^(n+1) are each sieved, proved prime,
-  filtered by kronecker(m, ell) = 1 and tallied on `greenberg.map_blocks`:
-  a tally is a sum, so it does not depend on the worker count, and the
-  memory per block is fixed.  The r are `arith.teichmuller(p, n+1)`; a
-  bound <= p^(n+1) tallies zero at once; rmax > 63 or bound > 2^63 is refused;
+  whose expected law is P(delta = r) = (p-1)/p^(r+1).  Blocks of at most
+  _SPAN candidates ell = r + j*p^(n+1), r in `arith.teichmuller(p, n+1)`,
+  are made lazily, each sieved (a stride of j per sieve prime), proved
+  prime, filtered by kronecker(m, ell) = 1 and summed as they finish on
+  `greenberg.map_blocks`: memory is fixed in p and in the bound, and the
+  tally does not depend on the worker count.  A bound <= p^(n+1) tallies
+  zero at once; rmax > 63 or bound > 2^63 is refused;
 * `random_elem_density` samples random field elements and measures how
   often delta = 0, under a norm congruence or unconstrained.  The test on
   y = a*sqrt(m) + b reads only the residue pair (a, b) mod p^2, so while
@@ -19,6 +20,7 @@ Two experiments:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,18 +88,25 @@ def _small_primes(limit: int) -> np.ndarray:
 _SIEVE = _small_primes(3000)  # presieve only: survivors are proven by is_prime
 
 
+def _survivors(r: int, mod: int, j0: int, j1: int) -> list[int]:
+    """The ell = r + j*mod, j0 <= j < j1 (r prime to mod), struck by no sieve
+    prime q with q^2 <= the last ell, apart from ell = q itself."""
+    keep = np.ones(j1 - j0, dtype=bool)
+    for q in _SIEVE[(_SIEVE * _SIEVE <= r + mod * (j1 - 1)) & (mod % _SIEVE != 0)].tolist():
+        start = (-r * pow(mod, -1, q) - j0) % q  # q | r + j*mod iff j = -r/mod (mod q)
+        if r + (j0 + start) * mod == q:  # q itself, in its own progression
+            start += q
+        keep[start::q] = False
+    return (r + mod * (np.flatnonzero(keep) + j0)).tolist()
+
+
 def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
     """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1."""
     m, p, n, rmax, r, j0, j1 = item
     mod = p ** (n + 1)
-    cand = r + mod * np.arange(j0, j1, dtype=np.int64)
-    keep = np.ones(len(cand), dtype=bool)
-    for q in _SIEVE[_SIEVE * _SIEVE <= cand[-1]]:
-        keep &= (cand % q != 0) | (cand == q)
     ctx = build_context(m, p)
-    counts = [0] * (rmax + 1)
-    skipped = 0
-    for ell in cand[keep].tolist():
+    counts, skipped = [0] * (rmax + 1), 0
+    for ell in _survivors(r, mod, j0, j1):
         if kronecker(m, ell) != 1 or not is_prime(ell):
             continue
         found = _principal_power(ctx.D, ell, (1,))  # ell: a proven split prime
@@ -116,6 +125,17 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
     return counts, skipped
 
 
+def _items(m: int, p: int, n: int, rmax: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Items of `prime_fermat_scan`, one residue class r at a time.  Every ell
+    = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1): none once 2^(n+1) >= bound."""
+    if n + 1 >= bound.bit_length() or (mod := p ** (n + 1)) >= bound:
+        return
+    for r in teichmuller(p, n + 1):
+        top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
+        for j0 in range(1, top + 1, _SPAN):
+            yield m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1)
+
+
 def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
                       workers: int = 1) -> StatTally:
     """Tally generator deltas over split primes ell^(p-1) = 1 mod p^(n+1), ell < bound."""
@@ -131,18 +151,10 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
-    items = []
-    # every candidate ell = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1),
-    # so the tally is zero, without forming p^(n+1), once 2^(n+1) >= bound
-    if n + 1 < bound.bit_length() and p ** (n + 1) < bound:
-        mod = p ** (n + 1)
-        for r in sorted(teichmuller(p, n + 1)):
-            top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
-            items += [(m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1))
-                      for j0 in range(1, top + 1, _SPAN)]
-    parts = map_blocks(_tally_block, items, workers)
-    counts = [sum(part[0][i] for part in parts) for i in range(rmax + 1)]
-    skipped = sum(part[1] for part in parts)
+    counts, skipped = [0] * (rmax + 1), 0
+    for part, skip in map_blocks(_tally_block, _items(m, p, n, rmax, bound), workers):
+        counts = [a + b for a, b in zip(counts, part)]
+        skipped += skip
     return StatTally(m=m, p=p, n=n, bound=bound, rmax=rmax,
                      total=sum(counts), counts=tuple(counts),
                      skipped_nonprincipal=skipped)

@@ -18,6 +18,11 @@ None of these is used by the package itself:
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
   array in the calling process, each survivor proven, then sorted.
+* `mask_sieve` is the former sieve of one tally block, where
+  `stats._survivors` now strides: one `cand % q` pass over the whole block
+  per sieve prime q.
+* `is_prime_all_bases` is the former `arith.is_prime`: Miller-Rabin on all
+  13 bases, by `is_sprp`, whatever the size of n.
 * `primitive_root_mod_prime_power` is the former route to the residue
   classes of that scan: powers rho^(k p^n) of a primitive root rho mod
   p^(n+1), where `arith.teichmuller` now lifts each a < p directly.
@@ -30,7 +35,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from iwascan.arith import divisors, factorize, is_prime, valuation
+from iwascan.arith import divisors, factorize, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
 from iwascan.qforms import _canonical_root, _unit_reduce
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
@@ -200,12 +205,13 @@ def _gamma_walk(A: int, B: int, D: int) -> tuple[int, int, int] | None:
 
 def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     """(h0, pi1) by the class-order walk, then a generator walk of p^h0."""
+    m = D // 4 if D % 4 == 0 else D
     h0 = next(d for d in divisors(h)
-              if _gamma_walk(q**d, _canonical_root(D, q, d), D) is not None)
-    gA, gB, gC = _gamma_walk(q**h0, _canonical_root(D, q, h0), D)
+              if _gamma_walk(q**d, _canonical_root(D, q, d, hensel_sqrt(m, q, d)), D)
+              is not None)
+    gA, gB, gC = _gamma_walk(q**h0, _canonical_root(D, q, h0, hensel_sqrt(m, q, h0)), D)
     if gC not in (1, 2):
         raise ArithmeticError("generator is not integral")
-    m = D // 4 if D % 4 == 0 else D
     alpha = make_elem(gA, gB, gC, m)
     if abs(alpha.norm()) != q**h0:
         raise ArithmeticError("generator has the wrong norm")
@@ -216,21 +222,53 @@ def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     return h0, alpha
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13, Sorenson-Webster 2015
+
+
+def is_sprp(n: int, a: int) -> bool:
+    """Odd n > 2 is a strong probable prime to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_all_bases(n: int) -> bool:
+    """Deterministic for n < psi_13: trial division by the bases, then all 13."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_LIMIT:
+        raise ValueError(f"deterministic witness set not valid for {n}")
+    return all(is_sprp(n, a) for a in _MR_BASES)
+
+
+def mask_sieve(r: int, modulus: int, j0: int, j1: int) -> list[int]:
+    """The ell = r + j*modulus, j0 <= j < j1, that survive a `cand % q` pass
+    of every prime q < 3000 with q^2 <= the last ell, apart from ell = q."""
+    cand = r + modulus * np.arange(j0, j1, dtype=np.int64)
+    keep = np.ones(len(cand), dtype=bool)
+    for q in _small_primes(3000):
+        if q * q > cand[-1]:
+            break
+        keep &= (cand % q != 0) | (cand == q)
+    return cand[keep].tolist()
+
+
 def candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]:
     """Primes ell = r + j*modulus, j >= 1, ell < bound, presieved then proven."""
     out: list[int] = []
-    sieve = _small_primes(min(3000, max(10, bound)))
     for r in residues:
-        top = bound - 1 - r
-        if top < modulus:
-            continue
-        cand = r + modulus * np.arange(1, top // modulus + 1, dtype=np.int64)
-        keep = np.ones(len(cand), dtype=bool)
-        for q in sieve:
-            if q * q > bound:
-                break
-            keep &= (cand % q != 0) | (cand == q)
-        out.extend(int(c) for c in cand[keep] if is_prime(int(c)))
+        top = (bound - 1 - r) // modulus
+        if top >= 1:
+            out += filter(is_prime_all_bases, mask_sieve(r, modulus, 1, top + 1))
     out.sort()
     return out
 

@@ -2,13 +2,13 @@
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import isprime, kronecker_symbol
+from sympy import isprime, kronecker_symbol, prime
 from sympy.ntheory import n_order, sqrt_mod
 
-from iwascan.arith import (divisors, factorize, is_prime, is_squarefree,
+from iwascan.arith import (_MR_BASES, _MR_PSI, divisors, factorize, is_prime, is_squarefree,
                            kronecker, sqrt_mod_prime, teichmuller, valuation)
-from oracles import (multiplicative_order_p_power, primitive_root_mod_prime_power,
-                     xgcd)
+from oracles import (is_prime_all_bases, is_sprp, multiplicative_order_p_power,
+                     primitive_root_mod_prime_power, xgcd)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
@@ -44,6 +44,39 @@ def test_is_prime_large():
         n += 1
     with pytest.raises(ValueError):
         is_prime(n)
+
+
+PSI = list(enumerate(_MR_PSI, start=1))
+LIMIT = _MR_PSI[-1]  # is_prime refuses n >= psi_13
+
+
+@pytest.mark.parametrize("k, psi", PSI)
+def test_psi_k_is_the_first_pseudoprime_to_k_bases(k, psi):
+    # composite, passes the first k bases, and fails base k+1 unless psi_(k+1)
+    # is the same number: a table entry shifted by one place breaks one of these
+    assert _MR_BASES[:k] == tuple(prime(i) for i in range(1, k + 1))
+    assert not isprime(psi)
+    assert all(is_sprp(psi, a) for a in _MR_BASES[:k])
+    same_next = k < len(_MR_PSI) and _MR_PSI[k] == psi
+    assert is_sprp(psi, prime(k + 1)) == same_next
+    assert _MR_PSI == tuple(sorted(_MR_PSI))
+
+
+@pytest.mark.parametrize("k, psi", PSI)
+def test_is_prime_around_each_psi_k(k, psi):
+    # the tier where the first k bases stop proving: both sides of psi_k
+    for n in range(psi - 1000, min(psi + 1001, LIMIT), 2):  # psi is odd
+        assert is_prime(n) == isprime(n) == is_prime_all_bases(n), n
+    if psi < LIMIT:
+        assert is_prime(psi) is False
+    else:  # psi_13 itself lies past the witness range: refused, not called prime
+        with pytest.raises(ValueError):
+            is_prime(psi)
+
+
+@given(st.integers(0, 10**7) | st.integers(10**7, LIMIT - 1))
+def test_is_prime_matches_the_all_bases_oracle(n):
+    assert is_prime(n) == is_prime_all_bases(n)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -127,7 +160,7 @@ def test_teichmuller_equals_primitive_root_powers(p):
                                  (13, 3), (31, 2), (101, 2)])
 def test_teichmuller_is_the_root_set_of_x_to_p_minus_1(p, k):
     mod = p**k
-    lifts = teichmuller(p, k)
+    lifts = tuple(teichmuller(p, k))  # a lazy stream: read it twice from a tuple
     assert sorted(lifts) == [x for x in range(mod) if pow(x, p - 1, mod) == 1]
     assert [x % p for x in lifts] == list(range(1, p))  # the lift of a is = a mod p
 

@@ -1,11 +1,14 @@
 """Verdict logic: invariance properties and scan bookkeeping."""
 
+from itertools import count
+
 import pytest
 
 from iwascan import fermat
 from iwascan.fermat import N_CAP, Capped, DeltaReport, delta_embed, delta_exact
-from iwascan.greenberg import _CHUNK, admissible, check_field, scan_range
-from iwascan.sunits import PreconditionError, build_context
+from iwascan.greenberg import (_AHEAD, _CHUNK, admissible, check_field, map_blocks,
+                               scan_range)
+from iwascan.sunits import PreconditionError, UsageError, build_context
 
 WINDOW = [30001, 30007, 30010, 30013, 30019, 30022, 30031, 30034, 30043,
           30046, 30049, 30055, 30058, 30061, 30067, 30070, 30073, 30079,
@@ -163,3 +166,25 @@ def test_scan_range_validates_each_prime_before_scanning():
     # no m in [2, 2] is admissible at 21, so only the up-front check sees it
     with pytest.raises(PreconditionError, match="p=21 must be an odd prime"):
         scan_range((3, 21), 2, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_streams_in_order_with_a_bounded_lookahead(workers):
+    # an endless lazy stream: the pool may draw only _AHEAD blocks per worker
+    drawn = []
+
+    def blocks():
+        for i in count():
+            drawn.append(i)
+            yield -i
+
+    out = map_blocks(abs, blocks(), workers)
+    for i in range(40):
+        assert next(out) == i
+        assert len(drawn) <= i + 1 + _AHEAD * workers
+    out.close()
+
+
+def test_map_blocks_refuses_fewer_than_one_worker():
+    with pytest.raises(UsageError):
+        list(map_blocks(abs, [1, 2, 3], 0))

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError
-from oracles import candidate_primes
+from oracles import candidate_primes, mask_sieve
 
 
 def test_expected_proportions_values():
@@ -98,17 +99,39 @@ def reached_primes(monkeypatch, m, p, n, bound):
     walk = qforms._principal_power
     monkeypatch.setattr(stats, "_principal_power",
                         lambda D, ell, exps: seen.append(ell) or walk(D, ell, exps))
-    return prime_fermat_scan(m, p, n, bound), seen
+    return prime_fermat_scan(m, p, n, bound, rmax=min(n, 5)), seen
 
 
 @pytest.mark.parametrize("span", [1, 7, stats._SPAN])
-@pytest.mark.parametrize("m, p, n, bound", [(10, 3, 5, 10**5), (103, 3, 5, 3 * 10**5),
-                                            (44853, 7, 5, 10**7)])
+@pytest.mark.parametrize("m, p, n, bound", [
+    (10, 3, 5, 10**5), (103, 3, 5, 3 * 10**5), (44853, 7, 5, 10**7),
+    # moduli 9, 25, 27 and 125: sieve primes such as 17, 19 and 37 lie in
+    # their own progression and must be kept
+    (10, 3, 1, 2 * 10**4), (6, 5, 1, 2 * 10**4), (103, 3, 2, 2 * 10**4),
+    (6, 5, 2, 2 * 10**4)])
 def test_blocks_reach_the_oracle_primes(monkeypatch, span, m, p, n, bound):
     monkeypatch.setattr(stats, "_SPAN", span)
     t, seen = reached_primes(monkeypatch, m, p, n, bound)
     assert sorted(seen) == oracle_split_primes(m, p, n, bound)
     assert t.total + t.skipped_nonprincipal == len(seen) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), n=st.integers(0, 4), a=st.integers(1, 12),
+       j0=st.integers(1, 3000), width=st.integers(1, 3000))
+def test_strided_sieve_equals_the_mask_sieve(p, n, a, j0, width):
+    mod = p ** (n + 1)
+    r = pow(a % (p - 1) + 1, p**n, mod)  # a Teichmuller lift, as the tally uses
+    assert stats._survivors(r, mod, j0, j0 + width) == mask_sieve(r, mod, j0, j0 + width)
+
+
+@pytest.mark.parametrize("r, mod, q", [(8, 9, 17), (1, 9, 19), (1, 9, 37), (18, 25, 43),
+                                       (1, 3, 7), (1, 7, 29)])
+def test_a_sieve_prime_in_its_own_progression_survives(r, mod, q):
+    j1 = (q - r) // mod + q * q  # the block runs past q^2 and q*(1 + mod)
+    got = stats._survivors(r, mod, 1, j1)
+    assert q in got and q * (1 + mod) not in got
+    assert got == mask_sieve(r, mod, 1, j1)
 
 
 def test_blocks_stop_exactly_below_the_bound(monkeypatch):
@@ -143,6 +166,22 @@ def test_small_blocks_on_any_worker_count_give_the_serial_tally(monkeypatch, wor
     serial = prime_fermat_scan(103, 3, 5, 10**6)
     monkeypatch.setattr(stats, "_SPAN", 50)
     assert prime_fermat_scan(103, 3, 5, 10**6, workers=workers) == serial
+
+
+def test_tally_parent_memory_stays_flat_as_p_grows():
+    # the parent once held all p-1 lifts and every work item before the
+    # first block ran: 10.4 MB at p = 200009 for a zero tally
+    peaks = {}
+    for p in (2017, 20023):  # both split in Q(sqrt 2), where h = 1
+        bound = p * p + 10**5
+        tracemalloc.start()
+        try:
+            got = prime_fermat_scan(2, p, 1, bound, rmax=1, workers=2)
+            peaks[p] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == prime_fermat_scan(2, p, 1, bound, rmax=1)
+    assert peaks[20023] < peaks[2017] + 2**16, peaks
 
 
 def test_an_empty_stream_on_two_workers_tallies_zero():
