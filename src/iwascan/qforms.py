@@ -2,9 +2,10 @@
 
 D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
 radicand.  `class_number` evaluates the analytic class number formula
-in about sqrt(D) terms with the regulator of the exact fundamental unit,
-under an explicit error bound that must separate h from every other
-integer, or it raises ArithmeticError.
+in one numpy pass over about sqrt(D) terms (chi by Euler's criterion on
+primes and a smallest-prime-factor table) with the regulator of the exact
+fundamental unit, under an explicit error bound that must separate h from
+every other integer, or it raises ArithmeticError.
 
 Class orders and generators work in the *wide* sense (the reduction
 walk runs on positive-norm ideals and ignores the sign of the leading
@@ -27,6 +28,8 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import erfc, exp, expm1, isqrt, log, pi, sqrt
 
+import numpy as np
+
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
@@ -44,15 +47,16 @@ def _check_fundamental(D: int) -> None:
         raise ValueError(f"D={D} is not fundamental")
 
 
-# Abramowitz-Stegun 5.1.53 on 0 < x <= 1 and 5.1.56 on x >= 1.  Both
-# leave an absolute error in E1(x) below _E1_ERR (5.1.56 bounds the error
-# of x*e^x*E1(x) by 2e-8, i.e. of E1(x) by 2e-8*e^-x/x < 2e-7).
-_E1_SMALL = (-0.57721566, 0.99999193, -0.24991055, 0.05519968, -0.00976004,
-             0.00107857)
-_E1_NUM = (8.5733287401, 18.0590169730, 8.6347608925, 0.2677737343)
-_E1_DEN = (9.5733223454, 25.6329561486, 21.0996530827, 3.9584969228)
+# Abramowitz-Stegun 5.1.53 on 0 < x <= 1 and 5.1.56 on x >= 1 (highest degree
+# first, for np.polyval).  Both leave an absolute error in E1(x) below _E1_ERR
+# (5.1.56 bounds the error of x*e^x*E1(x) by 2e-8, of E1(x) by 2e-8*e^-x/x < 2e-7).
+_E1_SMALL = (0.00107857, -0.00976004, 0.05519968, -0.24991055, 0.99999193,
+             -0.57721566)
+_E1_NUM = (1, 8.5733287401, 18.0590169730, 8.6347608925, 0.2677737343)
+_E1_DEN = (1, 9.5733223454, 25.6329561486, 21.0996530827, 3.9584969228)
 _E1_ERR = 2e-7
 _MACHINE_EPS = 2.0**-52
+_INT64_ROOT = isqrt(2**63 - 1)  # Euler's criterion squares residues mod q <= N
 
 
 def _regulator(eps: QuadElem) -> float:
@@ -75,6 +79,38 @@ def _tail_bound(N: int, D: int) -> float:
     return 2 / x * exp(-x) / -expm1(-2 * pi * (N + 1) / D)
 
 
+@lru_cache(maxsize=4)
+def _sieve(P: int) -> tuple[np.ndarray, ...]:
+    """spf(n), n/spf(n) for n <= P, the odd primes q <= P and bits[k] = bit k of (q-1)/2."""
+    n = np.arange(P + 1)
+    spf = n.copy()  # a prime is its own spf
+    for q in range(isqrt(P), 1, -1):  # descending, so the smallest divisor is written last
+        spf[q * q :: q] = q
+    odd = np.flatnonzero(spf[3:] == n[3:]) + 3
+    bits = odd >> 1 >> np.arange(P.bit_length())[:, None] & 1  # pi(P) log2(P) ~ 1.44 P
+    return spf, n // np.maximum(spf, 1), odd, bits.astype(bool)
+
+
+def _chi(D: int, N: int) -> np.ndarray:
+    """kronecker(D, n), n <= N: Euler's criterion on odd primes, D mod 8 at 2, then
+    chi(spf n) chi(n/spf n) by dyadic blocks of n, as n/spf n <= n/2 is in an earlier one."""
+    if N > _INT64_ROOT or D > _INT64_ROOT**2:
+        raise ArithmeticError(f"{N} terms at D={D} overflow int64 in Euler's criterion")
+    spf, cof, odd, bits = _sieve(1 << (N - 1).bit_length())  # the power of two >= N
+    q = odd[: np.searchsorted(odd, N, "right")]
+    a, r = D % q, np.ones_like(q)
+    for bit in bits[: (N >> 1).bit_length(), : len(q)]:  # (q-1)/2 < N/2
+        r = np.where(bit, r * a % q, r)
+        a = a * a % q
+    chi = np.zeros(N + 1, dtype=np.int8)
+    chi[1], chi[2:3] = 1, {1: 1, 5: -1}.get(D % 8, 0)
+    chi[q] = (r == 1).astype(np.int8) - (r == q - 1)
+    for k in range(2, N.bit_length()):
+        lo, hi = 1 << k, min(2 << k, N + 1)
+        chi[lo:hi] = chi[spf[lo:hi]] * chi[cof[lo:hi]]
+    return chi
+
+
 @lru_cache(maxsize=1024)
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0.
@@ -89,7 +125,8 @@ def class_number(D: int) -> int:
     tail, the E1 approximation and the float rounding are bounded
     explicitly, and the result is refused (ArithmeticError) unless that
     bound leaves h as the only integer within 1/2 of the sum / (2R).
-    About sqrt(D) terms.  The narrow number is 2h when N(eps) = +1.
+    About sqrt(D) terms, in numpy arrays.  The narrow number is 2h when
+    N(eps) = +1.
     """
     _check_fundamental(D)
     eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
@@ -103,41 +140,20 @@ def class_number(D: int) -> int:
         mid = (lo + N) // 2
         lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
 
-    # chi is completely multiplicative: kronecker on primes only, the
-    # rest from the smallest prime factor.  Writing q = isqrt(N)..2 in
-    # descending order leaves the smallest divisor; 0 marks a prime.
-    spf = [0] * (N + 1)
-    for q in range(isqrt(N), 1, -1):
-        spf[q * q :: q] = [q] * ((N - q * q) // q + 1)
-    chi = [0] * (N + 1)
-    chi[1] = 1
-    a0, a1, a2, a3, a4, a5 = _E1_SMALL
-    c1, c2, c3, c4 = _E1_NUM
-    d1, d2, d3, d4 = _E1_DEN
+    chi = _chi(D, N)
+    n = np.flatnonzero(chi)
     rootD, step, scale = sqrt(D), sqrt(pi / D), pi / D
-    total = size = 0.0
-    for n in range(1, N + 1):
-        if n > 1:
-            q = spf[n]
-            chi[n] = chi[q] * chi[n // q] if q else kronecker(D, n)
-        c = chi[n]
-        if not c:
-            continue
-        x = scale * n * n
-        if x <= 1:
-            e1 = (((((a5 * x + a4) * x + a3) * x + a2) * x + a1) * x + a0) - log(x)
-        else:
-            e1 = (exp(-x) / x * ((((x + c1) * x + c2) * x + c3) * x + c4)
-                  / ((((x + d1) * x + d2) * x + d3) * x + d4))
-        t = rootD / n * erfc(step * n) + e1
-        total += t if c > 0 else -t
-        size += t
-
+    x = scale * n * n
+    xs, xl = np.split(x, [np.searchsorted(x, 1, "right")])  # x rises with n
+    e1 = np.concatenate((np.polyval(_E1_SMALL, xs) - np.log(xs), np.exp(-xl) / xl
+                         * np.polyval(_E1_NUM, xl) / np.polyval(_E1_DEN, xl)))
+    t = rootD / n * np.fromiter(map(erfc, (step * n).tolist()), float, len(n)) + e1
+    total, size = float((chi[n] * t).sum()), float(t.sum())
     y = total / (2 * R)
-    # Float rounding, relative to the sum of |terms|: recursive summation
-    # loses at most N machine epsilons, and one term at most 256 plus 2x
-    # (erfc and exp amplify their argument's error by about x = pi n^2/D).
-    # R's relative error carries over to y.
+    # Float rounding, relative to the sum of |terms|: numpy's pairwise sums
+    # lose less than a recursive sum's N machine epsilons, and one term at
+    # most 256 plus 2x (erfc and exp amplify their argument's error by about
+    # x = pi n^2/D).  R's relative error carries over to y.
     rounding = (N + 2 * scale * N * N + 256) * _MACHINE_EPS * size
     err = (_tail_bound(N, D) + _E1_ERR * N + rounding) / (2 * R) + 1e-13 * abs(y)
     h = round(y)
@@ -218,17 +234,17 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
     return x
 
 
-def _principal_power(D: int, q: int,
-                     exponents: Sequence[int]) -> tuple[int, QuadElem] | None:
+def _principal_power(D: int, q: int, exponents: Sequence[int],
+                     s: int | None = None) -> tuple[int, QuadElem] | None:
     """First k in `exponents` with p^k principal, and a generator alpha.
 
     p is the first prime above q, an odd split prime that is not checked
     here (`represent` checks it).  (alpha) = p^k, |norm(alpha)| = q^k, and
     alpha is reduced modulo units with positive trace.  None if no p^k is.
-    One lift of sqrt(m), to q^(max(exponents)+1), serves every k.
+    One root s of m mod q^K, K > max(exponents), lifted here unless passed, serves every k.
     """
     m = D // 4 if D % 4 == 0 else D
-    s = hensel_sqrt(m, q, max(exponents) + 1)
+    s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)
         steps = _ideal_walk(A, B, D)

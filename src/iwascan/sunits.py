@@ -4,7 +4,7 @@
 for one pair (m, p): the fundamental unit, the wide class number h, the
 order h0 of the canonical prime above p in the class group, a generator
 pi1 of that prime's h0-th power (norm +-p^h0), and the Hensel root s
-fixing which prime is which.
+fixing which prime is which, lifted once per field.
 """
 
 from __future__ import annotations
@@ -71,16 +71,15 @@ def build_context(m: int, p: int) -> FieldContext:
     eps = fundamental_unit(m)
     # class_number is the narrow number, twice the wide h when N(eps) = +1
     h = class_number(D) // (2 if eps.norm() == 1 else 1)
-    found = _principal_power(D, p, divisors(h))
+    # one lift serves the walks (up to p^(h+1)) and the context's p^N, N <= h+2
+    s = hensel_sqrt(m, p, max(9, h + 2))
+    found = _principal_power(D, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
     N = max(9, h0 + 2)
-    pi2 = pi1.conjugate()
-    s = hensel_sqrt(m, p, N)
-
-    ctx = FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s, N=N, h0=h0,
-                       pi1=pi1, pi2=pi2)
+    ctx = FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s % p**N, N=N, h0=h0,
+                       pi1=pi1, pi2=pi1.conjugate())
     _check_context(ctx)
     return ctx
 

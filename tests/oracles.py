@@ -12,6 +12,10 @@ None of these is used by the package itself:
   norm is a local (p-1)-th root of unity agree below n, or are both >= n.
 * `continued_fraction_sqrt` is the plain expansion of sqrt(m), and
   `xgcd` the extended Euclidean algorithm behind Gauss composition.
+* `loop_class_number` is the former `qforms.class_number`: the same
+  series, tail bound and error bound, summed term by term in a Python
+  loop with chi from `kronecker` on primes and a list of smallest prime
+  factors.
 * `two_walk_principal_power` is the former route to (h0, pi1): one walk
   per divisor for the class order, then a second walk of p^h0 that
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
@@ -31,13 +35,16 @@ None of these is used by the package itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import erfc, exp, gcd, isqrt, log, pi, sqrt
 
 import numpy as np
 
-from iwascan.arith import divisors, factorize, valuation
+from iwascan.arith import divisors, factorize, kronecker, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
-from iwascan.qforms import _canonical_root, _unit_reduce
+from iwascan.pell import fundamental_unit
+from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
+                            _canonical_root, _check_fundamental, _regulator,
+                            _tail_bound, _unit_reduce)
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
 from iwascan.stats import _small_primes
 from iwascan.sunits import FieldContext
@@ -201,6 +208,65 @@ def _gamma_walk(A: int, B: int, D: int) -> tuple[int, int, int] | None:
         gA, gB, gC = gA // g, gB // g, gC // g
         A, B = half, b2
     raise ArithmeticError("ideal walk did not terminate")
+
+
+def loop_class_number(D: int) -> int:
+    """Narrow class number of D by the series of `qforms.class_number`, one term at a time."""
+    _check_fundamental(D)
+    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+    R = _regulator(eps)
+
+    # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
+    lo, N = 0, 1
+    while _tail_bound(N, D) > R / 8:
+        lo, N = N, 2 * N
+    while N - lo > 1:
+        mid = (lo + N) // 2
+        lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
+
+    # chi is completely multiplicative: kronecker on primes only, the
+    # rest from the smallest prime factor.  Writing q = isqrt(N)..2 in
+    # descending order leaves the smallest divisor; 0 marks a prime.
+    spf = [0] * (N + 1)
+    for q in range(isqrt(N), 1, -1):
+        spf[q * q :: q] = [q] * ((N - q * q) // q + 1)
+    chi = [0] * (N + 1)
+    chi[1] = 1
+    a5, a4, a3, a2, a1, a0 = _E1_SMALL
+    _, c1, c2, c3, c4 = _E1_NUM
+    _, d1, d2, d3, d4 = _E1_DEN
+    rootD, step, scale = sqrt(D), sqrt(pi / D), pi / D
+    total = size = 0.0
+    for n in range(1, N + 1):
+        if n > 1:
+            q = spf[n]
+            chi[n] = chi[q] * chi[n // q] if q else kronecker(D, n)
+        c = chi[n]
+        if not c:
+            continue
+        x = scale * n * n
+        if x <= 1:
+            e1 = (((((a5 * x + a4) * x + a3) * x + a2) * x + a1) * x + a0) - log(x)
+        else:
+            e1 = (exp(-x) / x * ((((x + c1) * x + c2) * x + c3) * x + c4)
+                  / ((((x + d1) * x + d2) * x + d3) * x + d4))
+        t = rootD / n * erfc(step * n) + e1
+        total += t if c > 0 else -t
+        size += t
+
+    y = total / (2 * R)
+    # Float rounding, relative to the sum of |terms|: recursive summation
+    # loses at most N machine epsilons, and one term at most 256 plus 2x
+    # (erfc and exp amplify their argument's error by about x = pi n^2/D).
+    # R's relative error carries over to y.
+    rounding = (N + 2 * scale * N * N + 256) * _MACHINE_EPS * size
+    err = (_tail_bound(N, D) + _E1_ERR * N + rounding) / (2 * R) + 1e-13 * abs(y)
+    h = round(y)
+    if not (err < 0.5 and abs(y - h) <= err and h >= 1):
+        raise ArithmeticError(
+            f"analytic class number not separated at D={D}: "
+            f"sum/(2R) = {y!r}, error bound {err:.3g}")
+    return 2 * h if eps.norm() == 1 else h
 
 
 def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:

@@ -7,6 +7,8 @@ are refused.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import iwascan
@@ -55,3 +57,15 @@ def test_the_check_refuses_each_unbounded_form():
                 "@functools.lru_cache(None)\ndef f(x): pass"):
         assert list(_unbounded(ast.parse(src))), src
     assert not list(_unbounded(ast.parse("@lru_cache(maxsize=256)\ndef f(x): pass")))
+
+
+def test_every_cache_in_the_loaded_package_has_a_fixed_size():
+    # the same rule on the live functions, including the class-number tables
+    sizes = {}
+    for info in pkgutil.iter_modules(iwascan.__path__):
+        module = importlib.import_module(f"iwascan.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {"qforms._sieve", "qforms.class_number", "pell.fundamental_unit"} <= set(sizes)
+    assert all(type(size) is int and size > 0 for size in sizes.values()), sizes

@@ -11,6 +11,10 @@ prime form (q, t, .) is the first d | h whose d-th power lies in a cycle
 holding a form with |a| = 1, an independent route from the walk on the
 prime-power ideal [q^d, (b_d+sqrt(D))/2] under test.
 
+The numpy `class_number` is checked against the term-by-term loop it
+replaced (`oracles.loop_class_number`), and its chi table against
+`kronecker`.
+
 The one-pass `_principal_power` is checked against the former two-walk
 route (`oracles.two_walk_principal_power`), which walks p^h0 a second
 time and carries the generator with a gcd on every step.
@@ -18,6 +22,7 @@ time and carries the generator with a gcd on every step.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,7 +32,7 @@ from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
-from oracles import two_walk_principal_power, xgcd
+from oracles import loop_class_number, two_walk_principal_power, xgcd
 
 
 def fundamental_discriminants(limit):
@@ -141,6 +146,58 @@ def test_wrong_regulator_raises_instead_of_misrounding(monkeypatch, factor):
             continue
         assert got == narrow[D], (D, factor)
     assert refused > len(Ds) // 4
+
+
+# --- loop oracle: the same series, summed one term at a time ---
+
+def test_class_number_equals_the_loop_oracle_below_2e4():
+    Ds = fundamental_discriminants(2 * 10**4)
+    assert [class_number(D) for D in Ds] == [loop_class_number(D) for D in Ds]
+
+
+@pytest.mark.parametrize("magnitude", [10**6, 10**7, 10**8])
+def test_class_number_equals_the_loop_oracle_at_large_m(magnitude):
+    rng = random.Random(magnitude)
+    ms = [m for m in rng.sample(range(magnitude, 2 * magnitude), 40) if is_squarefree(m)][:16]
+    Ds = [m if m % 4 == 1 else 4 * m for m in ms]
+    assert [class_number(D) for D in Ds] == [loop_class_number(D) for D in Ds]
+
+
+@pytest.mark.parametrize("m", [41, 13, 7, 6, 30, 101, 3 * 7 * 11])
+def test_chi_table_equals_kronecker(m):
+    # D = 1 and 5 (mod 8), 4m with m = 3 (mod 4), and 8m' with m = 2m'
+    D = m if m % 4 == 1 else 4 * m
+    assert qforms._chi(D, 3000).tolist() == [kronecker(D, n) for n in range(3001)]
+    for N in range(1, 40):  # every short table, around each dyadic block edge
+        assert qforms._chi(D, N).tolist() == [kronecker(D, n) for n in range(N + 1)]
+
+
+def test_series_past_int64_is_refused(monkeypatch):
+    # Euler's criterion squares residues mod q <= N in int64: q^2 < 2^63
+    monkeypatch.setattr(qforms, "_INT64_ROOT", 100)
+    with pytest.raises(ArithmeticError, match="overflow int64"):
+        qforms.class_number.__wrapped__(4 * 1000003)  # N is about 1500
+    with pytest.raises(ArithmeticError, match="overflow int64"):
+        qforms._chi(41, 101)  # N past the limit, D below its square
+    with pytest.raises(ArithmeticError, match="overflow int64"):
+        qforms._chi(4 * 1000003, 50)  # D itself past the limit squared
+    assert qforms._chi(41, 100).tolist() == [kronecker(41, n) for n in range(101)]
+
+
+def test_class_number_memory_is_linear_in_the_series_length():
+    # arrays over n <= N (and tables up to the power of two >= N), no N x Omega table
+    per_root = {}
+    for m in (1000003, 100000007):
+        D = m if m % 4 == 1 else 4 * m
+        fundamental_unit(m)
+        qforms._sieve.cache_clear()
+        tracemalloc.start()
+        try:
+            assert qforms.class_number.__wrapped__(D) == class_number(D)
+            per_root[m] = tracemalloc.get_traced_memory()[1] / math.sqrt(D)
+        finally:
+            tracemalloc.stop()
+    assert max(per_root.values()) < 100, per_root
 
 
 @pytest.mark.parametrize("D", [-8, 0, 9, 7, 20, 45, 4 * 18])

@@ -1,9 +1,11 @@
 """Statistics harnesses: tallies, expected laws, determinism."""
 
+import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +186,23 @@ def test_tally_parent_memory_stays_flat_as_p_grows():
     assert peaks[20023] < peaks[2017] + 2**16, peaks
 
 
+def test_tally_parent_memory_stays_flat_as_the_bound_grows():
+    # a bound 100 times larger streams 100 times the candidates and about 100
+    # times the primes through the same blocks; the parent holds none of them
+    m, p, n = 44853, 7, 5
+    prime_fermat_scan(m, p, n, 3 * 10**6, workers=2)  # lazy imports before tracing
+    peaks, totals = {}, {}
+    for bound in (3 * 10**6, 3 * 10**8):
+        tracemalloc.start()
+        try:
+            totals[bound] = prime_fermat_scan(m, p, n, bound, workers=2).total
+            peaks[bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert totals[3 * 10**8] > 100 * totals[3 * 10**6] > 0, totals
+    assert abs(peaks[3 * 10**8] - peaks[3 * 10**6]) < 2**15, peaks
+
+
 def test_an_empty_stream_on_two_workers_tallies_zero():
     t = prime_fermat_scan(103, 3, 5, 3**6, workers=2)
     assert t.total == t.skipped_nonprincipal == 0 and t.counts == (0,) * 6
@@ -317,11 +336,21 @@ def test_tally_validates_totals():
 
 
 def test_tally_validation_survives_optimize_flag():
-    # `python -O` strips assert statements; the totals check must not be one
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_tally_validates_totals"],
-        capture_output=True, text=True)
+    # `python -O` strips assert statements; the totals check must not be one.
+    # The child rebuilds the StatTally of test_tally_validates_totals.
+    code = ("import sys\n"
+            "from iwascan.stats import StatTally\n"
+            "if not sys.flags.optimize: sys.exit('not running under -O')\n"
+            "try:\n"
+            "    StatTally(m=103, p=3, n=5, bound=10, rmax=1, total=5, counts=(1, 1),\n"
+            "              skipped_nonprincipal=0)\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit('inconsistent totals were accepted')\n")
+    path = (str(Path(stats.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

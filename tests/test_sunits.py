@@ -109,3 +109,21 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
     ctx = build_context(m, p)
     assert (ctx.h, ctx.h0) == (h, h0)
     assert walked == [p**d for d in divisors(h) if d <= h0]
+
+
+@pytest.mark.parametrize("m,p", CASES)
+def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
+    """One lift, to p^max(9, h+2), serves the walks and the context's p^N."""
+    lifts = []
+    lift = sunits.hensel_sqrt
+
+    def counting(m, p, N):
+        lifts.append(N)
+        return lift(m, p, N)
+
+    monkeypatch.setattr(sunits, "hensel_sqrt", counting)
+    monkeypatch.setattr(qforms, "hensel_sqrt", counting)
+    ctx = build_context.__wrapped__(m, p)
+    assert lifts == [max(9, ctx.h + 2)]
+    assert ctx.s == lift(m, p, ctx.N)
+    assert ctx == build_context(m, p)
