@@ -19,6 +19,7 @@ from itertools import chain, islice
 
 from .arith import is_squarefree, kronecker, valuation
 from .fermat import delta_exact
+from .qforms import class_numbers
 from .sunits import UsageError, build_context, validate_prime
 
 
@@ -47,13 +48,15 @@ class FieldVerdict:
         return Fraction(1, self.p**self.delta_pi)
 
 
-def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
+def check_field(m: int, p: int, n0: int = 1, h: int | None = None) -> FieldVerdict:
     """Run the vanishing test for Q(sqrt(m)) at p.
 
     n0 is only the starting precision; `delta_exact` recomputes deltas that
     exceed it at doubled precision, so the verdict does not depend on n0.
+    h, the wide class number, is computed unless given; the context is then cached
+    under (m, p) alone, the key that `check` and the tally use too.
     """
-    ctx = build_context(m, p)
+    ctx = build_context(m, p) if h is None else build_context(m, p, h)
     rep = delta_exact(ctx.eps, ctx, n0)
     if rep.delta1 != rep.delta2:
         raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
@@ -103,10 +106,12 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
 
 
 def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
-    # m outermost: after its first prime, a field's unit and h come from cache
+    # m outermost: a field's unit comes from cache after its first prime; h from one batch
     primes, lo, hi, n0 = args
-    return [check_field(m, p, n0) for m in range(lo, hi + 1) for p in primes
-            if admissible(m, p)]
+    pairs = [(m, p) for m in range(lo, hi + 1) for p in primes if admissible(m, p)]
+    ms = list(dict.fromkeys(m for m, _ in pairs))
+    hs = dict(zip(ms, class_numbers([m if m % 4 == 1 else 4 * m for m in ms])))
+    return [check_field(m, p, n0, hs[m]) for m, p in pairs]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Class numbers, class orders and generators in real quadratic fields.
 
 D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
-radicand.  `class_number` evaluates the analytic class number formula
-in one numpy pass over about sqrt(D) terms (chi by Euler's criterion on
-primes and a smallest-prime-factor table) with the regulator of the exact
-fundamental unit, under an explicit error bound that must separate h from
-every other integer, or it raises ArithmeticError.
+radicand.  `class_numbers` evaluates the analytic class number formula
+for a whole batch of D (a scan block) in one numpy pass per slab of at
+most _SLAB terms: chi by Euler's criterion on a (D x primes) grid and a
+smallest-prime-factor table, about sqrt(D) terms per D, with the
+regulator of the exact fundamental unit.  Each D keeps its own explicit
+error bound, which must separate h from every other integer, or the
+batch raises ArithmeticError.  `class_number` is a batch of one.
 
 Class orders and generators work in the *wide* sense (the reduction
 walk runs on positive-norm ideals and ignores the sign of the leading
@@ -91,77 +93,103 @@ def _sieve(P: int) -> tuple[np.ndarray, ...]:
     return spf, n // np.maximum(spf, 1), odd, bits.astype(bool)
 
 
-def _chi(D: int, N: int) -> np.ndarray:
-    """kronecker(D, n), n <= N: Euler's criterion on odd primes, D mod 8 at 2, then
-    chi(spf n) chi(n/spf n) by dyadic blocks of n, as n/spf n <= n/2 is in an earlier one."""
-    if N > _INT64_ROOT or D > _INT64_ROOT**2:
-        raise ArithmeticError(f"{N} terms at D={D} overflow int64 in Euler's criterion")
+def _chi(Ds: Sequence[int], N: int) -> np.ndarray:
+    """kronecker(D, n), a row per D, n <= N: Euler's criterion on a (rows x odd primes) grid,
+    D mod 8 at 2, then chi(spf n) chi(n/spf n) by dyadic blocks of n (n/spf n <= n/2)."""
+    if N > _INT64_ROOT or max(Ds) > _INT64_ROOT**2:
+        raise ArithmeticError(f"{N} terms at D={max(Ds)} overflow int64 in Euler's criterion")
     spf, cof, odd, bits = _sieve(1 << (N - 1).bit_length())  # the power of two >= N
+    D = np.array(Ds, dtype=np.int64)[:, None]
     q = odd[: np.searchsorted(odd, N, "right")]
-    a, r = D % q, np.ones_like(q)
+    a, r = D % q, np.ones((len(D), len(q)), dtype=np.int64)
     for bit in bits[: (N >> 1).bit_length(), : len(q)]:  # (q-1)/2 < N/2
         r = np.where(bit, r * a % q, r)
         a = a * a % q
-    chi = np.zeros(N + 1, dtype=np.int8)
-    chi[1], chi[2:3] = 1, {1: 1, 5: -1}.get(D % 8, 0)
-    chi[q] = (r == 1).astype(np.int8) - (r == q - 1)
+    chi = np.zeros((len(D), N + 1), dtype=np.int8)
+    chi[:, 1], chi[:, 2:3] = 1, np.array((0, 1, 0, 0, 0, -1, 0, 0), np.int8)[D % 8]
+    chi[:, q] = (r == 1).astype(np.int8) - (r == q - 1)
     for k in range(2, N.bit_length()):
         lo, hi = 1 << k, min(2 << k, N + 1)
-        chi[lo:hi] = chi[spf[lo:hi]] * chi[cof[lo:hi]]
+        chi[:, lo:hi] = chi.take(spf[lo:hi], axis=1) * chi.take(cof[lo:hi], axis=1)
     return chi
+
+
+_SLAB = 1 << 16  # cells (rows x (N+1)) of one numpy pass in `class_numbers`
+
+
+def class_numbers(Ds: Sequence[int]) -> list[int]:
+    """Wide class numbers of the fundamental discriminants Ds > 0, in their order.
+
+    2 h R = sum_{n >= 1} chi(n) * ((sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D))
+    (Cohen, GTM 138, sec. 5.6), chi(n) = kronecker(D, n) and R = log(eps)
+    from the exact unit, summed to the least N_D with tail bound <= R/8.
+    Tail, E1 and float rounding are bounded explicitly; the batch is refused
+    (ArithmeticError) unless, for every D, the bound leaves h the only
+    integer within 1/2 of sum / (2R).  Rows sorted by N_D go in slabs of at
+    most _SLAB cells (rows x (N+1)), one numpy pass each.
+    """
+    rows = []
+    for i, D in enumerate(Ds):
+        _check_fundamental(D)
+        R = _regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
+        lo, N = 0, 1  # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
+        while _tail_bound(N, D) > R / 8:
+            lo, N = N, 2 * N
+        while N - lo > 1:
+            mid = (lo + N) // 2
+            lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
+        rows.append((N, i, D, R))
+    rows.sort()
+    hs, start = [0] * len(rows), 0
+    for stop in range(1, len(rows) + 1):  # a slab's cells: its rows times its largest N
+        if stop == len(rows) or (stop - start + 1) * (rows[stop][0] + 1) > _SLAB:
+            for (_, i, _, _), h in zip(rows[start:stop], _slab(rows[start:stop])):
+                hs[i] = h
+            start = stop
+    return hs
+
+
+def _slab(rows: list[tuple[int, int, int, float]]) -> list[int]:
+    """The wide h of each row (N, i, D, R) of `class_numbers`, N rising, in one pass."""
+    Ns, _, Ds, Rs = zip(*rows)
+    chi = _chi(Ds, Ns[-1])
+    chi[np.arange(Ns[-1] + 1) > np.array(Ns)[:, None]] = 0  # each row stops at its own N
+    cell = np.flatnonzero(chi)
+    row, n = np.divmod(cell, Ns[-1] + 1)
+    Df = np.array(Ds, dtype=float)
+    x = (pi / Df)[row] * n * n
+    small = x <= 1
+    xs, xl, e1 = x[small], x[~small], np.empty_like(x)
+    e1[small] = np.polyval(_E1_SMALL, xs) - np.log(xs)
+    e1[~small] = np.exp(-xl) / xl * np.polyval(_E1_NUM, xl) / np.polyval(_E1_DEN, xl)
+    erfcs = np.fromiter(map(erfc, (np.sqrt(pi / Df)[row] * n).tolist()), float, len(n))
+    t = np.sqrt(Df)[row] / n * erfcs + e1
+    totals = np.bincount(row, chi.ravel()[cell] * t, len(Ds)).tolist()
+    sizes = np.bincount(row, t, len(Ds)).tolist()
+    hs = []
+    for N, D, R, total, size in zip(Ns, Ds, Rs, totals, sizes):
+        y = total / (2 * R)
+        # Float rounding, relative to the sum of |terms|: bincount's recursive
+        # sum loses less than N machine epsilons, and one term at most 256
+        # plus 2x (erfc and exp amplify their argument's error by about
+        # x = pi n^2/D).  R's relative error carries over to y.
+        rounding = (N + 2 * (pi / D) * N * N + 256) * _MACHINE_EPS * size
+        err = (_tail_bound(N, D) + _E1_ERR * N + rounding) / (2 * R) + 1e-13 * abs(y)
+        h = round(y)
+        if not (err < 0.5 and abs(y - h) <= err and h >= 1):
+            raise ArithmeticError(
+                f"analytic class number not separated at D={D}: "
+                f"sum/(2R) = {y!r}, error bound {err:.3g}")
+        hs.append(h)
+    return hs
 
 
 @lru_cache(maxsize=1024)
 def class_number(D: int) -> int:
-    """Narrow class number of the fundamental discriminant D > 0.
-
-    The wide class number h comes from the analytic class number formula
-    in its rapidly convergent form (Cohen, GTM 138, sec. 5.6),
-
-        2 h R = sum_{n >= 1} chi(n) * ((sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D)),
-
-    with chi(n) = kronecker(D, n) and R = log(eps) from the exact unit.
-    The sum stops at the least N whose tail bound is below R/8; the
-    tail, the E1 approximation and the float rounding are bounded
-    explicitly, and the result is refused (ArithmeticError) unless that
-    bound leaves h as the only integer within 1/2 of the sum / (2R).
-    About sqrt(D) terms, in numpy arrays.  The narrow number is 2h when
-    N(eps) = +1.
-    """
-    _check_fundamental(D)
-    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
-    R = _regulator(eps)
-
-    # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
-    lo, N = 0, 1
-    while _tail_bound(N, D) > R / 8:
-        lo, N = N, 2 * N
-    while N - lo > 1:
-        mid = (lo + N) // 2
-        lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
-
-    chi = _chi(D, N)
-    n = np.flatnonzero(chi)
-    rootD, step, scale = sqrt(D), sqrt(pi / D), pi / D
-    x = scale * n * n
-    xs, xl = np.split(x, [np.searchsorted(x, 1, "right")])  # x rises with n
-    e1 = np.concatenate((np.polyval(_E1_SMALL, xs) - np.log(xs), np.exp(-xl) / xl
-                         * np.polyval(_E1_NUM, xl) / np.polyval(_E1_DEN, xl)))
-    t = rootD / n * np.fromiter(map(erfc, (step * n).tolist()), float, len(n)) + e1
-    total, size = float((chi[n] * t).sum()), float(t.sum())
-    y = total / (2 * R)
-    # Float rounding, relative to the sum of |terms|: numpy's pairwise sums
-    # lose less than a recursive sum's N machine epsilons, and one term at
-    # most 256 plus 2x (erfc and exp amplify their argument's error by about
-    # x = pi n^2/D).  R's relative error carries over to y.
-    rounding = (N + 2 * scale * N * N + 256) * _MACHINE_EPS * size
-    err = (_tail_bound(N, D) + _E1_ERR * N + rounding) / (2 * R) + 1e-13 * abs(y)
-    h = round(y)
-    if not (err < 0.5 and abs(y - h) <= err and h >= 1):
-        raise ArithmeticError(
-            f"analytic class number not separated at D={D}: "
-            f"sum/(2R) = {y!r}, error bound {err:.3g}")
-    return 2 * h if eps.norm() == 1 else h
+    """Narrow class number of the fundamental discriminant D > 0: the wide h
+    of `class_numbers` (same bound, same refusal), doubled when N(eps) = +1."""
+    h = class_numbers((D,))[0]
+    return 2 * h if fundamental_unit(D // 4 if D % 4 == 0 else D).norm() == 1 else h
 
 
 def _canonical_root(D: int, q: int, k: int, s: int) -> int:
@@ -222,16 +250,15 @@ def class_order(D: int, q: int, h: int) -> int:
 
 
 def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
-    """Smallest |trace| representative of x modulo the fundamental unit."""
+    """Smallest |trace| representative of x modulo the fundamental unit: times
+    1/eps while |trace| falls, then times eps, on x = (A + B sqrt(m))/2, A the trace."""
     eps = fundamental_unit(m)
-    eps_inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
-
-    for step in (eps_inv, eps):
-        while abs((y := x * step).trace()) < abs(x.trace()):
-            x = y
-    if x.a < 0:
-        x = -x
-    return x
+    E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
+    A, B = 2 * x.a // x.den, 2 * x.b // x.den
+    for e, f in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
+        while abs(A2 := (A * e + B * f * m) // 2) < abs(A):
+            A, B = A2, (A * f + B * e) // 2
+    return make_elem(-A, -B, 2, m) if A < 0 else make_elem(A, B, 2, m)
 
 
 def _principal_power(D: int, q: int, exponents: Sequence[int],

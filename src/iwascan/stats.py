@@ -127,10 +127,14 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
 
 def _items(m: int, p: int, n: int, rmax: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Items of `prime_fermat_scan`, one residue class r at a time.  Every ell
-    = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1): none once 2^(n+1) >= bound."""
+    = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1): none once 2^(n+1) >= bound.
+    When (p^(n+1), bound) holds fewer ell than the p-1 classes, the r of those
+    ell are tested directly instead of lifting every class."""
     if n + 1 >= bound.bit_length() or (mod := p ** (n + 1)) >= bound:
         return
-    for r in teichmuller(p, n + 1):
+    residues = teichmuller(p, n + 1) if bound - mod - 1 >= p - 1 else (
+        r for r in range(1, bound - mod) if pow(r, p - 1, mod) == 1)
+    for r in residues:
         top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
         for j0 in range(1, top + 1, _SPAN):
             yield m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1)

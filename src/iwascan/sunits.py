@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
-from .qforms import _principal_power, class_number
+from .qforms import _principal_power, class_numbers
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
 
@@ -64,13 +64,12 @@ def validate_field(m: int, p: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def build_context(m: int, p: int) -> FieldContext:
-    """Assemble the field data for (m, p); raises PreconditionError."""
+def build_context(m: int, p: int, h: int | None = None) -> FieldContext:
+    """Assemble the field data for (m, p), given its wide h or not; raises PreconditionError."""
     validate_field(m, p)
     D = m if m % 4 == 1 else 4 * m
     eps = fundamental_unit(m)
-    # class_number is the narrow number, twice the wide h when N(eps) = +1
-    h = class_number(D) // (2 if eps.norm() == 1 else 1)
+    h = class_numbers((D,))[0] if h is None else h
     # one lift serves the walks (up to p^(h+1)) and the context's p^N, N <= h+2
     s = hensel_sqrt(m, p, max(9, h + 2))
     found = _principal_power(D, p, divisors(h), s)

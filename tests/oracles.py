@@ -19,6 +19,8 @@ None of these is used by the package itself:
 * `two_walk_principal_power` is the former route to (h0, pi1): one walk
   per divisor for the class order, then a second walk of p^h0 that
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
+* `elem_unit_reduce` is the former `qforms._unit_reduce`: the same greedy
+  steps, one `QuadElem` product per trial.
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
   array in the calling process, each survivor proven, then sorted.
@@ -44,7 +46,7 @@ from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _canonical_root, _check_fundamental, _regulator,
-                            _tail_bound, _unit_reduce)
+                            _tail_bound)
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
 from iwascan.stats import _small_primes
 from iwascan.sunits import FieldContext
@@ -269,6 +271,19 @@ def loop_class_number(D: int) -> int:
     return 2 * h if eps.norm() == 1 else h
 
 
+def elem_unit_reduce(x: QuadElem, m: int) -> QuadElem:
+    """Smallest |trace| representative of x modulo the fundamental unit."""
+    eps = fundamental_unit(m)
+    eps_inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
+
+    for step in (eps_inv, eps):
+        while abs((y := x * step).trace()) < abs(x.trace()):
+            x = y
+    if x.a < 0:
+        x = -x
+    return x
+
+
 def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     """(h0, pi1) by the class-order walk, then a generator walk of p^h0."""
     m = D // 4 if D % 4 == 0 else D
@@ -281,7 +296,7 @@ def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     alpha = make_elem(gA, gB, gC, m)
     if abs(alpha.norm()) != q**h0:
         raise ArithmeticError("generator has the wrong norm")
-    alpha = _unit_reduce(alpha, m)
+    alpha = elem_unit_reduce(alpha, m)
     r1 = embed(alpha, hensel_sqrt(m, q, h0 + 1), q, h0 + 1).r1
     if (valuation(r1, q) if r1 else h0 + 1) != h0:
         raise ArithmeticError("generator supports the wrong prime")

@@ -201,52 +201,58 @@ def test_scan_command_csv(capsys):
     assert len(rows) == 22 and rows[0].m == 30001
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
+    # one real process per exit code; the other cases run cli.main in-process
+    def run(*args):
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
     code, _, err = run_cli("check", "--m", "4", "--p", "3")
     assert code == 3 and "squarefree" in err
-    code, _, err = run_cli("check", "--m", "5", "--p", "3")
+    code, _, err = run("check", "--m", "5", "--p", "3")
     assert code == 3
     code, _, _ = run_cli("check", "--m", "103")
     assert code == 2  # missing --p
-    code, _, _ = run_cli("bogus-command")
+    code, _, _ = run("bogus-command")
     assert code == 2
-    code, _, err = run_cli("check", "--m", "103", "--p", "3..7")
+    code, _, err = run("check", "--m", "103", "--p", "3..7")
     assert code == 2 and "only valid for scan" in err
     code, _, _ = run_cli("stats-random", "--m", "7", "--p", "3",
                          "--samples", "0", "--no-header")
     assert code == 0
     tally = ("stats-primes", "--m", "103", "--p", "3", "--n", "5", "--bound", "1e6")
     # flag values the library refuses are bad arguments, not preconditions
-    code, _, err = run_cli(*tally, "--rmax", "-1")
+    code, _, err = run(*tally, "--rmax", "-1")
     assert code == 2 and err == "error: rmax must be >= 0\n"
-    code, _, err = run_cli(*tally, "--n", "3")
+    code, _, err = run(*tally, "--n", "3")
     assert code == 2 and err == "error: need n >= rmax to fill every bucket\n"
-    code, _, err = run_cli("scan", "--p", "3", "--min-m", "50", "--max-m", "10")
+    code, _, err = run("scan", "--p", "3", "--min-m", "50", "--max-m", "10")
     assert code == 2 and err == "error: empty range\n"
     # --workers is a positive int, and only scan and stats-primes take it
-    code, _, err = run_cli(*tally, "--workers", "0")
+    code, _, err = run(*tally, "--workers", "0")
     assert code == 2 and "argument --workers: must be >= 1" in err
-    code, _, err = run_cli("scan", "--p", "3", "--max-m", "10", "--workers", "-1")
+    code, _, err = run("scan", "--p", "3", "--max-m", "10", "--workers", "-1")
     assert code == 2 and "argument --workers: must be >= 1" in err
-    code, _, err = run_cli("check", "--m", "103", "--p", "3", "--workers", "0")
+    code, _, err = run("check", "--m", "103", "--p", "3", "--workers", "0")
     assert code == 2 and "unrecognized arguments: --workers 0" in err
-    code, _, err = run_cli("stats-random", "--m", "7", "--p", "3", "--samples", "0",
-                           "--workers", "-3")
+    code, _, err = run("stats-random", "--m", "7", "--p", "3", "--samples", "0",
+                       "--workers", "-3")
     assert code == 2 and "unrecognized arguments: --workers -3" in err
-    code, _, err = run_cli("stats-random", "--m", "7", "--p", "3", "--seed", "-1")
+    code, _, err = run("stats-random", "--m", "7", "--p", "3", "--seed", "-1")
     assert code == 2 and err == "error: seed must be >= 0\n"
-    code, _, err = run_cli(*tally, "--n", "64", "--rmax", "64")
+    code, _, err = run(*tally, "--n", "64", "--rmax", "64")
     assert code == 2 and err == "error: rmax must be <= 63\n"
     # a prime past the deterministic Miller-Rabin range is a precondition
     big = "3317044064679887385962123"
     for argv in (("check", "--m", "7", "--p", big),
                  ("scan", "--p", big, "--max-m", "10"),
                  ("stats-random", "--m", "7", "--p", big, "--samples", "0")):
-        code, _, err = run_cli(*argv)
+        code, _, err = run(*argv)
         assert code == 3 and err == f"error: p={big} is too large to prove prime\n", argv
     # a composite p is refused whatever the m-range
     for max_m in ("2", "9"):
-        code, _, err = run_cli("scan", "--p", "21", "--min-m", "2", "--max-m", max_m)
+        code, _, err = run("scan", "--p", "21", "--min-m", "2", "--max-m", max_m)
         assert code == 3 and err == "error: p=21 must be an odd prime\n", max_m
 
 

@@ -4,10 +4,10 @@ from itertools import count
 
 import pytest
 
-from iwascan import fermat
+from iwascan import fermat, qforms
 from iwascan.fermat import N_CAP, Capped, DeltaReport, delta_embed, delta_exact
-from iwascan.greenberg import (_AHEAD, _CHUNK, admissible, check_field, map_blocks,
-                               scan_range)
+from iwascan.greenberg import (_AHEAD, _CHUNK, _scan_block, admissible, check_field,
+                               map_blocks, scan_range)
 from iwascan.sunits import PreconditionError, UsageError, build_context
 
 WINDOW = [30001, 30007, 30010, 30013, 30019, 30022, 30031, 30034, 30043,
@@ -147,6 +147,27 @@ def test_scan_range_edges(m_min, m_max, workers):
     want = serial_scan(primes, m_min, m_max)
     got = scan_range(primes, m_min, m_max, workers=workers)
     assert {r.p: list(r.rows) for r in got} == want
+
+
+@pytest.mark.parametrize("primes, lo", [((3, 5, 7), 10**4), ((3,), 10**6)])
+def test_a_scan_block_makes_one_kernel_call_per_slab(monkeypatch, primes, lo):
+    """The block's class numbers come from one batch: chi is built once per
+    slab of at most _SLAB cells, never once per field."""
+    slabs = []
+    chi = qforms._chi
+
+    def counting(Ds, N):
+        slabs.append((len(Ds), N))
+        return chi(Ds, N)
+
+    monkeypatch.setattr(qforms, "_chi", counting)
+    rows = _scan_block((primes, lo, lo + _CHUNK - 1, 1))
+    fields = len({r.m for r in rows})
+    assert len(rows) >= fields > 20
+    assert sum(k for k, _ in slabs) == fields
+    assert all(k * (N + 1) <= qforms._SLAB for k, N in slabs)
+    assert len(slabs) == 1  # a 100-m block fits one slab at both magnitudes
+    assert rows == [check_field(r.m, r.p) for r in rows]
 
 
 def test_a_delta_capped_at_n_cap_raises(monkeypatch):

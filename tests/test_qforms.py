@@ -13,7 +13,10 @@ prime-power ideal [q^d, (b_d+sqrt(D))/2] under test.
 
 The numpy `class_number` is checked against the term-by-term loop it
 replaced (`oracles.loop_class_number`), and its chi table against
-`kronecker`.
+`kronecker`; so is the batch kernel `class_numbers`, in one call, in the
+blocks a scan forms and in mixed batches.  The integer `_unit_reduce` is
+checked against the `QuadElem` version it replaced
+(`oracles.elem_unit_reduce`).
 
 The one-pass `_principal_power` is checked against the former two-walk
 route (`oracles.two_walk_principal_power`), which walks p^h0 a second
@@ -24,15 +27,16 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
-from iwascan import qforms
+from iwascan import greenberg, qforms
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
-from oracles import loop_class_number, two_walk_principal_power, xgcd
+from oracles import elem_unit_reduce, loop_class_number, two_walk_principal_power, xgcd
 
 
 def fundamental_discriminants(limit):
@@ -167,9 +171,9 @@ def test_class_number_equals_the_loop_oracle_at_large_m(magnitude):
 def test_chi_table_equals_kronecker(m):
     # D = 1 and 5 (mod 8), 4m with m = 3 (mod 4), and 8m' with m = 2m'
     D = m if m % 4 == 1 else 4 * m
-    assert qforms._chi(D, 3000).tolist() == [kronecker(D, n) for n in range(3001)]
+    assert qforms._chi((D,), 3000)[0].tolist() == [kronecker(D, n) for n in range(3001)]
     for N in range(1, 40):  # every short table, around each dyadic block edge
-        assert qforms._chi(D, N).tolist() == [kronecker(D, n) for n in range(N + 1)]
+        assert qforms._chi((D,), N)[0].tolist() == [kronecker(D, n) for n in range(N + 1)]
 
 
 def test_series_past_int64_is_refused(monkeypatch):
@@ -178,10 +182,10 @@ def test_series_past_int64_is_refused(monkeypatch):
     with pytest.raises(ArithmeticError, match="overflow int64"):
         qforms.class_number.__wrapped__(4 * 1000003)  # N is about 1500
     with pytest.raises(ArithmeticError, match="overflow int64"):
-        qforms._chi(41, 101)  # N past the limit, D below its square
+        qforms._chi((41,), 101)  # N past the limit, D below its square
     with pytest.raises(ArithmeticError, match="overflow int64"):
-        qforms._chi(4 * 1000003, 50)  # D itself past the limit squared
-    assert qforms._chi(41, 100).tolist() == [kronecker(41, n) for n in range(101)]
+        qforms._chi((4 * 1000003,), 50)  # D itself past the limit squared
+    assert qforms._chi((41,), 100)[0].tolist() == [kronecker(41, n) for n in range(101)]
 
 
 def test_class_number_memory_is_linear_in_the_series_length():
@@ -198,6 +202,138 @@ def test_class_number_memory_is_linear_in_the_series_length():
         finally:
             tracemalloc.stop()
     assert max(per_root.values()) < 100, per_root
+
+
+# --- the batch kernel: many discriminants, one numpy pass per slab ---
+
+def wide_loop_class_number(D):
+    m = D // 4 if D % 4 == 0 else D
+    return loop_class_number(D) // (2 if fundamental_unit(m).norm() == 1 else 1)
+
+
+@pytest.fixture(scope="module")
+def wide_below_2e4():
+    return {D: wide_loop_class_number(D) for D in fundamental_discriminants(2 * 10**4)}
+
+
+def test_class_numbers_equal_the_loop_oracle_below_2e4_in_one_call(wide_below_2e4):
+    assert len(wide_below_2e4) == 6081
+    assert qforms.class_numbers(list(wide_below_2e4)) == list(wide_below_2e4.values())
+
+
+def test_class_numbers_equal_the_loop_oracle_in_scan_blocks(monkeypatch, wide_below_2e4):
+    """The batches `_scan_block` hands the kernel for every m < 2*10^4 at q <= 43."""
+    got = {}
+    kernel = qforms.class_numbers
+
+    def recording(Ds):
+        hs = kernel(Ds)
+        got.update(zip(Ds, hs))
+        return hs
+
+    monkeypatch.setattr(greenberg, "class_numbers", recording)
+    monkeypatch.setattr(greenberg, "check_field", lambda *args: None)
+    for lo in range(1, 2 * 10**4, greenberg._CHUNK):
+        greenberg._scan_block((SPLIT_Q, lo, lo + greenberg._CHUNK - 1, 1))
+    seen = [D for D in wide_below_2e4 if D in got]
+    assert len(seen) > 6000  # the rest split at no q <= 43, so no block holds them
+    assert all(not any(greenberg.admissible(D // 4 if D % 4 == 0 else D, q) for q in SPLIT_Q)
+               for D in wide_below_2e4 if D not in got)
+    assert [got[D] for D in seen] == [wide_below_2e4[D] for D in seen]
+
+
+def first_squarefree(lo, residue):
+    return next(m for m in count(lo) if m % 8 == residue and is_squarefree(m))
+
+
+def test_class_numbers_of_a_mixed_batch_keep_the_input_order(monkeypatch):
+    # D = 1 and 5 (mod 8), 4m with m = 3 (mod 4), and 8m' with m = 2m', near 10^4 and 10^8
+    ms = [first_squarefree(M, r) for M in (10**4, 10**8) for r in (1, 5, 3, 7, 2, 6)]
+    Ds = [m if m % 4 == 1 else 4 * m for m in ms]
+    want = [wide_loop_class_number(D) for D in Ds]
+    order = list(range(len(Ds)))
+    random.Random(8).shuffle(order)
+    assert qforms.class_numbers([Ds[i] for i in order]) == [want[i] for i in order]
+    assert qforms.class_numbers(Ds) == want
+    assert qforms.class_numbers(Ds[::-1]) == want[::-1]
+    monkeypatch.setattr(qforms, "_SLAB", 1)  # every row a slab of its own
+    assert qforms.class_numbers(Ds) == want
+    monkeypatch.setattr(qforms, "_SLAB", 1 << 22)  # both magnitudes in one slab
+    assert qforms.class_numbers(Ds) == want
+    assert qforms.class_numbers([]) == []
+
+
+def test_a_batch_with_one_unseparated_discriminant_is_refused(monkeypatch):
+    # m = 103 has wide h = 1; a regulator 1.3 times too large puts sum/(2R) at 0.77
+    Ds = fundamental_discriminants(600)
+    want = qforms.class_numbers(Ds)
+    regulator = qforms._regulator
+    monkeypatch.setattr(qforms, "_regulator",
+                        lambda eps: regulator(eps) * (1.3 if eps.m == 103 else 1))
+    with pytest.raises(ArithmeticError, match="not separated at D=412"):
+        qforms.class_numbers(Ds)
+    rest = [(D, h) for D, h in zip(Ds, want) if D != 412]
+    assert qforms.class_numbers([D for D, _ in rest]) == [h for _, h in rest]
+
+
+def test_every_row_of_the_chi_grid_equals_kronecker():
+    Ds = fundamental_discriminants(700)
+    chi = qforms._chi(Ds, 500)
+    assert chi.shape == (len(Ds), 501)
+    for D, row in zip(Ds, chi.tolist()):
+        assert row == [kronecker(D, n) for n in range(501)], D
+
+
+def test_class_numbers_memory_is_set_by_the_slab_cap():
+    """Both peaks stay below 100 bytes per slab cell, and the second 100 D
+    add well under the ~12 MB that holding every term of a batch would."""
+    ms = [m for m in range(10**6, 10**6 + 400) if is_squarefree(m)][:200]
+    Ds = [m if m % 4 == 1 else 4 * m for m in ms]
+    qforms.class_numbers(Ds)  # units and sieve tables cached: the peaks are the slabs'
+    peaks = []
+    for batch in (Ds[:100], Ds):
+        tracemalloc.start()
+        try:
+            qforms.class_numbers(batch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 100 * qforms._SLAB, peaks
+    assert peaks[1] - peaks[0] < 25 * qforms._SLAB, peaks
+
+
+# --- unit reduction: plain integers against the QuadElem oracle ---
+
+@pytest.fixture(scope="module")
+def generators_below_2e4():
+    """(x, m) for every generator `_principal_power` reduces, D < 2*10^4, split q <= 43."""
+    seen = []
+    reduce = qforms._unit_reduce
+    Ds = fundamental_discriminants(2 * 10**4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qforms, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
+        for D, h in zip(Ds, qforms.class_numbers(Ds)):
+            for q in SPLIT_Q:
+                if kronecker(D, q) == 1:
+                    qforms._principal_power(D, q, divisors(h))
+    return seen
+
+
+def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
+    assert len(generators_below_2e4) > 36000
+    for x, m in generators_below_2e4:
+        assert qforms._unit_reduce(x, m) == elem_unit_reduce(x, m), x
+
+
+def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2e4):
+    # every k in [-3, 3] on a seeded sample of the reduced generators
+    for x, m in random.Random(3).sample(generators_below_2e4, 1500):
+        eps = fundamental_unit(m)
+        inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
+        y = elem_unit_reduce(x, m) * inv * inv * inv
+        for k in range(-3, 4):
+            assert qforms._unit_reduce(y, m) == elem_unit_reduce(y, m), (x, k)
+            y = y * eps
 
 
 @pytest.mark.parametrize("D", [-8, 0, 9, 7, 20, 45, 4 * 18])

@@ -83,6 +83,37 @@ def test_huge_n_tallies_zero_without_lifting(monkeypatch):
     assert t.total == 0 and t.counts == (0,) * 64
 
 
+def test_a_short_window_tallies_without_lifting(monkeypatch):
+    # 999 candidates above 200009^2 against 200008 residue classes
+    monkeypatch.setattr(stats, "teichmuller", lambda p, k: pytest.fail("lifted"))
+    t = prime_fermat_scan(2, 200009, 1, 200009**2 + 1000, rmax=1)
+    assert (t.total, t.skipped_nonprincipal, t.counts) == (0, 0, (0, 0))
+
+
+def lifted_items(m, p, n, rmax, bound):
+    """The work items of the Teichmuller lift path, whatever the window."""
+    mod = p ** (n + 1)
+    for r in teichmuller(p, n + 1):
+        top = (bound - 1 - r) // mod
+        for j0 in range(1, top + 1, stats._SPAN):
+            yield m, p, n, rmax, r, j0, min(j0 + stats._SPAN, top + 1)
+
+
+@pytest.mark.parametrize("bound", [181**2 + 2, 32839, 32840, 181**2 + 180])
+def test_a_short_window_gives_the_lift_paths_items_and_tally(bound):
+    # ell = 181^2 + 78 = 32839 is prime, split in Q(sqrt 5), and 78^180 = 1 mod 181^2
+    m, p, n, rmax = 5, 181, 1, 1
+    assert bound - p ** (n + 1) - 1 < p - 1  # the direct path
+    items = list(stats._items(m, p, n, rmax, bound))
+    assert sorted(items) == sorted(lifted_items(m, p, n, rmax, bound))
+    t = prime_fermat_scan(m, p, n, bound, rmax=rmax)
+    counts = [0] * (rmax + 1)
+    for item in lifted_items(m, p, n, rmax, bound):
+        counts = [a + b for a, b in zip(counts, stats._tally_block(item)[0])]
+    assert t.counts == tuple(counts)
+    assert t.total == (bound > 32839)
+
+
 def test_rmax_past_63_is_refused():
     with pytest.raises(UsageError, match="rmax must be <= 63"):
         prime_fermat_scan(103, 3, 100, 10**6, rmax=64)

@@ -1,15 +1,17 @@
 """Field context assembly: class data, S-unit generators, embeddings."""
 
 import dataclasses
+import random
 
 import pytest
 
 from iwascan import qforms, sunits
-from iwascan.arith import divisors, valuation
+from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
 from iwascan.sunits import (FieldContext, PreconditionError, build_context,
                             validate_field)
+from oracles import loop_class_number
 
 CASES = [(103, 3), (7, 3), (10, 3), (13, 3), (2659, 3), (12007, 3),
          (30007, 3), (30043, 3), (44853, 7), (109, 7), (14, 11)]
@@ -127,3 +129,18 @@ def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
     assert lifts == [max(9, ctx.h + 2)]
     assert ctx.s == lift(m, p, ctx.N)
     assert ctx == build_context(m, p)
+
+
+def test_context_h_is_the_narrow_number_halved_when_the_unit_norm_is_one():
+    """The wide h is decided by `class_numbers` alone; `class_number` doubles it."""
+    norms = []
+    for m in random.Random(17).sample(range(2, 10**5), 120):
+        p = next((q for q in (3, 5, 7, 11, 13) if kronecker(m, q) == 1), None)
+        if p is None or not is_squarefree(m):
+            continue
+        ctx = build_context(m, p)
+        narrow = loop_class_number(ctx.D)
+        assert ctx.h == narrow // (2 if ctx.eps.norm() == 1 else 1), m
+        assert class_number(ctx.D) == narrow
+        norms.append(ctx.eps.norm())
+    assert len(norms) > 50 and set(norms) == {1, -1}
