@@ -20,7 +20,7 @@ from itertools import chain, islice
 from .arith import is_squarefree, kronecker, valuation
 from .fermat import delta_exact
 from .qforms import class_numbers
-from .sunits import UsageError, build_context, validate_prime
+from .sunits import UsageError, build_context, validate_discriminant, validate_prime
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def check_field(m: int, p: int, n0: int = 1, h: int | None = None) -> FieldVerdi
 
 
 def admissible(m: int, p: int) -> bool:
-    """True when Q(sqrt(m)) is a real quadratic field where p splits."""
+    """True when Q(sqrt(m)) is a real quadratic field where p splits; an m whose
+    discriminant is past the class number's range is refused before it is factored."""
+    if m > 1:
+        validate_discriminant(m)
     return m > 1 and is_squarefree(m) and kronecker(m, p) == 1
 
 

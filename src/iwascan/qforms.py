@@ -14,29 +14,23 @@ walk runs on positive-norm ideals and ignores the sign of the leading
 coefficient), because a prime-power ideal is what gets tested for
 principality and a generator of either norm sign is acceptable.  The
 k-th power of the first prime above a split q is the ideal
-[q^k, (b_k+sqrt(D))/2], with b_k from `_canonical_root`.  Each step of
-`_ideal_walk` [a, (b+sqrt(D))/2] -> [|c|, (b'+sqrt(D))/2] multiplies the
-ideal by c / ((b+sqrt(D))/2); the ideal is principal iff the walk
-reaches the unit ideal, and the product of those factors is then its
-generator (Cohen, GTM 138, ch. 5).  A walk records only its small steps
-(c, b').  `_principal_power` walks p^d for each divisor d of h in turn
-and rebuilds, by a gcd-free recurrence, only the generator of the first
-walk that closes: one pass gives h0 and a generator of p^h0.
+[q^k, (b_k+sqrt(D))/2], with b_k from `_canonical_root`.  `_principal_power`
+walks p^d for each divisor d of h in turn with `pell._ideal_walk`, the walk
+that also yields the unit, and rebuilds by `pell._generator` only the
+generator of the first walk that closes: one pass gives h0 and p^h0's generator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from math import erfc, exp, expm1, isqrt, log, pi, sqrt
+from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 
 import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
-from .pell import fundamental_unit
+from .pell import _generator, _ideal_walk, fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
-
-_MAX_WALK = 10**6
 
 
 def _check_fundamental(D: int) -> None:
@@ -79,6 +73,23 @@ def _tail_bound(N: int, D: int) -> float:
     """
     x = pi * (N + 1) ** 2 / D
     return 2 / x * exp(-x) / -expm1(-2 * pi * (N + 1) / D)
+
+
+def _series_length(D: int, R: float) -> int:
+    """Least N >= 1 with _tail_bound(N, D) <= R/8 (the bound falls with N).  For
+    x = pi (N+1)^2/D, N << D, the bound's log is about log(sqrt(D/pi)) - x -
+    1.5 log x + sqrt(pi x/D): three Newton steps guess N, unit steps settle it."""
+    L = log(8 * sqrt(D / pi) / R)
+    x = max(L, 1.0)
+    for _ in range(3):
+        x = max(x - (x + 1.5 * log(x) - sqrt(pi * x / D) - L)
+                / (1 + 1.5 / x - sqrt(pi / (D * x)) / 2), 0.01)
+    N = max(1, ceil(sqrt(x * D / pi)) - 1)
+    while _tail_bound(N, D) > R / 8:
+        N += 1
+    while N > 1 and _tail_bound(N - 1, D) <= R / 8:
+        N -= 1
+    return N
 
 
 @lru_cache(maxsize=4)
@@ -132,13 +143,7 @@ def class_numbers(Ds: Sequence[int]) -> list[int]:
     for i, D in enumerate(Ds):
         _check_fundamental(D)
         R = _regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
-        lo, N = 0, 1  # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
-        while _tail_bound(N, D) > R / 8:
-            lo, N = N, 2 * N
-        while N - lo > 1:
-            mid = (lo + N) // 2
-            lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
-        rows.append((N, i, D, R))
+        rows.append((_series_length(D, R), i, D, R))
     rows.sort()
     hs, start = [0] * len(rows), 0
     for stop in range(1, len(rows) + 1):  # a slab's cells: its rows times its largest N
@@ -210,36 +215,6 @@ def _canonical_root(D: int, q: int, k: int, s: int) -> int:
     return b
 
 
-def _ideal_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
-    """Reduction steps of [A, (B+sqrt(D))/2] down to the unit ideal.
-
-    Step i multiplies the ideal [A_i, w_i], w_i = (B_i+sqrt(D))/2, by
-    c_i / w_i with c_i = (B_i^2-D)/(4 A_i), and records (c_i, B_(i+1)).
-    Returns the steps, or None when the walk closes a cycle first (ideal
-    not principal in the wide sense).
-    """
-    s = isqrt(D)
-    seen: set[tuple[int, int]] = set()
-    steps: list[tuple[int, int]] = []
-    while A != 1:
-        if (A, B) in seen:
-            return None
-        if A <= s:
-            seen.add((A, B))
-        c = (B * B - D) // (4 * A)
-        A = abs(c)
-        # B' = -B (mod 2A'), normalized into the reduction window
-        if A > s:
-            t = (-B) % (2 * A)
-            B = t - 2 * A if t > A else t
-        else:
-            B = s - (s + B) % (2 * A)
-        steps.append((c, B))
-        if len(steps) > _MAX_WALK:
-            raise ArithmeticError("ideal walk did not terminate")
-    return steps
-
-
 def class_order(D: int, q: int, h: int) -> int:
     """Order of the first prime above split q, in the wide sense; divides h."""
     _check_fundamental(D)
@@ -277,18 +252,8 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
         steps = _ideal_walk(A, B, D)
         if steps is None:
             continue
-        # P_i = gamma_i*A_i and Q_i = gamma_i*w_i as (x + y*sqrt(D))/2, with
-        # gamma_i = prod_{j<i} w_j/c_j.  As B_(i+1) = 2 c_i t_i - B_i,
-        # w_i*w_(i+1)/c_i = t_i*w_i - A_i: P -> sign(c_i)*Q, Q -> t_i*Q - P,
-        # and gamma = P once A = 1.  No gcd; make_elem refuses a non-integer.
-        px, py, qx, qy = 2 * A, 0, B, 1
-        for c, b2 in steps:
-            t = (B + b2) // (2 * c)
-            px, py, qx, qy = qx, qy, t * qx - px, t * qy - py
-            if c < 0:
-                px, py = -px, -py
-            B = b2
-        alpha = make_elem(px, py * (2 if D % 4 == 0 else 1), 2, m)
+        x, y = _generator(steps, B)  # no gcd; make_elem refuses a non-integer
+        alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")
         alpha = _unit_reduce(alpha, m)

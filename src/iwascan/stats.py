@@ -31,7 +31,8 @@ from .fermat import Capped, delta_embed
 from .greenberg import map_blocks
 from .qforms import _principal_power
 from .quadint import hensel_sqrt
-from .sunits import PreconditionError, UsageError, build_context, validate_field
+from .sunits import (PreconditionError, UsageError, build_context, validate_discriminant,
+                     validate_field)
 
 NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
@@ -143,6 +144,7 @@ def _items(m: int, p: int, n: int, rmax: int, bound: int) -> Iterator[tuple[int,
 def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
                       workers: int = 1) -> StatTally:
     """Tally generator deltas over split primes ell^(p-1) = 1 mod p^(n+1), ell < bound."""
+    validate_discriminant(m)
     validate_field(m, p)
     if rmax < 0:
         raise UsageError("rmax must be >= 0")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import fundamental_unit
-from .qforms import _principal_power, class_numbers
+from .qforms import _INT64_ROOT, _principal_power, class_numbers
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
 
@@ -55,6 +55,12 @@ def validate_prime(p: int) -> None:
         raise PreconditionError(f"p={p} must be an odd prime")
 
 
+def validate_discriminant(m: int) -> None:
+    """Refuse, before factoring m, a D = m or 4m past the class number's int64 range."""
+    if isinstance(m, int) and (m if m % 4 == 1 else 4 * m) > _INT64_ROOT**2:
+        raise PreconditionError(f"m={m}: the discriminant is past the class number's int64 range")
+
+
 def validate_field(m: int, p: int) -> None:
     if not (isinstance(m, int) and m > 1 and is_squarefree(m)):
         raise PreconditionError(f"m={m} must be a squarefree integer > 1")
@@ -66,6 +72,7 @@ def validate_field(m: int, p: int) -> None:
 @lru_cache(maxsize=256)
 def build_context(m: int, p: int, h: int | None = None) -> FieldContext:
     """Assemble the field data for (m, p), given its wide h or not; raises PreconditionError."""
+    validate_discriminant(m)
     validate_field(m, p)
     D = m if m % 4 == 1 else 4 * m
     eps = fundamental_unit(m)

@@ -12,10 +12,16 @@ None of these is used by the package itself:
   norm is a local (p-1)-th root of unity agree below n, or are both >= n.
 * `continued_fraction_sqrt` is the plain expansion of sqrt(m), and
   `xgcd` the extended Euclidean algorithm behind Gauss composition.
+* `cf_fundamental_unit` is the former `pell.fundamental_unit`: the unit
+  from one period of the continued fraction of sqrt(m) or (1+sqrt(m))/2,
+  where the package now walks the unit ideal's cycle of reduced ideals.
 * `loop_class_number` is the former `qforms.class_number`: the same
   series, tail bound and error bound, summed term by term in a Python
   loop with chi from `kronecker` on primes and a list of smallest prime
   factors.
+* `bisect_series_length` is the former search for that series' length
+  N_D, by doubling then bisecting, where `qforms._series_length` now
+  corrects a closed-form guess one step at a time.
 * `two_walk_principal_power` is the former route to (h0, pi1): one walk
   per divisor for the class order, then a second walk of p^h0 that
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
@@ -105,6 +111,36 @@ def continued_fraction_sqrt(m: int) -> tuple[int, list[int]]:
             return s, period
         if len(period) > _MAX_STEPS:
             raise ArithmeticError("period did not close")
+
+
+def cf_fundamental_unit(m: int) -> QuadElem:
+    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)), m squarefree > 1.
+
+    With convergents p_i/q_i of w = [a0; a1, ...], w = sqrt(m) or
+    (1+sqrt(m))/2 for m = 1 (mod 4), and period length l (the tail is
+    purely periodic from index 1), the matrix of one period fixes w, and
+    eps = q_{l-1} * w + (q_l - a0 * q_{l-1}) is the fundamental automorph.
+    """
+    s = isqrt(m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    a0 = (P + s) // Q
+    q_prev, q_cur = 0, 1  # q_{-1}, q_0
+    P = a0 * Q - P
+    Q = (m - P * P) // Q
+    first = (P, Q)
+    for _ in range(_MAX_STEPS):
+        ai = (P + s) // Q
+        q_prev, q_cur = q_cur, ai * q_cur + q_prev
+        P = ai * Q - P
+        Q = (m - P * P) // Q
+        if (P, Q) == first:
+            break
+    else:
+        raise ArithmeticError("period did not close")
+    c = q_cur - a0 * q_prev
+    if m % 4 == 1:
+        return make_elem(2 * c + q_prev, q_prev, 2, m)
+    return make_elem(c, q_prev, 1, m)
 
 
 @dataclass(frozen=True)
@@ -212,19 +248,25 @@ def _gamma_walk(A: int, B: int, D: int) -> tuple[int, int, int] | None:
     raise ArithmeticError("ideal walk did not terminate")
 
 
-def loop_class_number(D: int) -> int:
-    """Narrow class number of D by the series of `qforms.class_number`, one term at a time."""
-    _check_fundamental(D)
-    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
-    R = _regulator(eps)
-
-    # least N with _tail_bound(N, D) <= R/8 (the bound falls with N)
+def bisect_series_length(D: int, R: float) -> int:
+    """Least N with _tail_bound(N, D) <= R/8 (the bound falls with N), by
+    doubling N from 1 and then bisecting."""
     lo, N = 0, 1
     while _tail_bound(N, D) > R / 8:
         lo, N = N, 2 * N
     while N - lo > 1:
         mid = (lo + N) // 2
         lo, N = (lo, mid) if _tail_bound(mid, D) <= R / 8 else (mid, N)
+    return N
+
+
+def loop_class_number(D: int) -> int:
+    """Narrow class number of D by the series of `qforms.class_number`, one term at a time."""
+    _check_fundamental(D)
+    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+    R = _regulator(eps)
+
+    N = bisect_series_length(D, R)
 
     # chi is completely multiplicative: kronecker on primes only, the
     # rest from the smallest prime factor.  Writing q = isqrt(N)..2 in

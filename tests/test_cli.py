@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -199,6 +200,20 @@ def test_scan_command_csv(capsys):
     assert counts == [ScanCount(3, 22, 19)]
     rows = read_csv("m,p," + out.split("m,p,", 1)[1], FieldVerdict, VERDICT_COLUMNS)
     assert len(rows) == 22 and rows[0].m == 30001
+
+
+def test_a_discriminant_past_int64_is_refused_before_factoring(capsys):
+    """Factoring this m takes over 20 s, and the class number could only refuse its D."""
+    big = "10000000000000000051"
+    for argv in (("check", "--m", big, "--p", "3"),
+                 ("scan", "--p", "3", "--min-m", big, "--max-m", big),
+                 ("stats-primes", "--m", big, "--p", "3", "--n", "2", "--bound", "1e3")):
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3 and "past the class number's int64 range" in err, argv
+        assert elapsed < 0.5, argv
 
 
 def test_exit_codes(capsys):

@@ -1,13 +1,17 @@
-"""Fundamental units against an exhaustive Pell search and sympy."""
+"""Fundamental units against an exhaustive Pell search, sympy and the
+continued-fraction unit that the walk of the unit ideal replaced."""
+
+import random
 
 import numpy as np
 import pytest
 from sympy.solvers.diophantine.diophantine import diop_DN
 
+from iwascan import pell
 from iwascan.arith import is_squarefree
 from iwascan.pell import fundamental_unit
 from iwascan.quadint import make_elem
-from oracles import continued_fraction_sqrt
+from oracles import cf_fundamental_unit, continued_fraction_sqrt
 
 SQUAREFREE = [m for m in range(2, 300) if is_squarefree(m)]
 
@@ -108,3 +112,26 @@ def test_unit_rejects_bad_m():
         fundamental_unit(12)  # not squarefree
     with pytest.raises(ValueError):
         fundamental_unit(1)
+
+
+def test_walk_unit_equals_the_cf_oracle_below_2e4():
+    ms = [m for m in range(2, 2 * 10**4) if is_squarefree(m)]
+    assert len(ms) == 12159
+    for m in ms:
+        assert fundamental_unit(m) == cf_fundamental_unit(m), m
+
+
+@pytest.mark.parametrize("magnitude,count", [(10**6, 40), (10**7, 20), (10**8, 10)])
+def test_walk_unit_equals_the_cf_oracle_at_large_m(magnitude, count):
+    rng = random.Random(magnitude)
+    ms = [m for m in (rng.randrange(magnitude, 2 * magnitude) for _ in range(2 * count))
+          if is_squarefree(m)][:count]
+    assert len(ms) == count
+    for m in ms:
+        assert fundamental_unit(m) == cf_fundamental_unit(m), m
+
+
+def test_unit_walk_that_does_not_close_raises(monkeypatch):
+    monkeypatch.setattr(pell, "_ideal_walk", lambda A, B, D: None)
+    with pytest.raises(ArithmeticError):
+        fundamental_unit.__wrapped__(103)

@@ -14,13 +14,16 @@ prime-power ideal [q^d, (b_d+sqrt(D))/2] under test.
 The numpy `class_number` is checked against the term-by-term loop it
 replaced (`oracles.loop_class_number`), and its chi table against
 `kronecker`; so is the batch kernel `class_numbers`, in one call, in the
-blocks a scan forms and in mixed batches.  The integer `_unit_reduce` is
+blocks a scan forms and in mixed batches.  Its series length N_D is
+checked against the doubling-and-bisecting search it replaced
+(`oracles.bisect_series_length`).  The integer `_unit_reduce` is
 checked against the `QuadElem` version it replaced
 (`oracles.elem_unit_reduce`).
 
 The one-pass `_principal_power` is checked against the former two-walk
 route (`oracles.two_walk_principal_power`), which walks p^h0 a second
-time and carries the generator with a gcd on every step.
+time and carries the generator with a gcd on every step, also with the
+walk's step budget cut to a few cycle lengths.
 """
 
 import math
@@ -31,12 +34,13 @@ from itertools import count
 
 import pytest
 
-from iwascan import greenberg, qforms
+from iwascan import greenberg, pell, qforms
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
-from oracles import elem_unit_reduce, loop_class_number, two_walk_principal_power, xgcd
+from oracles import (_gamma_walk, bisect_series_length, elem_unit_reduce, loop_class_number,
+                     two_walk_principal_power, xgcd)
 
 
 def fundamental_discriminants(limit):
@@ -165,6 +169,51 @@ def test_class_number_equals_the_loop_oracle_at_large_m(magnitude):
     ms = [m for m in rng.sample(range(magnitude, 2 * magnitude), 40) if is_squarefree(m)][:16]
     Ds = [m if m % 4 == 1 else 4 * m for m in ms]
     assert [class_number(D) for D in Ds] == [loop_class_number(D) for D in Ds]
+
+
+def series_lengths(Ds):
+    """N_D of `class_numbers` and of the bisection oracle, and the bound's evaluations."""
+    calls, bound = [0], qforms._tail_bound
+
+    def counting(N, D):
+        calls[0] += 1
+        return bound(N, D)
+
+    pairs = []
+    for D in Ds:
+        R = qforms._regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
+        qforms._tail_bound = counting
+        try:
+            got = qforms._series_length(D, R)
+        finally:
+            qforms._tail_bound = bound
+        pairs.append((got, bisect_series_length(D, R)))
+    return pairs, calls[0]
+
+
+def test_series_length_equals_the_bisection_oracle_below_2e4():
+    pairs, calls = series_lengths(fundamental_discriminants(2 * 10**4))
+    assert len(pairs) == 6081
+    assert all(got == want for got, want in pairs)
+    assert calls < 2.1 * len(pairs)  # 2 when the guess is N_D; the bisection makes about 14
+
+
+def test_series_length_equals_the_bisection_oracle_off_the_regulator():
+    """R from 10^-4 to 10^4: guesses off by one or more in both directions."""
+    for D in (5, 8, 12, 21, 101, 1001, 10**4 + 1, 10**6 + 1, 10**12 + 1):
+        for k in range(-16, 17):
+            R = 10 ** (k / 4)
+            assert qforms._series_length(D, R) == bisect_series_length(D, R), (D, R)
+
+
+@pytest.mark.parametrize("magnitude", [10**6, 10**8])
+def test_series_length_equals_the_bisection_oracle_at_large_D(magnitude):
+    rng = random.Random(magnitude + 1)
+    ms = [m for m in rng.sample(range(magnitude, 2 * magnitude), 400) if is_squarefree(m)]
+    pairs, calls = series_lengths([m if m % 4 == 1 else 4 * m for m in ms])
+    assert len(pairs) > 200
+    assert all(got == want for got, want in pairs)
+    assert calls < 2.1 * len(pairs)
 
 
 @pytest.mark.parametrize("m", [41, 13, 7, 6, 30, 101, 3 * 7 * 11])
@@ -476,6 +525,33 @@ def test_principal_power_matches_two_walk_oracle():
                 assert qforms._principal_power(D, q, divisors(h)) == want, (D, q)
                 pairs += 1
     assert pairs == 18230
+
+
+def test_walks_stop_at_their_first_reduced_ideal(monkeypatch):
+    """A non-principal walk ends when it comes back to its first reduced ideal.
+
+    The longest divisor walk below (D < 4000, split q <= 13, every d | h)
+    takes 89 steps; with _MAX_WALK at 400 a walk that waited for some
+    other ideal to come back would be refused instead of returning None.
+    """
+    monkeypatch.setattr(pell, "_MAX_WALK", 400)
+    pairs = closed = 0
+    for D in fundamental_discriminants(4000):
+        m = D // 4 if D % 4 == 0 else D
+        h = wide_class_number(D)
+        for q in (3, 5, 7, 11, 13):
+            if kronecker(D, q) != 1:
+                continue
+            s = hensel_sqrt(m, q, max(divisors(h)) + 1)
+            for d in divisors(h):
+                A, B = q**d, qforms._canonical_root(D, q, d, s)
+                walk = pell._ideal_walk(A, B, D)
+                assert (walk is None) == (_gamma_walk(A, B, D) is None), (D, q, d)
+                closed += walk is not None
+            assert qforms._principal_power(D, q, divisors(h)) == \
+                two_walk_principal_power(D, q, h), (D, q)
+            pairs += 1
+    assert (pairs, closed) == (2599, 2981)
 
 
 # the first 16 squarefree m above 10^7

@@ -10,7 +10,7 @@ from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
 from iwascan.sunits import (FieldContext, PreconditionError, build_context,
-                            validate_field)
+                            validate_discriminant, validate_field)
 from oracles import loop_class_number
 
 CASES = [(103, 3), (7, 3), (10, 3), (13, 3), (2659, 3), (12007, 3),
@@ -144,3 +144,15 @@ def test_context_h_is_the_narrow_number_halved_when_the_unit_norm_is_one():
         assert class_number(ctx.D) == narrow
         norms.append(ctx.eps.norm())
     assert len(norms) > 50 and set(norms) == {1, -1}
+
+
+def test_validate_discriminant_refuses_exactly_past_the_int64_range():
+    top = qforms._INT64_ROOT**2  # an odd square, so 1 (mod 4): D = m
+    assert top % 4 == 1
+    validate_discriminant(top)
+    with pytest.raises(PreconditionError):
+        validate_discriminant(top + 4)
+    m = top // 4 - (top // 4 - 2) % 4  # 2 (mod 4): D = 4m
+    validate_discriminant(m)
+    with pytest.raises(PreconditionError):
+        validate_discriminant(m + 4)
