@@ -10,14 +10,14 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import lru_cache
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
 # psi_k: the least strong pseudoprime to the first k bases (OEIS A014233; Jaeschke
 # 1993, Jiang-Deng 2014, Sorenson-Webster 2015), so k bases prove every n < psi_k.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES = _SMALL_PRIMES[:13]
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
            341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
            318665857834031151167461, 3317044064679887385961981)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:

@@ -63,7 +63,7 @@ def delta_embed(x: QuadElem, ctx: FieldContext, n: int) -> DeltaReport:
     if x.a == 0 and x.b == 0:
         raise ValueError("delta of 0 is undefined")
     p = ctx.p
-    extra = valuation(x.norm(), p) if x.norm() % p == 0 else 0
+    extra = valuation(nrm, p) if (nrm := x.norm()) % p == 0 else 0
     res = ctx.embed(x, n + extra)
     d1 = _delta_of_residue(res.r1, p, n, extra)
     d2 = _delta_of_residue(res.r2, p, n, extra)

@@ -11,6 +11,7 @@ the package's one process pool: both scans hand it fixed work items.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -91,12 +92,13 @@ _CHUNK = 100  # m-values per work item: small, so a pool balances costs rising w
 
 
 def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
-    """fn(b) for b in blocks, yielded in order: in-process at one worker or below
-    two blocks, else on one pool with at most _AHEAD lazy blocks per worker in flight."""
+    """fn(b) for b in blocks, yielded in order: in-process at one worker or below two
+    blocks, else on one pool of min(workers, usable CPUs), _AHEAD lazy blocks per worker."""
     if workers < 1:
         raise UsageError("workers must be >= 1")
     blocks = iter(blocks)
-    head = list(islice(blocks, workers))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    head = list(islice(blocks, min(workers, cpus or 1)))
     if len(head) < 2:
         yield from map(fn, chain(head, blocks))
         return

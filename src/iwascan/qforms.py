@@ -7,7 +7,9 @@ most _SLAB terms: chi by Euler's criterion on a (D x primes) grid and a
 smallest-prime-factor table, about sqrt(D) terms per D, with the
 regulator of the exact fundamental unit.  Each D keeps its own explicit
 error bound, which must separate h from every other integer, or the
-batch raises ArithmeticError.  `class_number` is a batch of one.
+batch raises ArithmeticError, as it does up front for a D past _MAX_TERMS
+terms.  `class_number` is a batch of one.  `_sieve(P)`, spf and the primes
+<= P, is the package's one numpy prime table; the tally's presieve shares it.
 
 Class orders and generators work in the *wide* sense (the reduction
 walk runs on positive-norm ideals and ignores the sign of the leading
@@ -93,15 +95,12 @@ def _series_length(D: int, R: float) -> int:
 
 
 @lru_cache(maxsize=4)
-def _sieve(P: int) -> tuple[np.ndarray, ...]:
-    """spf(n), n/spf(n) for n <= P, the odd primes q <= P and bits[k] = bit k of (q-1)/2."""
-    n = np.arange(P + 1)
-    spf = n.copy()  # a prime is its own spf
+def _sieve(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """spf(n), the smallest prime factor of n <= P (spf(0) = 0, spf(1) = 1), and the primes <= P."""
+    spf = np.arange(P + 1)  # a prime is its own spf
     for q in range(isqrt(P), 1, -1):  # descending, so the smallest divisor is written last
         spf[q * q :: q] = q
-    odd = np.flatnonzero(spf[3:] == n[3:]) + 3
-    bits = odd >> 1 >> np.arange(P.bit_length())[:, None] & 1  # pi(P) log2(P) ~ 1.44 P
-    return spf, n // np.maximum(spf, 1), odd, bits.astype(bool)
+    return spf, np.flatnonzero(spf == np.arange(P + 1))[2:]
 
 
 def _chi(Ds: Sequence[int], N: int) -> np.ndarray:
@@ -109,11 +108,12 @@ def _chi(Ds: Sequence[int], N: int) -> np.ndarray:
     D mod 8 at 2, then chi(spf n) chi(n/spf n) by dyadic blocks of n (n/spf n <= n/2)."""
     if N > _INT64_ROOT or max(Ds) > _INT64_ROOT**2:
         raise ArithmeticError(f"{N} terms at D={max(Ds)} overflow int64 in Euler's criterion")
-    spf, cof, odd, bits = _sieve(1 << (N - 1).bit_length())  # the power of two >= N
+    spf, primes = _sieve(1 << (N - 1).bit_length())  # the power of two >= N
     D = np.array(Ds, dtype=np.int64)[:, None]
-    q = odd[: np.searchsorted(odd, N, "right")]
+    q = primes[1 : np.searchsorted(primes, N, "right")]  # the odd primes <= N
     a, r = D % q, np.ones((len(D), len(q)), dtype=np.int64)
-    for bit in bits[: (N >> 1).bit_length(), : len(q)]:  # (q-1)/2 < N/2
+    # r = a^((q-1)/2) by binary powering, one row of bits of (q-1)/2 = q >> 1 < N/2 per round
+    for bit in (q >> 1 >> np.arange((N >> 1).bit_length())[:, None] & 1).astype(bool):
         r = np.where(bit, r * a % q, r)
         a = a * a % q
     chi = np.zeros((len(D), N + 1), dtype=np.int8)
@@ -121,11 +121,13 @@ def _chi(Ds: Sequence[int], N: int) -> np.ndarray:
     chi[:, q] = (r == 1).astype(np.int8) - (r == q - 1)
     for k in range(2, N.bit_length()):
         lo, hi = 1 << k, min(2 << k, N + 1)
-        chi[:, lo:hi] = chi.take(spf[lo:hi], axis=1) * chi.take(cof[lo:hi], axis=1)
+        f = spf[lo:hi]
+        chi[:, lo:hi] = chi.take(f, axis=1) * chi.take(np.arange(lo, hi) // f, axis=1)
     return chi
 
 
 _SLAB = 1 << 16  # cells (rows x (N+1)) of one numpy pass in `class_numbers`
+_MAX_TERMS = 1 << 20  # longest series `class_numbers` sums; m ~ 10^8 needs N ~ 15-30k
 
 
 def class_numbers(Ds: Sequence[int]) -> list[int]:
@@ -143,7 +145,9 @@ def class_numbers(Ds: Sequence[int]) -> list[int]:
     for i, D in enumerate(Ds):
         _check_fundamental(D)
         R = _regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
-        rows.append((_series_length(D, R), i, D, R))
+        if (N := _series_length(D, R)) > _MAX_TERMS:
+            raise ArithmeticError(f"D={D} needs {N} terms, past the series budget {_MAX_TERMS}")
+        rows.append((N, i, D, R))
     rows.sort()
     hs, start = [0] * len(rows), 0
     for stop in range(1, len(rows) + 1):  # a slab's cells: its rows times its largest N

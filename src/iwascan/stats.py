@@ -6,11 +6,11 @@ Two experiments:
   ideal above each split prime ell < bound with ell^(p-1) = 1 mod p^(n+1),
   whose expected law is P(delta = r) = (p-1)/p^(r+1).  Blocks of at most
   _SPAN candidates ell = r + j*p^(n+1), r in `arith.teichmuller(p, n+1)`,
-  are made lazily, each sieved (a stride of j per sieve prime), proved
-  prime, filtered by kronecker(m, ell) = 1 and summed as they finish on
-  `greenberg.map_blocks`: memory is fixed in p and in the bound, and the
-  tally does not depend on the worker count.  A bound <= p^(n+1) tallies
-  zero at once; rmax > 63 or bound > 2^63 is refused;
+  are made lazily, each sieved by a stride of j per prime q < 3000 (from
+  `qforms._sieve`), proved prime, filtered by kronecker(m, ell) = 1 and
+  summed as they finish on `greenberg.map_blocks`: memory is fixed in p
+  and in the bound, and the tally does not depend on the worker count.
+  A bound <= p^(n+1) tallies zero at once; rmax > 63 or bound > 2^63 is refused;
 * `random_elem_density` samples random field elements and measures how
   often delta = 0, under a norm congruence or unconstrained.  The test on
   y = a*sqrt(m) + b reads only the residue pair (a, b) mod p^2, so while
@@ -29,7 +29,7 @@ import numpy as np
 from .arith import is_prime, kronecker, teichmuller
 from .fermat import Capped, delta_embed
 from .greenberg import map_blocks
-from .qforms import _principal_power
+from .qforms import _principal_power, _sieve
 from .quadint import hensel_sqrt
 from .sunits import (PreconditionError, UsageError, build_context, validate_discriminant,
                      validate_field)
@@ -77,16 +77,8 @@ class StatTally:
         return expected_proportions(self.p, self.rmax)
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    mask = np.ones(limit, dtype=bool)
-    mask[:2] = False
-    for q in range(2, int(limit**0.5) + 1):
-        if mask[q]:
-            mask[q * q :: q] = False
-    return np.nonzero(mask)[0]
-
-
-_SIEVE = _small_primes(3000)  # presieve only: survivors are proven by is_prime
+_SIEVE = _sieve(4096)[1]
+_SIEVE = _SIEVE[_SIEVE < 3000]  # presieve only: survivors are proven by is_prime
 
 
 def _survivors(r: int, mod: int, j0: int, j1: int) -> list[int]:

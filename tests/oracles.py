@@ -32,7 +32,9 @@ None of these is used by the package itself:
   array in the calling process, each survivor proven, then sorted.
 * `mask_sieve` is the former sieve of one tally block, where
   `stats._survivors` now strides: one `cand % q` pass over the whole block
-  per sieve prime q.
+  per sieve prime q.  Its primes come from `eratosthenes`, a plain list
+  sieve that shares nothing with `qforms._sieve`, the package's one prime
+  table.
 * `is_prime_all_bases` is the former `arith.is_prime`: Miller-Rabin on all
   13 bases, by `is_sprp`, whatever the size of n.
 * `primitive_root_mod_prime_power` is the former route to the residue
@@ -54,7 +56,6 @@ from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _canonical_root, _check_fundamental, _regulator,
                             _tail_bound)
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
-from iwascan.stats import _small_primes
 from iwascan.sunits import FieldContext
 
 _MAX_STEPS = 10**6
@@ -373,12 +374,21 @@ def is_prime_all_bases(n: int) -> bool:
     return all(is_sprp(n, a) for a in _MR_BASES)
 
 
+def eratosthenes(limit: int) -> list[int]:
+    """The primes below limit, by the plain sieve of Eratosthenes on a list."""
+    composite = [False] * limit
+    for q in range(2, isqrt(max(limit - 1, 0)) + 1):
+        if not composite[q]:
+            composite[q * q :: q] = [True] * len(range(q * q, limit, q))
+    return [n for n in range(2, limit) if not composite[n]]
+
+
 def mask_sieve(r: int, modulus: int, j0: int, j1: int) -> list[int]:
     """The ell = r + j*modulus, j0 <= j < j1, that survive a `cand % q` pass
     of every prime q < 3000 with q^2 <= the last ell, apart from ell = q."""
     cand = r + modulus * np.arange(j0, j1, dtype=np.int64)
     keep = np.ones(len(cand), dtype=bool)
-    for q in _small_primes(3000):
+    for q in eratosthenes(3000):
         if q * q > cand[-1]:
             break
         keep &= (cand % q != 0) | (cand == q)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -214,6 +215,21 @@ def test_a_discriminant_past_int64_is_refused_before_factoring(capsys):
         err = capsys.readouterr().err
         assert code == 3 and "past the class number's int64 range" in err, argv
         assert elapsed < 0.5, argv
+
+
+def test_a_series_past_the_term_budget_is_refused_in_one_line(capsys):
+    """The unit of m = 10^16 + 1 is 10^8 + sqrt(m): its series would want ~2*10^8 terms."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["check", "--m", "10000000000000001", "--p", "5"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and "past the series budget" in err and err.count("\n") == 1, err
+    assert elapsed < 1 and peak < 10**6, (elapsed, peak)
 
 
 def test_exit_codes(capsys):

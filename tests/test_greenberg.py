@@ -1,10 +1,12 @@
 """Verdict logic: invariance properties and scan bookkeeping."""
 
+import os
+from concurrent.futures import Future
 from itertools import count
 
 import pytest
 
-from iwascan import fermat, qforms
+from iwascan import fermat, greenberg, qforms
 from iwascan.fermat import N_CAP, Capped, DeltaReport, delta_embed, delta_exact
 from iwascan.greenberg import (_AHEAD, _CHUNK, _scan_block, admissible, check_field,
                                map_blocks, scan_range)
@@ -209,3 +211,29 @@ def test_map_blocks_streams_in_order_with_a_bounded_lookahead(workers):
 def test_map_blocks_refuses_fewer_than_one_worker():
     with pytest.raises(UsageError):
         list(map_blocks(abs, [1, 2, 3], 0))
+
+
+def test_no_pool_has_more_processes_than_cpus(monkeypatch):
+    # each pool worker is a forked interpreter: --workers 10^6 must not ask for 10^6 of them
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", InlinePool)
+    cpus = len(os.sched_getaffinity(0))
+    got = scan_range((3, 7), 2, 1 + 6 * _CHUNK, workers=10**6)
+    assert {r.p: list(r.rows) for r in got} == serial_scan((3, 7), 2, 1 + 6 * _CHUNK)
+    assert pools == ([cpus] if cpus > 1 else [])

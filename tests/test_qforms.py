@@ -39,8 +39,8 @@ from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
 from iwascan.quadint import hensel_sqrt
-from oracles import (_gamma_walk, bisect_series_length, elem_unit_reduce, loop_class_number,
-                     two_walk_principal_power, xgcd)
+from oracles import (_gamma_walk, bisect_series_length, elem_unit_reduce, eratosthenes,
+                     loop_class_number, two_walk_principal_power, xgcd)
 
 
 def fundamental_discriminants(limit):
@@ -223,6 +223,28 @@ def test_chi_table_equals_kronecker(m):
     assert qforms._chi((D,), 3000)[0].tolist() == [kronecker(D, n) for n in range(3001)]
     for N in range(1, 40):  # every short table, around each dyadic block edge
         assert qforms._chi((D,), N)[0].tolist() == [kronecker(D, n) for n in range(N + 1)]
+
+
+def test_the_prime_table_equals_trial_division_and_eratosthenes():
+    # every table `_chi` asks for up to N = 2^16: spf by trial division, primes by the list sieve
+    least = [next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+             for n in range((1 << 16) + 1)]
+    for k in range(17):
+        spf, primes = qforms._sieve(1 << k)
+        assert spf[2:].tolist() == least[2 : (1 << k) + 1], k
+        assert primes.tolist() == eratosthenes((1 << k) + 1), k
+
+
+def test_a_series_past_the_term_budget_is_refused_before_any_table(monkeypatch):
+    # the unit 10^8 + sqrt(m) makes N_D about 2*10^8 terms, a 2 GiB spf table
+    def no_table(P):
+        raise AssertionError(f"table of {P} built")
+
+    monkeypatch.setattr(qforms, "_sieve", no_table)
+    D = 10**16 + 1
+    assert fundamental_unit(D).a == 10**8
+    with pytest.raises(ArithmeticError, match=f"past the series budget {qforms._MAX_TERMS}$"):
+        qforms.class_numbers([5, D])
 
 
 def test_series_past_int64_is_refused(monkeypatch):

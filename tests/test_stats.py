@@ -20,7 +20,7 @@ from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError
-from oracles import candidate_primes, mask_sieve
+from oracles import candidate_primes, eratosthenes, mask_sieve
 
 
 def test_expected_proportions_values():
@@ -147,6 +147,10 @@ def test_blocks_reach_the_oracle_primes(monkeypatch, span, m, p, n, bound):
     t, seen = reached_primes(monkeypatch, m, p, n, bound)
     assert sorted(seen) == oracle_split_primes(m, p, n, bound)
     assert t.total + t.skipped_nonprincipal == len(seen) > 0
+
+
+def test_the_presieve_primes_are_the_primes_below_3000():
+    assert stats._SIEVE.tolist() == eratosthenes(3000)
 
 
 @settings(max_examples=300, deadline=None)
