@@ -1,18 +1,21 @@
-"""The walk round the cycle of reduced ideals, and the unit it yields.
+"""The walk along the cycle of reduced ideals, the principal cycle, and the unit.
 
 D is a fundamental discriminant > 0 and m = D or D/4.  `_ideal_walk`
 steps [A, (B+sqrt(D))/2] -> [|c|, (B'+sqrt(D))/2], multiplying the ideal
-by c / ((B+sqrt(D))/2); the ideal is wide-principal iff the walk reaches
-the unit ideal, and `_generator` rebuilds the product of those factors
-from the walk's small steps (c, B').  The reduced ideals of a class form
-one cycle (Cohen, GTM 138, secs. 5.7-5.8), so a walk back at its first
-reduced ideal proves the class non-principal.  `fundamental_unit` is the
-generator of the unit ideal's own walk, once round the principal cycle;
-`qforms` walks prime-power ideals with the same two functions.
+by c / ((B+sqrt(D))/2), and `_generator` rebuilds the product of those
+factors from the walk's small steps (c, B').  The reduced ideals of a
+class form one cycle (Cohen, GTM 138, secs. 5.7-5.8), so an ideal is
+wide-principal iff its first reduced ideal is on the principal cycle, the
+unit ideal's.  That cycle is a palindrome, its (l-j)-th ideal the
+conjugate of its j-th, so `_principal_cycle` records the unit ideal's walk
+up to the midpoint only; `fundamental_unit` combines the two halves
+(Cohen, Alg. 5.7.2), and `_cycle_generator` looks a reduced ideal up.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from functools import lru_cache
 from math import isqrt
 
@@ -22,11 +25,15 @@ from .quadint import QuadElem, make_elem
 _MAX_WALK = 10**6
 
 
-def _ideal_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
-    """Steps (c_i, B_(i+1)) of [A, (B+sqrt(D))/2], at least one, until the unit
-    ideal, c_i = (B_i^2-D)/(4 A_i); None once back at the first reduced ideal."""
-    s, a0, b0, steps = isqrt(D), 0, 0, []
+def _ideal_walk(A: int, B: int, D: int, half: bool = False) -> list[tuple[int, int]]:
+    """Steps (c_i, B_(i+1)) of [A, (B+sqrt(D))/2], c_i = (B_i^2-D)/(4 A_i), at
+    least one, up to its first reduced ideal.  With half=True, from the unit
+    ideal (every ideal on its cycle is reduced, and c_i = -A_(i+1) < 0), up to
+    the principal cycle's midpoint: the first step with A_(i+1) = A_i (odd
+    period) or else B_(i+1) = B_i (even period)."""
+    s, steps = isqrt(D), []
     for _ in range(_MAX_WALK):
+        a, b = A, B
         c = (B * B - D) // (4 * A)
         A = abs(c)
         # B' = -B (mod 2A'), normalized into the reduction window
@@ -36,24 +43,21 @@ def _ideal_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
         else:
             B = s - (s + B) % (2 * A)
         steps.append((c, B))
-        if A == 1:
-            return steps
-        if A == a0 and B == b0:
-            return None
         # in the window, reduced (|sqrt(D) - 2A| < B < sqrt(D)) means this
-        if not a0 and 0 < B and 2 * A - s <= B:
-            a0, b0 = A, B
+        if (A == a or B == b) if half else (0 < B and 2 * A - s <= B):
+            return steps
     raise ArithmeticError("ideal walk did not terminate")
 
 
-def _generator(steps: list[tuple[int, int]], B: int) -> tuple[int, int]:
-    """(x, y) with (x + y*sqrt(D))/2 the product of the factors of a walk
-    from [A, (B+sqrt(D))/2] that closed with `steps`.
+def _generator(steps: Iterable[tuple[int, int]], B: int) -> tuple[int, int]:
+    """(x, y) with (x + y*sqrt(D))/2 = P_n = gamma_n*A_n: the product gamma_n of
+    the factors of a walk from [A_0, w_0] with `steps`, w_i = (B_i+sqrt(D))/2 and
+    B_0 = B, so that gamma_n [A_n, w_n] = [A_0, w_0], times A_n.
 
     P_i = gamma_i*A_i, Q_i = gamma_i*w_i, gamma_i = prod_{j<i} w_j/c_j.  As
     B_(i+1) = 2 c_i t_i - B_i, w_i*w_(i+1)/c_i = t_i*w_i - A_i: P_(i+1) =
     sign(c_i)*Q_i, so Q_(i+1) = t_i*Q_i - sign(c_(i-1))*Q_(i-1), on y alone.
-    At A = 1, gamma = P and Q = gamma*w: Q's y is (x + y*B)/2.
+    Q_n = P_n*w_n/A_n gives P_n's x from the y of both.  No steps give 1, the unit ideal's P_0.
     """
     qp, qy, c0 = 0, 1, 1  # y of Q_(i-1) and Q_i, and c_(i-1); P_0 = A has y = 0
     for c, b2 in steps:
@@ -61,23 +65,66 @@ def _generator(steps: list[tuple[int, int]], B: int) -> tuple[int, int]:
         qp, qy = qy, (t * qy - qp if c0 > 0 else t * qy + qp)
         c0, B = c, b2
     py = qp if c0 > 0 else -qp
-    return 2 * qy - py * B, py
+    return 2 * abs(c0) * qy - py * B, py
+
+
+def _product(p: tuple[int, int], q: tuple[int, int], a: int, D: int) -> tuple[int, int]:
+    """p*q/a, in the coordinates (x, y) of (x + y*sqrt(D))/2; the caller knows a divides."""
+    (x, y), (u, v) = p, q
+    return (x * u + y * v * D) // (2 * a), (x * v + y * u) // (2 * a)
+
+
+@lru_cache(maxsize=128)  # more than a scan block's D: its units come first, then its fields
+def _principal_cycle(D: int) -> tuple[int, array, array]:
+    """B0, the largest B <= sqrt(D) with B = D (mod 2), and the half walk of the
+    unit ideal [1, (B0+sqrt(D))/2] as int64 arrays c and b, 16 bytes a step: the
+    j-th ideal of the principal cycle, j = 1..k, is [-c[j-1], (b[j-1]+sqrt(D))/2]."""
+    s = isqrt(D)
+    B0 = s - (s - D) % 2
+    c, b = zip(*_ideal_walk(1, B0, D, half=True))
+    return B0, array("q", c), array("q", b)
+
+
+def _cycle_generator(D: int, A: int, B: int) -> tuple[int, int] | None:
+    """(x, y) with (x + y*sqrt(D))/2 a generator of the reduced ideal [A, (B+sqrt(D))/2],
+    or None when it is off the principal cycle, that is, not wide-principal.
+
+    The j-th ideal I_j of the cycle is (P_j'), P_j the `_generator` of the first
+    j steps, and its conjugate, the (l-j)-th, is (P_j).
+    """
+    if A == 1:  # the unit ideal, position 0, which the record does not hold
+        return 2, 0
+    B0, c, b = _principal_cycle(D)
+    s = isqrt(D)
+    conj = s - (s + B) % (2 * A)  # the B of [A, (-B+sqrt(D))/2] in the window
+    i = -1
+    try:
+        while b[i := c.index(-A, i + 1)] not in (B, conj):
+            pass
+    except ValueError:  # no index left
+        return None
+    x, y = _generator(zip(c[: i + 1], b[: i + 1]), B0)
+    return (x, -y) if b[i] == B else (x, y)
 
 
 @lru_cache(maxsize=4096)
 def fundamental_unit(m: int) -> QuadElem:
-    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)): the
-    generator of the walk from the unit ideal [1, (B0+sqrt(D))/2], B0 the
-    largest B <= sqrt(D) with B = D (mod 2), back to A = 1 (+-eps or +-eps')."""
+    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)), from the half
+    walk of the principal cycle, period l.  l = 2k: the walk stopped at
+    B_k = B_(k-1), I_k is its own conjugate, and eps = +-P_k^2/A_k.  l = 2k+1: it
+    stopped at A_(k+1) = A_k, I_(k+1) = I_k', and eps = +-P_k P_(k+1)/A_k, with
+    P_(k+1) = +-Q_k = +-P_k w_k/A_k.  l = 1 is the odd case with k = 0."""
     if m <= 1 or not is_squarefree(m):
         raise ValueError(f"m={m} must be a squarefree integer > 1")
     D = m if m % 4 == 1 else 4 * m
-    B = isqrt(D) - (isqrt(D) - D) % 2
-    steps = _ideal_walk(1, B, D)
-    if steps is None:
-        raise ArithmeticError(f"the unit ideal's walk did not close for m={m}")
-    x, y = _generator(steps, B)
+    B0, c, b = _principal_cycle(D)
+    odd = c[-1] == (c[-2] if len(c) > 1 else -1)
+    k = len(c) - odd
+    x, y = p = _generator(zip(c[:k], b[:k]), B0)
+    a, bk = (-c[k - 1], b[k - 1]) if k else (1, B0)
+    q = ((x * bk + y * D) // (2 * a), (x + y * bk) // (2 * a)) if odd else p
+    x, y = _product(p, q, a, D)
     eps = make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
     if eps.norm() not in (1, -1):
-        raise ArithmeticError(f"the unit ideal's walk did not give a unit for m={m}")
+        raise ArithmeticError(f"the unit ideal's half walk did not give a unit for m={m}")
     return eps

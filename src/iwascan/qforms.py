@@ -17,9 +17,12 @@ coefficient), because a prime-power ideal is what gets tested for
 principality and a generator of either norm sign is acceptable.  The
 k-th power of the first prime above a split q is the ideal
 [q^k, (b_k+sqrt(D))/2], with b_k from `_canonical_root`.  `_principal_power`
-walks p^d for each divisor d of h in turn with `pell._ideal_walk`, the walk
-that also yields the unit, and rebuilds by `pell._generator` only the
-generator of the first walk that closes: one pass gives h0 and p^h0's generator.
+walks p^d for each divisor d of h in turn with `pell._ideal_walk` to its first
+reduced ideal only, and looks that ideal up on the principal cycle, the record
+of the unit's half walk (`pell._cycle_generator`).  A miss proves p^d
+non-principal; the first hit gives h0, and p^h0's generator is the product of
+the reduction walk's generator and the cycle ideal's, both rebuilt by
+`pell._generator`: one pass gives h0 and p^h0's generator.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
-from .pell import _generator, _ideal_walk, fundamental_unit
+from .pell import _cycle_generator, _generator, _ideal_walk, _product, fundamental_unit
 from .quadint import QuadElem, embed, hensel_sqrt, make_elem
 
 
@@ -254,9 +257,10 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)
         steps = _ideal_walk(A, B, D)
-        if steps is None:
+        c, b = steps[-1]  # p^k = (P/|c|) [|c|, (b+sqrt(D))/2], P the walk's generator
+        if (beta := _cycle_generator(D, abs(c), b)) is None:
             continue
-        x, y = _generator(steps, B)  # no gcd; make_elem refuses a non-integer
+        x, y = _product(_generator(steps, B), beta, abs(c), D)  # no gcd; checked below
         alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")

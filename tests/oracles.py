@@ -15,6 +15,16 @@ None of these is used by the package itself:
 * `cf_fundamental_unit` is the former `pell.fundamental_unit`: the unit
   from one period of the continued fraction of sqrt(m) or (1+sqrt(m))/2,
   where the package now walks the unit ideal's cycle of reduced ideals.
+* `cycle_walk` is the former `pell._ideal_walk`: a walk that goes on past
+  its first reduced ideal until it reaches the unit ideal, or comes back
+  to that first reduced ideal (None: the class is not principal).
+  `full_period_unit` is the former `pell.fundamental_unit`, the generator
+  of the unit ideal's walk once round the whole principal cycle, and
+  `cycle_principal_power` the former `qforms._principal_power`, which walks
+  each p^k round its own cycle, where the package now stops the unit's walk
+  at the cycle's midpoint and finds each p^k's reduced ideal by lookup.
+  `stops_at_its_first_reduced_ideal` checks a walk's steps against
+  `is_reduced_ideal`, the definition |sqrt(D) - 2A| < B < sqrt(D) in integers.
 * `loop_class_number` is the former `qforms.class_number`: the same
   series, tail bound and error bound, summed term by term in a Python
   loop with chi from `kronecker` on primes and a list of smallest prime
@@ -51,10 +61,10 @@ import numpy as np
 
 from iwascan.arith import divisors, factorize, kronecker, valuation
 from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
-from iwascan.pell import fundamental_unit
+from iwascan.pell import _generator, fundamental_unit
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _canonical_root, _check_fundamental, _regulator,
-                            _tail_bound)
+                            _tail_bound, _unit_reduce)
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
 from iwascan.sunits import FieldContext
 
@@ -142,6 +152,66 @@ def cf_fundamental_unit(m: int) -> QuadElem:
     if m % 4 == 1:
         return make_elem(2 * c + q_prev, q_prev, 2, m)
     return make_elem(c, q_prev, 1, m)
+
+
+def cycle_walk(A: int, B: int, D: int) -> list[tuple[int, int]] | None:
+    """Steps (c_i, B_(i+1)) of [A, (B+sqrt(D))/2], at least one, until the unit
+    ideal, c_i = (B_i^2-D)/(4 A_i); None once back at the first reduced ideal."""
+    s, a0, b0, steps = isqrt(D), 0, 0, []
+    for _ in range(_MAX_STEPS):
+        c = (B * B - D) // (4 * A)
+        A = abs(c)
+        if A > s:
+            t = (-B) % (2 * A)
+            B = t - 2 * A if t > A else t
+        else:
+            B = s - (s + B) % (2 * A)
+        steps.append((c, B))
+        if A == 1:
+            return steps
+        if A == a0 and B == b0:
+            return None
+        if not a0 and 0 < B and 2 * A - s <= B:
+            a0, b0 = A, B
+    raise ArithmeticError("ideal walk did not terminate")
+
+
+def is_reduced_ideal(A: int, B: int, D: int) -> bool:
+    """[A, (B+sqrt(D))/2] with this B is reduced: |sqrt(D) - 2A| < B < sqrt(D)."""
+    return 0 < B and B * B < D and (B + 2 * A) ** 2 > D and (2 * A <= B or (2 * A - B) ** 2 < D)
+
+
+def stops_at_its_first_reduced_ideal(steps: list[tuple[int, int]], D: int) -> bool:
+    """The walk's last ideal [|c|, (B+sqrt(D))/2] is reduced, and no ideal before it is."""
+    reduced = [is_reduced_ideal(abs(c), B, D) for c, B in steps]
+    return reduced[-1] and not any(reduced[:-1])
+
+
+def full_period_unit(m: int) -> QuadElem:
+    """The generator of the walk from the unit ideal [1, (B0+sqrt(D))/2] once round
+    the principal cycle, back to A = 1 (+-eps or +-eps')."""
+    D = m if m % 4 == 1 else 4 * m
+    B = isqrt(D) - (isqrt(D) - D) % 2
+    x, y = _generator(cycle_walk(1, B, D), B)
+    return make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
+
+
+def cycle_principal_power(D: int, q: int, exponents, s: int | None = None):
+    """(k, alpha) for the first k in `exponents` whose walk of p^k reaches the unit
+    ideal, alpha the generator of that closing walk, unit-reduced; None if none."""
+    m = D // 4 if D % 4 == 0 else D
+    s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
+    for k in exponents:
+        A, B = q**k, _canonical_root(D, q, k, s)
+        steps = cycle_walk(A, B, D)
+        if steps is None:
+            continue
+        x, y = _generator(steps, B)
+        alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
+        if abs(alpha.norm()) != A:
+            raise ArithmeticError("generator has the wrong norm")
+        return k, _unit_reduce(alpha, m)
+    return None
 
 
 @dataclass(frozen=True)

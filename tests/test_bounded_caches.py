@@ -67,5 +67,6 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"qforms._sieve", "qforms.class_number", "pell.fundamental_unit"} <= set(sizes)
+    assert {"qforms._sieve", "qforms.class_number", "pell.fundamental_unit",
+            "pell._principal_cycle"} <= set(sizes)
     assert all(type(size) is int and size > 0 for size in sizes.values()), sizes

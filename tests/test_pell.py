@@ -1,7 +1,11 @@
-"""Fundamental units against an exhaustive Pell search, sympy and the
-continued-fraction unit that the walk of the unit ideal replaced."""
+"""Fundamental units against an exhaustive Pell search, sympy, the
+continued-fraction unit and the full-period walk that the half walk of the
+unit ideal replaced."""
 
 import random
+import tracemalloc
+from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from iwascan import pell
 from iwascan.arith import is_squarefree
 from iwascan.pell import fundamental_unit
 from iwascan.quadint import make_elem
-from oracles import cf_fundamental_unit, continued_fraction_sqrt
+from oracles import cf_fundamental_unit, continued_fraction_sqrt, cycle_walk, full_period_unit
 
 SQUAREFREE = [m for m in range(2, 300) if is_squarefree(m)]
 
@@ -97,7 +101,6 @@ def test_unit_is_a_unit_and_greater_than_one(m):
 @pytest.mark.parametrize("m", [2, 3, 7, 13, 19, 31, 103, 211])
 def test_continued_fraction_invariants(m):
     a0, period = continued_fraction_sqrt(m)
-    from math import isqrt
     assert a0 == isqrt(m)
     assert period[-1] == 2 * a0  # classical terminator of the sqrt expansion
     assert period[:-1] == period[:-1][::-1]  # palindrome body
@@ -114,11 +117,33 @@ def test_unit_rejects_bad_m():
         fundamental_unit(1)
 
 
+def cycle_length(m):
+    """l, the length of the principal cycle: the oracle's steps once round it."""
+    D = m if m % 4 == 1 else 4 * m
+    return len(cycle_walk(1, isqrt(D) - (isqrt(D) - D) % 2, D))
+
+
 def test_walk_unit_equals_the_cf_oracle_below_2e4():
     ms = [m for m in range(2, 2 * 10**4) if is_squarefree(m)]
     assert len(ms) == 12159
     for m in ms:
-        assert fundamental_unit(m) == cf_fundamental_unit(m), m
+        assert fundamental_unit(m) == cf_fundamental_unit(m) == full_period_unit(m), m
+    # both halves of the combination, and the two short periods, are all exercised
+    kinds = Counter(min(cycle_length(m), 4 - cycle_length(m) % 2) for m in ms)
+    assert kinds == {1: 127, 2: 508, 3: 2255, 4: 9269}
+
+
+@pytest.mark.parametrize("m,l", [
+    (2, 1), (5, 1), (10, 1), (13, 1), (3, 2), (6, 2), (11, 2), (21, 2),
+    (17, 3), (41, 5), (58, 7), (7, 4), (19, 6), (31, 8), (103, 12)])
+def test_half_walk_unit_at_each_kind_of_period(m, l):
+    """l = 1 once gave eps^2 (its one step has both A and B equal to the last)."""
+    assert cycle_length(m) == l
+    D = m if m % 4 == 1 else 4 * m
+    steps = pell._ideal_walk(1, isqrt(D) - (isqrt(D) - D) % 2, D, half=True)
+    assert len(steps) == (l + 1) // 2 if l % 2 else l // 2
+    eps = fundamental_unit.__wrapped__(m)
+    assert eps == cf_fundamental_unit(m) == full_period_unit(m)
 
 
 @pytest.mark.parametrize("magnitude,count", [(10**6, 40), (10**7, 20), (10**8, 10)])
@@ -128,10 +153,38 @@ def test_walk_unit_equals_the_cf_oracle_at_large_m(magnitude, count):
           if is_squarefree(m)][:count]
     assert len(ms) == count
     for m in ms:
-        assert fundamental_unit(m) == cf_fundamental_unit(m), m
+        assert fundamental_unit(m) == cf_fundamental_unit(m) == full_period_unit(m), m
 
 
 def test_unit_walk_that_does_not_close_raises(monkeypatch):
-    monkeypatch.setattr(pell, "_ideal_walk", lambda A, B, D: None)
-    with pytest.raises(ArithmeticError):
+    # m = 103 has period 12: the half walk needs 6 steps, and 5 do not reach the midpoint
+    monkeypatch.setattr(pell, "_MAX_WALK", 6)
+    pell._principal_cycle.cache_clear()
+    assert fundamental_unit.__wrapped__(103) == cf_fundamental_unit(103)
+    monkeypatch.setattr(pell, "_MAX_WALK", 5)
+    pell._principal_cycle.cache_clear()
+    with pytest.raises(ArithmeticError, match="did not terminate"):
         fundamental_unit.__wrapped__(103)
+    pell._principal_cycle.cache_clear()
+
+
+def test_principal_cycle_records_of_a_block_are_about_16_bytes_a_step():
+    """One 100-m block near 10^7: every record stays cached, two int64 arrays of the
+    half walk (under 24 bytes a step with their headers, where a dict of (c, B)
+    tuples took about 240), and only one walk's list of steps is alive at a time."""
+    Ds = [m if m % 4 == 1 else 4 * m for m in range(10**7, 10**7 + 100) if is_squarefree(m)]
+    pell._principal_cycle(Ds[0])  # the first call's imports are not the records'
+    pell._principal_cycle.cache_clear()
+    tracemalloc.start()
+    try:
+        for D in Ds:
+            pell._principal_cycle(D)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lengths = [len(pell._principal_cycle(D)[1]) for D in Ds]
+    assert pell._principal_cycle.cache_info().currsize == len(Ds) == 59
+    assert sum(lengths) == 25591
+    assert held < 24 * sum(lengths), held
+    assert peak - held < 200 * max(lengths), (peak, held)
+    pell._principal_cycle.cache_clear()

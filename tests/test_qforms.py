@@ -38,9 +38,11 @@ from iwascan import greenberg, pell, qforms
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.pell import fundamental_unit
 from iwascan.qforms import class_number, class_order, represent
-from iwascan.quadint import hensel_sqrt
-from oracles import (_gamma_walk, bisect_series_length, elem_unit_reduce, eratosthenes,
-                     loop_class_number, two_walk_principal_power, xgcd)
+from iwascan.quadint import hensel_sqrt, make_elem
+from iwascan.sunits import build_context
+from oracles import (_gamma_walk, bisect_series_length, cycle_principal_power,
+                     elem_unit_reduce, eratosthenes, loop_class_number,
+                     stops_at_its_first_reduced_ideal, two_walk_principal_power, xgcd)
 
 
 def fundamental_discriminants(limit):
@@ -390,6 +392,53 @@ def generators_below_2e4():
     return seen
 
 
+@pytest.fixture(scope="module")
+def generators_near_1e6():
+    """(x, m) for every generator `_principal_power` reduces on the benchmark's
+    scan-large-m window (variant 0), m = 10^6..10^6+1000 at p = 3."""
+    seen = []
+    reduce = qforms._unit_reduce
+    Ds = [m if m % 4 == 1 else 4 * m
+          for m in range(10**6, 10**6 + 1001) if greenberg.admissible(m, 3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qforms, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
+        for D, h in zip(Ds, qforms.class_numbers(Ds)):
+            qforms._principal_power(D, 3, divisors(h))
+    return seen
+
+
+def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
+                                                          generators_near_1e6):
+    """x*eps^k reduces to the reduction of x itself, k in [-5, 5], so a generator
+    that differs from the former route's by a unit gives the same pi1.  The one
+    exception is m = 5, whose unit (1+sqrt(5))/2 has trace 1: there the greedy
+    |trace| descent from x*eps^k can stop at a local minimum: from
+    (7+sqrt(5))/2 * eps^k, k = 1..5, at 3+2sqrt(5) (trace 6) instead of
+    (1-3sqrt(5))/2 (trace 1)."""
+    elsewhere = set()
+    for x, m in generators_below_2e4 + generators_near_1e6:
+        want = qforms._unit_reduce(x, m)
+        eps = fundamental_unit(m)
+        inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
+        y = x * inv * inv * inv * inv * inv
+        for k in range(-5, 6):
+            if k and qforms._unit_reduce(y, m) != want:
+                elsewhere.add((m, k))
+            y = y * eps
+    assert len(generators_near_1e6) == 229
+    assert {m for m, _ in elsewhere} == {5}, elsewhere
+
+
+@pytest.mark.parametrize("q,pi1", [
+    (11, (1, -3, 2)), (19, (7, -5, 2)), (29, (4, -3, 1)), (31, (1, 5, 2)),
+    (41, (9, -7, 2)), (59, (13, -9, 2)), (61, (1, 7, 2)), (89, (6, -5, 1))])
+def test_the_generators_at_m5_are_unchanged(q, pi1):
+    """At m = 5, the known exception above, pi1 is still the former route's."""
+    want = make_elem(*pi1, 5)
+    assert build_context(5, q).pi1 == want
+    assert qforms._principal_power(5, q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
+
+
 def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
     assert len(generators_below_2e4) > 36000
     for x, m in generators_below_2e4:
@@ -545,18 +594,14 @@ def test_principal_power_matches_two_walk_oracle():
             if kronecker(D, q) == 1:
                 want = two_walk_principal_power(D, q, h)
                 assert qforms._principal_power(D, q, divisors(h)) == want, (D, q)
+                assert cycle_principal_power(D, q, divisors(h)) == want, (D, q)
                 pairs += 1
     assert pairs == 18230
 
 
-def test_walks_stop_at_their_first_reduced_ideal(monkeypatch):
-    """A non-principal walk ends when it comes back to its first reduced ideal.
-
-    The longest divisor walk below (D < 4000, split q <= 13, every d | h)
-    takes 89 steps; with _MAX_WALK at 400 a walk that waited for some
-    other ideal to come back would be refused instead of returning None.
-    """
-    monkeypatch.setattr(pell, "_MAX_WALK", 400)
+def test_walks_stop_at_their_first_reduced_ideal():
+    """Every divisor walk stops at its first reduced ideal, and that ideal is on the
+    principal cycle exactly when the former walk, round its whole cycle, closes."""
     pairs = closed = 0
     for D in fundamental_discriminants(4000):
         m = D // 4 if D % 4 == 0 else D
@@ -567,9 +612,12 @@ def test_walks_stop_at_their_first_reduced_ideal(monkeypatch):
             s = hensel_sqrt(m, q, max(divisors(h)) + 1)
             for d in divisors(h):
                 A, B = q**d, qforms._canonical_root(D, q, d, s)
-                walk = pell._ideal_walk(A, B, D)
-                assert (walk is None) == (_gamma_walk(A, B, D) is None), (D, q, d)
-                closed += walk is not None
+                steps = pell._ideal_walk(A, B, D)
+                assert stops_at_its_first_reduced_ideal(steps, D), (D, q, d)
+                c, b = steps[-1]
+                principal = pell._cycle_generator(D, abs(c), b) is not None
+                assert principal == (_gamma_walk(A, B, D) is not None), (D, q, d)
+                closed += principal
             assert qforms._principal_power(D, q, divisors(h)) == \
                 two_walk_principal_power(D, q, h), (D, q)
             pairs += 1
@@ -589,8 +637,25 @@ def test_principal_power_matches_two_walk_oracle_near_1e7(m):
     split = [q for q in SPLIT_Q if kronecker(D, q) == 1]
     assert split
     for q in split:
-        assert qforms._principal_power(D, q, divisors(h)) == \
-            two_walk_principal_power(D, q, h), q
+        want = two_walk_principal_power(D, q, h)
+        assert qforms._principal_power(D, q, divisors(h)) == want, q
+        assert cycle_principal_power(D, q, divisors(h)) == want, q
+
+
+def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
+    """The benchmark's scan-large-m window (variant 0) at p = 3, lift passed in as
+    `build_context` does; the lookup replaced these walks round whole cycles."""
+    ms = [m for m in range(10**6, 10**6 + 1001) if greenberg.admissible(m, 3)]
+    Ds = [m if m % 4 == 1 else 4 * m for m in ms]
+    assert len(Ds) == 229
+    found = []
+    for m, D, h in zip(ms, Ds, qforms.class_numbers(Ds)):
+        s = hensel_sqrt(m, 3, max(9, h + 2))
+        for d in divisors(h):  # each divisor alone: misses as well as hits
+            got = qforms._principal_power(D, 3, (d,), s)
+            assert got == cycle_principal_power(D, 3, (d,), s), (m, d)
+            found.append(got is not None)
+    assert (found.count(True), found.count(False)) == (363, 307)
 
 
 def test_principal_power_none_when_no_power_closes():

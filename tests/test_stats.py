@@ -20,7 +20,7 @@ from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError
-from oracles import candidate_primes, eratosthenes, mask_sieve
+from oracles import candidate_primes, eratosthenes, mask_sieve, stops_at_its_first_reduced_ideal
 
 
 def test_expected_proportions_values():
@@ -127,11 +127,19 @@ def oracle_split_primes(m, p, n, bound):
 
 
 def reached_primes(monkeypatch, m, p, n, bound):
-    """(tally, every ell the tally walks) of a one-worker scan."""
+    """(tally, every ell the tally walks) of a one-worker scan; each walk of an ell
+    goes only to its first reduced ideal, which a lookup then tests."""
     seen = []
-    walk = qforms._principal_power
+    power, walk = qforms._principal_power, qforms._ideal_walk
+
+    def reducing(A, B, D):
+        steps = walk(A, B, D)
+        assert stops_at_its_first_reduced_ideal(steps, D), (A, B)
+        return steps
+
+    monkeypatch.setattr(qforms, "_ideal_walk", reducing)
     monkeypatch.setattr(stats, "_principal_power",
-                        lambda D, ell, exps: seen.append(ell) or walk(D, ell, exps))
+                        lambda D, ell, exps: seen.append(ell) or power(D, ell, exps))
     return prime_fermat_scan(m, p, n, bound, rmax=min(n, 5)), seen
 
 

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from iwascan import qforms, sunits
+from iwascan import pell, qforms, sunits
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
 from iwascan.sunits import (FieldContext, PreconditionError, build_context,
                             validate_discriminant, validate_field)
-from oracles import loop_class_number
+from oracles import loop_class_number, stops_at_its_first_reduced_ideal
 
 CASES = [(103, 3), (7, 3), (10, 3), (13, 3), (2659, 3), (12007, 3),
          (30007, 3), (30043, 3), (44853, 7), (109, 7), (14, 11)]
@@ -98,19 +98,29 @@ def test_context_values_30043():
 @pytest.mark.parametrize("m,p,h,h0", [(30043, 3, 18, 9), (103, 3, 1, 1),
                                       (10, 3, 2, 2), (2659, 3, 3, 3)])
 def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
-    """One walk per divisor d <= h0 of h, and no second walk of p1^h0."""
-    walked = []
-    walk = qforms._ideal_walk
+    """One walk per divisor d <= h0 of h, each only to its first reduced ideal,
+    no second walk of p1^h0, and at most one half walk, of the unit ideal's cycle."""
+    walked, halves = [], []
+    walk = pell._ideal_walk
 
-    def counting(A, *args, **kwargs):
-        walked.append(A)
-        return walk(A, *args, **kwargs)
+    def recording(A, B, D, half=False):
+        steps = walk(A, B, D, half)
+        if half:
+            halves.append(A)
+        else:
+            walked.append(A)
+            assert stops_at_its_first_reduced_ideal(steps, D), (A, B)
+        return steps
 
-    monkeypatch.setattr(qforms, "_ideal_walk", counting)
+    monkeypatch.setattr(qforms, "_ideal_walk", recording)
+    monkeypatch.setattr(pell, "_ideal_walk", recording)
     build_context.cache_clear()
+    pell._principal_cycle.cache_clear()
     ctx = build_context(m, p)
     assert (ctx.h, ctx.h0) == (h, h0)
     assert walked == [p**d for d in divisors(h) if d <= h0]
+    assert halves in ([], [1])  # none when the unit is cached and no lookup needs the cycle
+    pell._principal_cycle.cache_clear()
 
 
 @pytest.mark.parametrize("m,p", CASES)
