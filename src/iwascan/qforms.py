@@ -232,8 +232,11 @@ def class_order(D: int, q: int, h: int) -> int:
 
 
 def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
-    """Smallest |trace| representative of x modulo the fundamental unit: times
-    1/eps while |trace| falls, then times eps, on x = (A + B sqrt(m))/2, A the trace."""
+    """Associate of x with locally least |trace|: times 1/eps while |trace|
+    falls, then times eps, on x = (A + B sqrt(m))/2, A the trace.  The greedy
+    descent can stop at a local minimum, so the result may depend on the unit
+    multiple of x it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
+    k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
     eps = fundamental_unit(m)
     E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
     A, B = 2 * x.a // x.den, 2 * x.b // x.den

@@ -16,11 +16,17 @@ Two experiments:
   y = a*sqrt(m) + b reads only the residue pair (a, b) mod p^2, so while
   p^4 <= _CHUNK (p <= 19) each chunk of draws is only counted into p^4
   bins, and the p^4 pairs are classified once; the output is unchanged.
+  Chunks are drawn in uint32, the same values as an int64 draw, and each
+  is binned or classified on one helper thread while the next is drawn,
+  so at most two chunks are alive; the thread is joined before return.
+  That helper is the package's one thread pool (`map_blocks` is its one
+  process pool).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +43,17 @@ from .sunits import (PreconditionError, UsageError, build_context, validate_disc
 NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
 
-_CHUNK = 1 << 17  # fixed so a given seed always yields the same stream
+_CHUNK = 1 << 17  # draws per chunk: sets the memory per chunk and the grid
+# threshold p^4 <= _CHUNK; the stream of a seed does not depend on it
 _SPAN = 1 << 14  # candidates per prime-scan work item
 _DRAW = 10**6  # coordinates are drawn from [0, _DRAW)
 _INT64_MAX = 2**63 - 1
+
+
+def _rem(x: np.ndarray, q: int | np.uint32) -> np.ndarray:
+    """x mod q, in [0, q) for negative x too: numpy vectorises floor division
+    by a scalar, but not the remainder."""
+    return x - x // q * q
 
 
 def expected_proportions(p: int, rmax: int = 5) -> tuple[Fraction, ...]:
@@ -209,33 +222,40 @@ def random_elem_density(m: int, p: int, samples: int, mode: str = NORM_CONSTRAIN
 
     def classify(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(accepted, hit) masks of y = a*sqrt(m) + b; they read a, b mod p^2 only."""
-        r1 = (b + a * s) % p2
-        r2 = (b - a * s) % p2
+        r1 = _rem(b + a * s, p2)
+        r2 = _rem(b - a * s, p2)
         if mode == NORM_CONSTRAINED:
-            nrm = r1 * r2 % p2
-            acc = teich[nrm % p] == nrm
-            return acc, acc & (teich[r1 % p] != r1)
-        acc = (r1 * r2) % p != 0
-        return acc, acc & ((teich[r1 % p] != r1) | (teich[r2 % p] != r2))
+            nrm = _rem(r1 * r2, p2)
+            acc = teich[_rem(nrm, p)] == nrm
+            return acc, acc & (teich[_rem(r1, p)] != r1)
+        acc = _rem(r1 * r2, p) != 0
+        return acc, acc & ((teich[_rem(r1, p)] != r1) | (teich[_rem(r2, p)] != r2))
 
     grid = p2 * p2 <= _CHUNK  # p <= 19: the p^4 residue pairs fit in one chunk
-    hist = np.zeros(p2 * p2 if grid else 0, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    accepted = hits = 0
-    left = samples
-    while left > 0:
-        k = min(_CHUNK, left)
-        left -= k
-        draw = rng.integers(0, _DRAW, size=(k, 2), dtype=np.int64)
-        a, b = draw[:, 0], draw[:, 1]
+
+    def tally(draw: np.ndarray) -> np.ndarray:
+        """Counts of one chunk: per residue pair on the grid, else (accepted, hits)."""
         if grid:
-            hist += np.bincount(a % p2 * p2 + b % p2, minlength=p2 * p2)
-        else:
-            acc, hit = classify(a, b)
-            accepted += int(acc.sum())
-            hits += int(hit.sum())
+            r = _rem(draw, q := np.uint32(p2))
+            return np.bincount(r[:, 0] * q + r[:, 1], minlength=p2 * p2)
+        acc, hit = classify(*draw.astype(np.int64).T)
+        return np.array((acc.sum(), hit.sum()))
+
+    counts = np.zeros(p2 * p2 if grid else 2, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    with ThreadPoolExecutor(1) as helper:  # tallies chunk i while chunk i+1 is drawn
+        pending = None
+        for left in range(samples, 0, -_CHUNK):
+            draw = rng.integers(0, _DRAW, size=(min(_CHUNK, left), 2), dtype=np.uint32)
+            if pending is not None:
+                counts += pending.result()
+            pending = helper.submit(tally, draw)
+        if pending is not None:
+            counts += pending.result()
     if grid:  # classify each residue pair (a, b) once, weighted by its count
         acc, hit = classify(*np.divmod(np.arange(p2 * p2, dtype=np.int64), p2))
-        accepted, hits = int(hist[acc].sum()), int(hist[hit].sum())
+        accepted, hits = int(counts[acc].sum()), int(counts[hit].sum())
+    else:
+        accepted, hits = (int(c) for c in counts)
     return DensityTally(m=m, p=p, mode=mode, seed=seed, samples=samples,
                         accepted=accepted, hits=hits)

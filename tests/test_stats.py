@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -356,6 +357,65 @@ def test_density_exact_across_chunks(p, mode):
     samples = 2 * stats._CHUNK + 3
     t = random_elem_density(13, p, samples, mode, seed=11)  # 13: split at 3 and 23
     assert (t.accepted, t.hits) == exact_density(13, p, samples, mode, 11)
+
+
+def test_bounded_uint32_draws_equal_the_int64_draws():
+    # random_elem_density draws in uint32; exact_density and the pinned
+    # digests rest on the int64 stream of the same seed
+    g32, g64 = np.random.default_rng(2016), np.random.default_rng(2016)
+    for i in range(3):
+        a = g32.integers(0, 10**6, (2**17, 2), dtype=np.uint32)
+        b = g64.integers(0, 10**6, (2**17, 2), dtype=np.int64)
+        assert np.array_equal(a, b), (
+            f"draw {i}: this numpy's bounded uint32 and int64 draws differ, so "
+            "random_elem_density no longer gives the int64 stream of its seed")
+
+
+@pytest.mark.parametrize("samples", [0, 1, 21 * 1009 + 17])
+@pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("p", [3, 7])  # at _CHUNK = 1009: residue-pair histogram, then per draw
+def test_density_exact_over_many_small_chunks(monkeypatch, p, mode, samples):
+    monkeypatch.setattr(stats, "_CHUNK", 1009)
+    assert (p**4 <= stats._CHUNK) == (p == 3)
+    before = threading.active_count()
+    t = random_elem_density(22, p, samples, mode, seed=4)  # 22: split at 3 and 7
+    assert (t.accepted, t.hits) == exact_density(22, p, samples, mode, 4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_a_failure_on_the_helper_thread_surfaces_and_the_thread_is_joined(monkeypatch, p):
+    monkeypatch.setattr(stats, "_CHUNK", 1009)
+    rem, threads = stats._rem, []
+
+    def fails_on_call_20(x, q):
+        threads.append(threading.current_thread())
+        if len(threads) == 20:  # chunk 20 at p = 3, chunk 4 at p = 7
+            raise FloatingPointError("tally failed")
+        return rem(x, q)
+
+    monkeypatch.setattr(stats, "_rem", fails_on_call_20)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="tally failed"):
+        random_elem_density(22, p, 30 * 1009, NORM_CONSTRAINED, seed=4)
+    assert len(threads) == 20 and threading.main_thread() not in threads
+    assert threading.active_count() == before
+
+
+def test_density_memory_stays_flat_as_the_samples_grow():
+    # one chunk is tallied while the next is drawn: ten times the chunks
+    # reach the same peak, a few chunks' worth of uint32 draws
+    random_elem_density(7, 3, 10)  # lazy set-up before tracing
+    peaks = {}
+    for chunks in (3, 30):
+        tracemalloc.start()
+        try:
+            random_elem_density(7, 3, chunks * stats._CHUNK, seed=0)
+            peaks[chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    chunk = stats._CHUNK * 2 * 4
+    assert abs(peaks[30] - peaks[3]) < chunk // 8 and peaks[30] < 5 * chunk, peaks
 
 
 @pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
