@@ -38,7 +38,7 @@ Delta = int | Capped
 @dataclass(frozen=True)
 class DeltaReport:
     delta1: Delta
-    delta2: Delta | None  # None when a route only sees the first prime
+    delta2: Delta
     n: int
 
 

@@ -120,9 +120,9 @@ def fundamental_unit(m: int) -> QuadElem:
     B0, c, b = _principal_cycle(D)
     odd = c[-1] == (c[-2] if len(c) > 1 else -1)
     k = len(c) - odd
-    x, y = p = _generator(zip(c[:k], b[:k]), B0)
+    p = _generator(zip(c[:k], b[:k]), B0)
     a, bk = (-c[k - 1], b[k - 1]) if k else (1, B0)
-    q = ((x * bk + y * D) // (2 * a), (x + y * bk) // (2 * a)) if odd else p
+    q = _product(p, (bk, 1), a, D) if odd else p
     x, y = _product(p, q, a, D)
     eps = make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
     if eps.norm() not in (1, -1):

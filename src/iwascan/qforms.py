@@ -22,7 +22,9 @@ reduced ideal only, and looks that ideal up on the principal cycle, the record
 of the unit's half walk (`pell._cycle_generator`).  A miss proves p^d
 non-principal; the first hit gives h0, and p^h0's generator is the product of
 the reduction walk's generator and the cycle ideal's, both rebuilt by
-`pell._generator`: one pass gives h0 and p^h0's generator.
+`pell._generator`: one pass gives h0 and p^h0's generator.  Its norm and
+support are checked on the unit-reduced generator returned, which certifies
+every generator the package hands out.
 """
 
 from __future__ import annotations
@@ -239,10 +241,11 @@ def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
     k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
     eps = fundamental_unit(m)
     E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
-    A, B = 2 * x.a // x.den, 2 * x.b // x.den
-    for e, f in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
-        while abs(A2 := (A * e + B * f * m) // 2) < abs(A):
-            A, B = A2, (A * f + B * e) // 2
+    g = 2 * x.a // x.den, 2 * x.b // x.den
+    for u in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
+        while abs((g2 := _product(g, u, 1, m))[0]) < abs(g[0]):
+            g = g2
+    A, B = g
     return make_elem(-A, -B, 2, m) if A < 0 else make_elem(A, B, 2, m)
 
 
@@ -251,8 +254,9 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
     """First k in `exponents` with p^k principal, and a generator alpha.
 
     p is the first prime above q, an odd split prime that is not checked
-    here (`represent` checks it).  (alpha) = p^k, |norm(alpha)| = q^k, and
-    alpha is reduced modulo units with positive trace.  None if no p^k is.
+    here (`represent` checks it).  alpha, reduced modulo units with positive
+    trace, is certified as returned: |norm(alpha)| = q^k and v_p(alpha) = k,
+    so (alpha) = p^k, or ArithmeticError.  None if no p^k is principal.
     One root s of m mod q^K, K > max(exponents), lifted here unless passed, serves every k.
     """
     m = D // 4 if D % 4 == 0 else D
@@ -264,11 +268,10 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
         if (beta := _cycle_generator(D, abs(c), b)) is None:
             continue
         x, y = _product(_generator(steps, B), beta, abs(c), D)  # no gcd; checked below
-        alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
+        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
+        # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")
-        alpha = _unit_reduce(alpha, m)
-        # the walk targeted the canonical prime; double-check the support
         r1 = embed(alpha, s, q, k + 1).r1
         if (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError("generator supports the wrong prime")

@@ -60,7 +60,7 @@ from math import erfc, exp, gcd, isqrt, log, pi, sqrt
 import numpy as np
 
 from iwascan.arith import divisors, factorize, kronecker, valuation
-from iwascan.fermat import Capped, Delta, DeltaReport, delta_embed
+from iwascan.fermat import Capped, Delta, delta_embed
 from iwascan.pell import _generator, fundamental_unit
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _canonical_root, _check_fundamental, _regulator,
@@ -225,7 +225,15 @@ class AssociateWitness:
     U2: QuadResidue
 
 
-def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitness, DeltaReport]:
+@dataclass(frozen=True)
+class BezoutDelta:
+    """delta at the first prime, the only one the Bezout route sees, from precision n."""
+
+    delta1: Delta
+    n: int
+
+
+def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitness, BezoutDelta]:
     """delta at the first prime via the S-unit associate of x.
 
     Follows the norm-residue computation exactly: U1, U2 satisfy
@@ -261,7 +269,7 @@ def delta_bezout(x: QuadElem, ctx: FieldContext, n: int) -> tuple[AssociateWitne
     delta: Delta = Capped(n) if order == 1 else n - k
     witness = AssociateWitness(xprime=xprime, normval=normval, order=order,
                                U1=U1, U2=U2)
-    return witness, DeltaReport(delta1=delta, delta2=None, n=n)
+    return witness, BezoutDelta(delta1=delta, n=n)
 
 
 def check_product_dichotomy(x: QuadElem, ctx: FieldContext, n: int) -> str:

@@ -208,7 +208,8 @@ def test_a_discriminant_past_int64_is_refused_before_factoring(capsys):
     big = "10000000000000000051"
     for argv in (("check", "--m", big, "--p", "3"),
                  ("scan", "--p", "3", "--min-m", big, "--max-m", big),
-                 ("stats-primes", "--m", big, "--p", "3", "--n", "2", "--bound", "1e3")):
+                 ("stats-primes", "--m", big, "--p", "3", "--n", "2", "--bound", "1e3"),
+                 ("stats-random", "--m", big, "--p", "3", "--samples", "10")):
         start = time.perf_counter()
         code = main(list(argv))
         elapsed = time.perf_counter() - start

@@ -1,11 +1,10 @@
 """Field context assembly: class data, S-unit generators, embeddings."""
 
-import dataclasses
 import random
 
 import pytest
 
-from iwascan import pell, qforms, sunits
+from iwascan import pell, qforms, stats, sunits
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
@@ -69,11 +68,31 @@ def test_validate_field_errors():
     validate_field(103, 3)
 
 
-def test_context_check_raises_arithmetic_error():
-    # an invariant check, so it must be a one-line error and survive -O
-    bad = dataclasses.replace(build_context(103, 3), h0=2)
-    with pytest.raises(ArithmeticError, match=r"not \+-p\^h0"):
-        sunits._check_context(bad)
+def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
+    """The norm is checked on the generator returned: a unit reduction that
+    broke it would reach the context's pi1 and the tally's alpha unseen."""
+    build_context(103, 3)  # cached, so the tally below reaches its own generators
+    reduce = qforms._unit_reduce
+
+    def doubling(x, m):
+        y = reduce(x, m)
+        return make_elem(2 * y.a, 2 * y.b, y.den, m)
+
+    monkeypatch.setattr(qforms, "_unit_reduce", doubling)
+    with pytest.raises(ArithmeticError, match="wrong norm"):
+        build_context.__wrapped__(103, 3)
+    with pytest.raises(ArithmeticError, match="wrong norm"):
+        stats._tally_block((103, 3, 5, 5, 1, 1, 200))
+
+
+@pytest.mark.parametrize("m,p", [(103, 3), (2659, 3), (44853, 7)])
+def test_a_generator_of_the_other_prime_is_refused(monkeypatch, m, p):
+    """Walks from the root -s reach the powers of the second prime above p;
+    the support check on the returned generator refuses each one."""
+    root = qforms._canonical_root
+    monkeypatch.setattr(qforms, "_canonical_root", lambda D, q, k, s: root(D, q, k, -s))
+    with pytest.raises(ArithmeticError, match="supports the wrong prime"):
+        build_context.__wrapped__(m, p)
 
 
 def test_context_is_cached():
