@@ -146,12 +146,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+@lru_cache(maxsize=1024)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending.  Cached (a scan asks for those of each
+    field's h at every split prime), so a tuple, which no caller can change."""
     ds = [1]
     for p, e in factorize(n).items():
         ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+    return tuple(sorted(ds))
 
 
 @lru_cache(maxsize=1024)

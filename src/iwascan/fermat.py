@@ -2,9 +2,11 @@
 
 For x prime to the prime P above p, delta_P(x) + 1 is the valuation of
 x^(p-1) - 1 at P (non-units get their P-part divided out first).
-`delta_embed` reads the valuation straight off the residue of x under the
-labelled embedding mod p^(n+1).  (The tests check it against an
-independent route through the S-unit Bezout associate of x.)
+`delta_embed` reads the valuation straight off the two residues of x under
+the labelled embeddings (`quadint.residues`), from the context's root of m
+when its p^N suffices and from a cached re-lift when it does not.  (The
+tests check it against an independent route through the S-unit Bezout
+associate of x.)
 
 A computation can only certify delta < n; larger values surface as a
 `Capped` marker.  `delta_exact` retries at doubled n up to N_CAP and
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import valuation
-from .quadint import QuadElem
+from .quadint import QuadElem, hensel_sqrt, residues
 from .sunits import FieldContext
 
 N_CAP = 64
@@ -43,14 +45,14 @@ class DeltaReport:
 
 
 def _delta_of_residue(r: int, p: int, n: int, extra: int) -> Delta:
-    """delta of one embedding residue, given r mod p^(n+1+extra)."""
-    mod = p ** (n + 1)
-    if r % p == 0:
-        v = valuation(r, p) if r else extra + n + 1
-        if v > extra:
+    """delta of one embedding residue, given r mod p^(n+1+extra) with v_p(r) <= extra."""
+    v = 0
+    while r % p == 0:  # r = 0 too: its valuation is past what the precision shows
+        if v == extra:
             raise ValueError("residue precision too low for the valuation")
-        r //= p**v
-    y = pow(r, p - 1, mod)
+        r //= p
+        v += 1
+    y = pow(r, p - 1, p ** (n + 1))
     if y == 1:
         return Capped(n)
     return valuation(y - 1, p) - 1
@@ -64,10 +66,10 @@ def delta_embed(x: QuadElem, ctx: FieldContext, n: int) -> DeltaReport:
         raise ValueError("delta of 0 is undefined")
     p = ctx.p
     extra = valuation(nrm, p) if (nrm := x.norm()) % p == 0 else 0
-    res = ctx.embed(x, n + extra)
-    d1 = _delta_of_residue(res.r1, p, n, extra)
-    d2 = _delta_of_residue(res.r2, p, n, extra)
-    return DeltaReport(delta1=d1, delta2=d2, n=n)
+    prec = n + 1 + extra
+    s = ctx.s if prec <= ctx.N else hensel_sqrt(ctx.m, p, prec)
+    r1, r2 = residues(x, s, p**prec)
+    return DeltaReport(_delta_of_residue(r1, p, n, extra), _delta_of_residue(r2, p, n, extra), n)
 
 
 def delta_exact(x: QuadElem, ctx: FieldContext, n: int = 1) -> DeltaReport:

@@ -79,12 +79,17 @@ def check_field(m: int, p: int, n0: int = 1, h: int | None = None) -> FieldVerdi
     )
 
 
-def admissible(m: int, p: int) -> bool:
-    """True when Q(sqrt(m)) is a real quadratic field where p splits; an m whose
+def _real_field(m: int) -> bool:
+    """True when Q(sqrt(m)) is a real quadratic field of radicand m; an m whose
     discriminant is past the class number's range is refused before it is factored."""
     if m > 1:
         validate_discriminant(m)
-    return m > 1 and is_squarefree(m) and kronecker(m, p) == 1
+    return m > 1 and is_squarefree(m)
+
+
+def admissible(m: int, p: int) -> bool:
+    """True when Q(sqrt(m)) is a real quadratic field where p splits."""
+    return _real_field(m) and kronecker(m, p) == 1
 
 
 _AHEAD = 4  # blocks in flight per pool worker: enough to keep each busy
@@ -111,12 +116,13 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
 
 
 def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
-    # m outermost: a field's unit comes from cache after its first prime; h from one batch
+    # m outermost: a field's unit comes from cache after its first prime; h from one batch.
+    # m is tested once per block, its splitting once per prime.
     primes, lo, hi, n0 = args
-    pairs = [(m, p) for m in range(lo, hi + 1) for p in primes if admissible(m, p)]
-    ms = list(dict.fromkeys(m for m, _ in pairs))
-    hs = dict(zip(ms, class_numbers([m if m % 4 == 1 else 4 * m for m in ms])))
-    return [check_field(m, p, n0, hs[m]) for m, p in pairs]
+    fields = [(m, split) for m in range(lo, hi + 1) if _real_field(m)
+              if (split := [p for p in primes if kronecker(m, p) == 1])]
+    hs = class_numbers([m if m % 4 == 1 else 4 * m for m, _ in fields])
+    return [check_field(m, p, n0, h) for (m, split), h in zip(fields, hs) for p in split]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
 from .pell import _cycle_generator, _generator, _ideal_walk, _product, fundamental_unit
-from .quadint import QuadElem, embed, hensel_sqrt, make_elem
+from .quadint import QuadElem, hensel_sqrt, make_elem, residues
 
 
 def _check_fundamental(D: int) -> None:
@@ -272,7 +272,7 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
         # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")
-        r1 = embed(alpha, s, q, k + 1).r1
+        r1 = residues(alpha, s, q ** (k + 1))[0]
         if (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError("generator supports the wrong prime")
         return k, alpha

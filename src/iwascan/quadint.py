@@ -5,11 +5,12 @@ is only legal in the maximal order of Q(sqrt(m)) for m = 1 (mod 4), with
 a and b of equal parity.  The canonical representative always has den = 1
 when both coordinates are even.
 
-For a prime p split in the field, `embed` maps an element to its pair of
+For a prime p split in the field, `residues` maps an element to its pair of
 residues modulo p^N under sqrt(m) -> s and sqrt(m) -> -s, where s is the
-Hensel root produced by `hensel_sqrt`.  The labelling of the two primes
-above p is fixed once and for all by the choice s = s0 (mod p) with s0
-the smallest positive square root of m mod p.
+Hensel root produced by `hensel_sqrt`; `embed` wraps that pair with its
+modulus.  The labelling of the two primes above p is fixed once and for
+all by the choice s = s0 (mod p) with s0 the smallest positive square
+root of m mod p.
 """
 
 from __future__ import annotations
@@ -122,10 +123,14 @@ def hensel_sqrt(m: int, p: int, N: int) -> int:
     return s
 
 
+def residues(x: QuadElem, s: int, mod: int) -> tuple[int, int]:
+    """The residues of x mod an odd `mod` under sqrt(m) -> s and sqrt(m) -> -s."""
+    inv_den = (mod + 1) // 2 if x.den == 2 else 1
+    bs = x.b * s
+    return (x.a + bs) * inv_den % mod, (x.a - bs) * inv_den % mod
+
+
 def embed(x: QuadElem, s: int, p: int, N: int) -> QuadResidue:
     """Map x into Z/p^N x Z/p^N via sqrt(m) -> +-s."""
     mod = p**N
-    inv_den = (mod + 1) // 2 if x.den == 2 else 1  # p is odd
-    r1 = (x.a + x.b * s) * inv_den % mod
-    r2 = (x.a - x.b * s) * inv_den % mod
-    return QuadResidue(r1, r2, mod)
+    return QuadResidue(*residues(x, s, mod), mod)

@@ -4,9 +4,11 @@
 for one pair (m, p): the fundamental unit, the wide class number h, the
 order h0 of the canonical prime above p in the class group, a generator
 pi1 of that prime's h0-th power (norm +-p^h0), and the Hensel root s
-fixing which prime is which, lifted once per field.  `qforms` certifies
-pi1 where it makes it.  `validate_field` refuses a discriminant past the
-class number's int64 range before it factors m.
+fixing which prime is which, lifted once per field to p^(h+2): the most
+that the walks (p^(k+1), k <= h) and the first deltas (p^(2+h0)) read.
+A higher precision is re-lifted on demand, through `hensel_sqrt`'s cache.
+`qforms` certifies pi1 where it makes it.  `validate_field` refuses a
+discriminant past the class number's int64 range before it factors m.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class FieldContext:
     h: int           # wide class number
     eps: QuadElem
     s: int           # sqrt(m) mod p^N, in the canonical root class
-    N: int           # precision exponent carried by s
+    N: int           # precision exponent carried by s: h + 2
     h0: int          # order of the canonical prime above p, wide sense
     pi1: QuadElem    # generator of that prime's h0-th power
     pi2: QuadElem    # its conjugate
@@ -44,7 +46,7 @@ class FieldContext:
     def embed(self, x: QuadElem, n: int | None = None) -> QuadResidue:
         """Residue pair of x mod p^(n+1) (defaults to the stored precision)."""
         prec = self.N if n is None else n + 1
-        s = self.s % self.p**prec if prec <= self.N else hensel_sqrt(self.m, self.p, prec)
+        s = self.s if prec <= self.N else hensel_sqrt(self.m, self.p, prec)
         return embed(x, s, self.p, prec)
 
 
@@ -79,12 +81,11 @@ def build_context(m: int, p: int, h: int | None = None) -> FieldContext:
     D = m if m % 4 == 1 else 4 * m
     eps = fundamental_unit(m)
     h = class_numbers((D,))[0] if h is None else h
-    # one lift serves the walks (up to p^(h+1)) and the context's p^N, N <= h+2
-    s = hensel_sqrt(m, p, max(9, h + 2))
+    # one lift serves the walks (up to p^(h+1)) and the n = 1 deltas (up to p^(2+h0))
+    s = hensel_sqrt(m, p, h + 2)
     found = _principal_power(D, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
-    N = max(9, h0 + 2)
-    return FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s % p**N, N=N, h0=h0,
+    return FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s, N=h + 2, h0=h0,
                         pi1=pi1, pi2=pi1.conjugate())

@@ -125,7 +125,7 @@ def test_factorize_and_divisors(n):
         prod *= q**e
     assert prod == n
     divs = divisors(n)
-    assert divs == sorted(divs) and divs[0] == 1 and divs[-1] == n
+    assert divs == tuple(sorted(divs)) and divs[0] == 1 and divs[-1] == n
     assert all(n % d == 0 for d in divs)
 
 

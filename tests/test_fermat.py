@@ -1,13 +1,15 @@
 """Fermat-quotient valuations: the two computation routes must coincide."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from iwascan.arith import kronecker
-from iwascan.fermat import Capped, delta_embed, delta_exact
-from iwascan.greenberg import check_field
-from iwascan.quadint import make_elem
+from iwascan.arith import kronecker, valuation
+from iwascan.fermat import Capped, _delta_of_residue, delta_embed, delta_exact
+from iwascan.greenberg import admissible, check_field
+from iwascan.qforms import class_numbers
+from iwascan.quadint import hensel_sqrt, make_elem
 from iwascan.sunits import build_context
 from oracles import check_product_dichotomy, delta_bezout
 
@@ -148,3 +150,43 @@ def test_known_deltas():
     ctx = build_context(12007, 3)
     assert delta_exact(ctx.eps, ctx, 1).delta1 == 2
     assert delta_exact(ctx.pi2, ctx, 1).delta1 == 6
+
+
+def test_a_residue_past_its_precision_is_refused():
+    # delta_embed never passes one: for x != 0, v_P1(x) <= v_p(N(x)) = extra
+    for r, p, n, extra in [(0, 3, 1, 0), (0, 5, 2, 3), (9, 3, 1, 1), (250, 5, 4, 2)]:
+        with pytest.raises(ValueError, match="residue precision too low"):
+            _delta_of_residue(r, p, n, extra)
+
+
+DEEP = 20  # the comparison root's precision exponent
+
+
+@pytest.fixture(scope="module")
+def read_past_n():
+    """(x, ctx, report at a root lifted to p^DEEP) for each unit and conjugate generator
+    of the fields m <= 10^4, p in {3, 5}, whose delta_exact reads sqrt(m) past the
+    context's p^N: its last try, at n, reads p^(n+1+e), e = v_p(N(x)).  Only e <= 3
+    is taken, so that the reference (n <= 16 here) reads nothing past its own root."""
+    cases = []
+    for p in (3, 5):
+        ms = [m for m in range(2, 10**4 + 1) if admissible(m, p)]
+        for m, h in zip(ms, class_numbers([m if m % 4 == 1 else 4 * m for m in ms])):
+            ctx = build_context(m, p, h)
+            deep = replace(ctx, s=hensel_sqrt(m, p, DEEP), N=DEEP)
+            for x in (ctx.eps, ctx.pi2):
+                if (e := valuation(x.norm(), p)) > 3:
+                    continue
+                rep = delta_exact(x, deep)
+                assert rep.n + 1 + e <= DEEP
+                if rep.n + 1 + e > ctx.N:
+                    cases.append((x, ctx, rep))
+    return cases
+
+
+def test_deltas_read_past_the_stored_root_match_a_deeper_root(read_past_n):
+    assert len(read_past_n) > 100
+    assert {x == ctx.eps for x, ctx, _ in read_past_n} == {True, False}  # both kinds
+    for x, ctx, rep in read_past_n:
+        assert delta_exact(x, ctx) == rep, (ctx.m, ctx.p, x)
+        assert delta_bezout(x, ctx, rep.n)[1].delta1 == rep.delta1, (ctx.m, ctx.p, x)

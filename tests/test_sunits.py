@@ -144,7 +144,7 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
 
 @pytest.mark.parametrize("m,p", CASES)
 def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
-    """One lift, to p^max(9, h+2), serves the walks and the context's p^N."""
+    """One lift, to p^(h+2), serves the walks and the context's p^N."""
     lifts = []
     lift = sunits.hensel_sqrt
 
@@ -155,7 +155,7 @@ def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
     monkeypatch.setattr(sunits, "hensel_sqrt", counting)
     monkeypatch.setattr(qforms, "hensel_sqrt", counting)
     ctx = build_context.__wrapped__(m, p)
-    assert lifts == [max(9, ctx.h + 2)]
+    assert lifts == [ctx.h + 2]
     assert ctx.s == lift(m, p, ctx.N)
     assert ctx == build_context(m, p)
 
