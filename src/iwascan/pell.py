@@ -1,37 +1,47 @@
-"""The walk along the cycle of reduced ideals, the principal cycle, and the unit.
+"""Principality: the walk along the cycle of reduced ideals, the principal
+cycle, the unit, and generators of prime-power ideals.
 
 D is a fundamental discriminant > 0 and m = D or D/4.  `_ideal_walk`
 steps [A, (B+sqrt(D))/2] -> [|c|, (B'+sqrt(D))/2], multiplying the ideal
-by c / ((B+sqrt(D))/2), and `_generator` rebuilds the product of those
-factors from the walk's small steps (c, B').  The reduced ideals of a
-class form one cycle (Cohen, GTM 138, secs. 5.7-5.8), so an ideal is
-wide-principal iff its first reduced ideal is on the principal cycle, the
-unit ideal's.  That cycle is a palindrome, its (l-j)-th ideal the
-conjugate of its j-th, so `_principal_cycle` records the unit ideal's walk
-up to the midpoint only; `fundamental_unit` combines the two halves
-(Cohen, Alg. 5.7.2), and `_cycle_generator` looks a reduced ideal up.
+by c / ((B+sqrt(D))/2), and returns its steps as two parallel sequences,
+the c and the B'; `_generator` rebuilds the product of those factors.
+The walk ignores the sign of c, so principality is in the *wide* sense,
+and a generator may have either norm sign.  The reduced ideals of a class
+form one cycle (Cohen, GTM 138, secs. 5.7-5.8), so an ideal is principal
+iff its first reduced ideal is on the principal cycle, the unit ideal's.
+That cycle is a palindrome, its (l-j)-th ideal the conjugate of its j-th,
+so `_principal_cycle` records the unit ideal's walk up to the midpoint
+only; `fundamental_unit` combines the two halves (Cohen, Alg. 5.7.2), and
+`_cycle_generator` looks a reduced ideal up.  `_principal_power` walks
+p^k = [q^k, (b_k+sqrt(D))/2], p the first prime above a split q and b_k
+from `_canonical_root`, for each k in turn to its first reduced ideal
+only: a miss proves p^k non-principal, and the first hit gives p^k's
+generator, the walk's times the cycle ideal's, which is unit-reduced and
+certified as returned (its norm and support are checked).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Sequence
 from functools import lru_cache
 from math import isqrt
 
-from .arith import is_squarefree
-from .quadint import QuadElem, make_elem
+from .arith import is_squarefree, valuation
+from .quadint import QuadElem, hensel_sqrt, make_elem, residues
 
 _MAX_WALK = 10**6
 
 
-def _ideal_walk(A: int, B: int, D: int, half: bool = False) -> list[tuple[int, int]]:
-    """Steps (c_i, B_(i+1)) of [A, (B+sqrt(D))/2], c_i = (B_i^2-D)/(4 A_i), at
+def _ideal_walk(A: int, B: int, D: int, half: bool = False) -> tuple[Sequence[int], Sequence[int]]:
+    """Steps c_i and B_(i+1) of [A, (B+sqrt(D))/2], c_i = (B_i^2-D)/(4 A_i), at
     least one, up to its first reduced ideal.  With half=True, from the unit
     ideal (every ideal on its cycle is reduced, and c_i = -A_(i+1) < 0), up to
     the principal cycle's midpoint: the first step with A_(i+1) = A_i (odd
-    period) or else B_(i+1) = B_i (even period)."""
-    s, steps = isqrt(D), []
+    period) or else B_(i+1) = B_i (even period); there |c|, |B| <= sqrt(D), so
+    the steps are int64 arrays, 16 bytes a step, and lists on other walks."""
+    s = isqrt(D)
+    cs, bs = (array("q"), array("q")) if half else ([], [])
     for _ in range(_MAX_WALK):
         a, b = A, B
         c = (B * B - D) // (4 * A)
@@ -42,17 +52,18 @@ def _ideal_walk(A: int, B: int, D: int, half: bool = False) -> list[tuple[int, i
             B = t - 2 * A if t > A else t
         else:
             B = s - (s + B) % (2 * A)
-        steps.append((c, B))
+        cs.append(c)
+        bs.append(B)
         # in the window, reduced (|sqrt(D) - 2A| < B < sqrt(D)) means this
         if (A == a or B == b) if half else (0 < B and 2 * A - s <= B):
-            return steps
+            return cs, bs
     raise ArithmeticError("ideal walk did not terminate")
 
 
-def _generator(steps: Iterable[tuple[int, int]], B: int) -> tuple[int, int]:
+def _generator(cs: Sequence[int], bs: Sequence[int], B: int) -> tuple[int, int]:
     """(x, y) with (x + y*sqrt(D))/2 = P_n = gamma_n*A_n: the product gamma_n of
-    the factors of a walk from [A_0, w_0] with `steps`, w_i = (B_i+sqrt(D))/2 and
-    B_0 = B, so that gamma_n [A_n, w_n] = [A_0, w_0], times A_n.
+    the factors of a walk from [A_0, w_0] with steps c_i, B_(i+1) in `cs`, `bs`,
+    w_i = (B_i+sqrt(D))/2 and B_0 = B, so that gamma_n [A_n, w_n] = [A_0, w_0], times A_n.
 
     P_i = gamma_i*A_i, Q_i = gamma_i*w_i, gamma_i = prod_{j<i} w_j/c_j.  As
     B_(i+1) = 2 c_i t_i - B_i, w_i*w_(i+1)/c_i = t_i*w_i - A_i: P_(i+1) =
@@ -60,7 +71,7 @@ def _generator(steps: Iterable[tuple[int, int]], B: int) -> tuple[int, int]:
     Q_n = P_n*w_n/A_n gives P_n's x from the y of both.  No steps give 1, the unit ideal's P_0.
     """
     qp, qy, c0 = 0, 1, 1  # y of Q_(i-1) and Q_i, and c_(i-1); P_0 = A has y = 0
-    for c, b2 in steps:
+    for c, b2 in zip(cs, bs):
         t = (B + b2) // (2 * c)
         qp, qy = qy, (t * qy - qp if c0 > 0 else t * qy + qp)
         c0, B = c, b2
@@ -76,13 +87,12 @@ def _product(p: tuple[int, int], q: tuple[int, int], a: int, D: int) -> tuple[in
 
 @lru_cache(maxsize=128)  # more than a scan block's D: its units come first, then its fields
 def _principal_cycle(D: int) -> tuple[int, array, array]:
-    """B0, the largest B <= sqrt(D) with B = D (mod 2), and the half walk of the
-    unit ideal [1, (B0+sqrt(D))/2] as int64 arrays c and b, 16 bytes a step: the
-    j-th ideal of the principal cycle, j = 1..k, is [-c[j-1], (b[j-1]+sqrt(D))/2]."""
+    """B0, the largest B <= sqrt(D) with B = D (mod 2), and the half walk c, b of the
+    unit ideal [1, (B0+sqrt(D))/2]: the j-th ideal of the principal cycle,
+    j = 1..k, is [-c[j-1], (b[j-1]+sqrt(D))/2]."""
     s = isqrt(D)
     B0 = s - (s - D) % 2
-    c, b = zip(*_ideal_walk(1, B0, D, half=True))
-    return B0, array("q", c), array("q", b)
+    return (B0, *_ideal_walk(1, B0, D, half=True))
 
 
 def _cycle_generator(D: int, A: int, B: int) -> tuple[int, int] | None:
@@ -103,7 +113,7 @@ def _cycle_generator(D: int, A: int, B: int) -> tuple[int, int] | None:
             pass
     except ValueError:  # no index left
         return None
-    x, y = _generator(zip(c[: i + 1], b[: i + 1]), B0)
+    x, y = _generator(c[: i + 1], b[: i + 1], B0)
     return (x, -y) if b[i] == B else (x, y)
 
 
@@ -120,7 +130,7 @@ def fundamental_unit(m: int) -> QuadElem:
     B0, c, b = _principal_cycle(D)
     odd = c[-1] == (c[-2] if len(c) > 1 else -1)
     k = len(c) - odd
-    p = _generator(zip(c[:k], b[:k]), B0)
+    p = _generator(c[:k], b[:k], B0)
     a, bk = (-c[k - 1], b[k - 1]) if k else (1, B0)
     q = _product(p, (bk, 1), a, D) if odd else p
     x, y = _product(p, q, a, D)
@@ -128,3 +138,68 @@ def fundamental_unit(m: int) -> QuadElem:
     if eps.norm() not in (1, -1):
         raise ArithmeticError(f"the unit ideal's half walk did not give a unit for m={m}")
     return eps
+
+
+def _canonical_root(D: int, q: int, k: int, s: int) -> int:
+    """b with b^2 = D (mod 4 q^k), b = -e*s (mod q^k), b = D (mod 2).
+
+    s is the Hensel root of m = D or D/4 modulo q^K for some K >= k, and
+    e*s the canonical image of sqrt(D) under the labelled embedding, so the
+    ideal [q^k, (b+sqrt(D))/2] is the k-th power of the *first* prime above q.
+    """
+    e = 2 if D % 4 == 0 else 1
+    qk = q**k
+    b = (-e * s) % qk
+    if (b - D) % 2:
+        b += qk  # q odd, so this flips the parity
+    b %= 2 * qk
+    if (b * b - D) % (4 * qk):
+        raise ArithmeticError("canonical root does not solve b^2 = D (mod 4q^k)")
+    return b
+
+
+def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
+    """Associate of x with locally least |trace|: times 1/eps while |trace|
+    falls, then times eps, on x = (A + B sqrt(m))/2, A the trace.  The greedy
+    descent can stop at a local minimum, so the result may depend on the unit
+    multiple of x it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
+    k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
+    eps = fundamental_unit(m)
+    E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
+    g = 2 * x.a // x.den, 2 * x.b // x.den
+    for u in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
+        while abs((g2 := _product(g, u, 1, m))[0]) < abs(g[0]):
+            g = g2
+    A, B = g
+    return make_elem(-A, -B, 2, m) if A < 0 else make_elem(A, B, 2, m)
+
+
+def _principal_power(D: int, q: int, exponents: Sequence[int],
+                     s: int | None = None) -> tuple[int, QuadElem] | None:
+    """First k in `exponents` with p^k principal, and a generator alpha.
+
+    p is the first prime above q, an odd split prime that is not checked
+    here (`qforms.represent` checks it).  alpha, reduced modulo units with
+    positive trace, is certified as returned: |norm(alpha)| = q^k and
+    v_p(alpha) = k, so (alpha) = p^k, or ArithmeticError.  None if no p^k is
+    principal.  One root s of m mod q^K, K > max(exponents), lifted here
+    unless passed, serves every k.
+    """
+    m = D // 4 if D % 4 == 0 else D
+    s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
+    for k in exponents:
+        A, B = q**k, _canonical_root(D, q, k, s)
+        cs, bs = _ideal_walk(A, B, D)
+        # p^k = (P/|c|) [|c|, (b+sqrt(D))/2], P the walk's generator
+        if (beta := _cycle_generator(D, abs(cs[-1]), bs[-1])) is None:
+            continue
+        x, y = _product(_generator(cs, bs, B), beta, abs(cs[-1]), D)  # no gcd; checked below
+        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
+        # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
+        if abs(alpha.norm()) != A:
+            raise ArithmeticError("generator has the wrong norm")
+        r1 = residues(alpha, s, q ** (k + 1))[0]
+        if (valuation(r1, q) if r1 else k + 1) != k:
+            raise ArithmeticError("generator supports the wrong prime")
+        return k, alpha
+    return None

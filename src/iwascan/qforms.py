@@ -1,4 +1,4 @@
-"""Class numbers, class orders and generators in real quadratic fields.
+"""Class numbers in real quadratic fields, and class orders and generators from `pell`.
 
 D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
 radicand.  `class_numbers` evaluates the analytic class number formula
@@ -11,20 +11,8 @@ batch raises ArithmeticError, as it does up front for a D past _MAX_TERMS
 terms.  `class_number` is a batch of one.  `_sieve(P)`, spf and the primes
 <= P, is the package's one numpy prime table; the tally's presieve shares it.
 
-Class orders and generators work in the *wide* sense (the reduction
-walk runs on positive-norm ideals and ignores the sign of the leading
-coefficient), because a prime-power ideal is what gets tested for
-principality and a generator of either norm sign is acceptable.  The
-k-th power of the first prime above a split q is the ideal
-[q^k, (b_k+sqrt(D))/2], with b_k from `_canonical_root`.  `_principal_power`
-walks p^d for each divisor d of h in turn with `pell._ideal_walk` to its first
-reduced ideal only, and looks that ideal up on the principal cycle, the record
-of the unit's half walk (`pell._cycle_generator`).  A miss proves p^d
-non-principal; the first hit gives h0, and p^h0's generator is the product of
-the reduction walk's generator and the cycle ideal's, both rebuilt by
-`pell._generator`: one pass gives h0 and p^h0's generator.  Its norm and
-support are checked on the unit-reduced generator returned, which certifies
-every generator the package hands out.
+`class_order` and `represent` are the public calls of `pell._principal_power`,
+where principality is decided.
 """
 
 from __future__ import annotations
@@ -35,9 +23,9 @@ from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 
 import numpy as np
 
-from .arith import divisors, is_prime, is_squarefree, kronecker, valuation
-from .pell import _cycle_generator, _generator, _ideal_walk, _product, fundamental_unit
-from .quadint import QuadElem, hensel_sqrt, make_elem, residues
+from .arith import divisors, is_prime, is_squarefree, kronecker
+from .pell import _principal_power, fundamental_unit
+from .quadint import QuadElem
 
 
 def _check_fundamental(D: int) -> None:
@@ -51,13 +39,14 @@ def _check_fundamental(D: int) -> None:
 
 
 # Abramowitz-Stegun 5.1.53 on 0 < x <= 1 and 5.1.56 on x >= 1 (highest degree
-# first, for np.polyval).  Both leave an absolute error in E1(x) below _E1_ERR
-# (5.1.56 bounds the error of x*e^x*E1(x) by 2e-8, of E1(x) by 2e-8*e^-x/x < 2e-7).
+# first, for np.polyval).  Both leave an absolute error in E1(x) below _E1_ERR:
+# 5.1.53 with these coefficients peaks at 2.2898e-7 near x = 0.0692, and 5.1.56
+# bounds the error of x*e^x*E1(x) by 2e-8, of E1(x) by 2e-8*e^-x/x < 7.4e-9.
 _E1_SMALL = (0.00107857, -0.00976004, 0.05519968, -0.24991055, 0.99999193,
              -0.57721566)
 _E1_NUM = (1, 8.5733287401, 18.0590169730, 8.6347608925, 0.2677737343)
 _E1_DEN = (1, 9.5733223454, 25.6329561486, 21.0996530827, 3.9584969228)
-_E1_ERR = 2e-7
+_E1_ERR = 2.3e-7
 _MACHINE_EPS = 2.0**-52
 _INT64_ROOT = isqrt(2**63 - 1)  # Euler's criterion squares residues mod q <= N
 
@@ -198,30 +187,11 @@ def _slab(rows: list[tuple[int, int, int, float]]) -> list[int]:
     return hs
 
 
-@lru_cache(maxsize=1024)
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0: the wide h
     of `class_numbers` (same bound, same refusal), doubled when N(eps) = +1."""
     h = class_numbers((D,))[0]
     return 2 * h if fundamental_unit(D // 4 if D % 4 == 0 else D).norm() == 1 else h
-
-
-def _canonical_root(D: int, q: int, k: int, s: int) -> int:
-    """b with b^2 = D (mod 4 q^k), b = -e*s (mod q^k), b = D (mod 2).
-
-    s is the Hensel root of m = D or D/4 modulo q^K for some K >= k, and
-    e*s the canonical image of sqrt(D) under the labelled embedding, so the
-    ideal [q^k, (b+sqrt(D))/2] is the k-th power of the *first* prime above q.
-    """
-    e = 2 if D % 4 == 0 else 1
-    qk = q**k
-    b = (-e * s) % qk
-    if (b - D) % 2:
-        b += qk  # q odd, so this flips the parity
-    b %= 2 * qk
-    if (b * b - D) % (4 * qk):
-        raise ArithmeticError("canonical root does not solve b^2 = D (mod 4q^k)")
-    return b
 
 
 def class_order(D: int, q: int, h: int) -> int:
@@ -231,52 +201,6 @@ def class_order(D: int, q: int, h: int) -> int:
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     return found[0]
-
-
-def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
-    """Associate of x with locally least |trace|: times 1/eps while |trace|
-    falls, then times eps, on x = (A + B sqrt(m))/2, A the trace.  The greedy
-    descent can stop at a local minimum, so the result may depend on the unit
-    multiple of x it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
-    k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
-    eps = fundamental_unit(m)
-    E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
-    g = 2 * x.a // x.den, 2 * x.b // x.den
-    for u in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
-        while abs((g2 := _product(g, u, 1, m))[0]) < abs(g[0]):
-            g = g2
-    A, B = g
-    return make_elem(-A, -B, 2, m) if A < 0 else make_elem(A, B, 2, m)
-
-
-def _principal_power(D: int, q: int, exponents: Sequence[int],
-                     s: int | None = None) -> tuple[int, QuadElem] | None:
-    """First k in `exponents` with p^k principal, and a generator alpha.
-
-    p is the first prime above q, an odd split prime that is not checked
-    here (`represent` checks it).  alpha, reduced modulo units with positive
-    trace, is certified as returned: |norm(alpha)| = q^k and v_p(alpha) = k,
-    so (alpha) = p^k, or ArithmeticError.  None if no p^k is principal.
-    One root s of m mod q^K, K > max(exponents), lifted here unless passed, serves every k.
-    """
-    m = D // 4 if D % 4 == 0 else D
-    s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
-    for k in exponents:
-        A, B = q**k, _canonical_root(D, q, k, s)
-        steps = _ideal_walk(A, B, D)
-        c, b = steps[-1]  # p^k = (P/|c|) [|c|, (b+sqrt(D))/2], P the walk's generator
-        if (beta := _cycle_generator(D, abs(c), b)) is None:
-            continue
-        x, y = _product(_generator(steps, B), beta, abs(c), D)  # no gcd; checked below
-        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
-        # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
-        if abs(alpha.norm()) != A:
-            raise ArithmeticError("generator has the wrong norm")
-        r1 = residues(alpha, s, q ** (k + 1))[0]
-        if (valuation(r1, q) if r1 else k + 1) != k:
-            raise ArithmeticError("generator supports the wrong prime")
-        return k, alpha
-    return None
 
 
 def represent(D: int, q: int, k: int) -> QuadElem | None:

@@ -35,7 +35,8 @@ import numpy as np
 from .arith import is_prime, kronecker, teichmuller
 from .fermat import Capped, delta_embed
 from .greenberg import map_blocks
-from .qforms import _principal_power, _sieve
+from .pell import _principal_power
+from .qforms import _sieve
 from .quadint import hensel_sqrt
 from .sunits import PreconditionError, UsageError, build_context, validate_field
 

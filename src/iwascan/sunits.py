@@ -7,7 +7,7 @@ pi1 of that prime's h0-th power (norm +-p^h0), and the Hensel root s
 fixing which prime is which, lifted once per field to p^(h+2): the most
 that the walks (p^(k+1), k <= h) and the first deltas (p^(2+h0)) read.
 A higher precision is re-lifted on demand, through `hensel_sqrt`'s cache.
-`qforms` certifies pi1 where it makes it.  `validate_field` refuses a
+`pell` certifies pi1 where it makes it.  `validate_field` refuses a
 discriminant past the class number's int64 range before it factors m.
 """
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
-from .pell import fundamental_unit
-from .qforms import _INT64_ROOT, _principal_power, class_numbers
+from .pell import _principal_power, fundamental_unit
+from .qforms import _INT64_ROOT, class_numbers
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
 

@@ -20,7 +20,7 @@ None of these is used by the package itself:
   to that first reduced ideal (None: the class is not principal).
   `full_period_unit` is the former `pell.fundamental_unit`, the generator
   of the unit ideal's walk once round the whole principal cycle, and
-  `cycle_principal_power` the former `qforms._principal_power`, which walks
+  `cycle_principal_power` the former `_principal_power`, which walks
   each p^k round its own cycle, where the package now stops the unit's walk
   at the cycle's midpoint and finds each p^k's reduced ideal by lookup.
   `stops_at_its_first_reduced_ideal` checks a walk's steps against
@@ -35,7 +35,7 @@ None of these is used by the package itself:
 * `two_walk_principal_power` is the former route to (h0, pi1): one walk
   per divisor for the class order, then a second walk of p^h0 that
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
-* `elem_unit_reduce` is the former `qforms._unit_reduce`: the same greedy
+* `elem_unit_reduce` is the former `_unit_reduce`: the same greedy
   steps, one `QuadElem` product per trial.
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
@@ -61,10 +61,9 @@ import numpy as np
 
 from iwascan.arith import divisors, factorize, kronecker, valuation
 from iwascan.fermat import Capped, Delta, delta_embed
-from iwascan.pell import _generator, fundamental_unit
+from iwascan.pell import _canonical_root, _generator, _unit_reduce, fundamental_unit
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
-                            _canonical_root, _check_fundamental, _regulator,
-                            _tail_bound, _unit_reduce)
+                            _check_fundamental, _regulator, _tail_bound)
 from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
 from iwascan.sunits import FieldContext
 
@@ -181,9 +180,10 @@ def is_reduced_ideal(A: int, B: int, D: int) -> bool:
     return 0 < B and B * B < D and (B + 2 * A) ** 2 > D and (2 * A <= B or (2 * A - B) ** 2 < D)
 
 
-def stops_at_its_first_reduced_ideal(steps: list[tuple[int, int]], D: int) -> bool:
-    """The walk's last ideal [|c|, (B+sqrt(D))/2] is reduced, and no ideal before it is."""
-    reduced = [is_reduced_ideal(abs(c), B, D) for c, B in steps]
+def stops_at_its_first_reduced_ideal(walk: tuple[list[int], list[int]], D: int) -> bool:
+    """The last ideal [|c|, (B+sqrt(D))/2] of the walk's steps (c, B) is reduced,
+    and no ideal before it is."""
+    reduced = [is_reduced_ideal(abs(c), B, D) for c, B in zip(*walk)]
     return reduced[-1] and not any(reduced[:-1])
 
 
@@ -192,7 +192,7 @@ def full_period_unit(m: int) -> QuadElem:
     the principal cycle, back to A = 1 (+-eps or +-eps')."""
     D = m if m % 4 == 1 else 4 * m
     B = isqrt(D) - (isqrt(D) - D) % 2
-    x, y = _generator(cycle_walk(1, B, D), B)
+    x, y = _generator(*zip(*cycle_walk(1, B, D)), B)
     return make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
 
 
@@ -206,7 +206,7 @@ def cycle_principal_power(D: int, q: int, exponents, s: int | None = None):
         steps = cycle_walk(A, B, D)
         if steps is None:
             continue
-        x, y = _generator(steps, B)
+        x, y = _generator(*zip(*steps), B)
         alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")

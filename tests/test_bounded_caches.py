@@ -12,6 +12,8 @@ import pkgutil
 from pathlib import Path
 
 import iwascan
+from iwascan import greenberg, pell
+from iwascan.arith import kronecker
 
 
 def _name(node):
@@ -67,6 +69,20 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"qforms._sieve", "qforms.class_number", "pell.fundamental_unit",
-            "pell._principal_cycle"} <= set(sizes)
+    assert {"qforms._sieve", "pell.fundamental_unit", "pell._principal_cycle"} <= set(sizes)
     assert all(type(size) is int and size > 0 for size in sizes.values()), sizes
+
+
+def test_the_cycle_cache_holds_a_scan_block():
+    """A scan block's `class_numbers` walks the principal cycle of each of its D,
+    at most `_CHUNK` of them, and its fields then look their ideals up on those
+    cycles: a cache that held fewer would re-walk them silently."""
+    assert pell._principal_cycle.cache_info().maxsize > greenberg._CHUNK
+    lo = 10**6
+    Ds = {m if m % 4 == 1 else 4 * m for m in range(lo, lo + greenberg._CHUNK)
+          if greenberg._real_field(m) and kronecker(m, 3) == 1}
+    pell.fundamental_unit.cache_clear()
+    pell._principal_cycle.cache_clear()
+    greenberg._scan_block(((3,), lo, lo + greenberg._CHUNK - 1, 1))
+    assert pell._principal_cycle.cache_info().misses == len(Ds) > 0
+    pell._principal_cycle.cache_clear()

@@ -140,8 +140,8 @@ def test_half_walk_unit_at_each_kind_of_period(m, l):
     """l = 1 once gave eps^2 (its one step has both A and B equal to the last)."""
     assert cycle_length(m) == l
     D = m if m % 4 == 1 else 4 * m
-    steps = pell._ideal_walk(1, isqrt(D) - (isqrt(D) - D) % 2, D, half=True)
-    assert len(steps) == (l + 1) // 2 if l % 2 else l // 2
+    c, b = pell._ideal_walk(1, isqrt(D) - (isqrt(D) - D) % 2, D, half=True)
+    assert len(c) == len(b) == ((l + 1) // 2 if l % 2 else l // 2)
     eps = fundamental_unit.__wrapped__(m)
     assert eps == cf_fundamental_unit(m) == full_period_unit(m)
 
@@ -171,7 +171,8 @@ def test_unit_walk_that_does_not_close_raises(monkeypatch):
 def test_principal_cycle_records_of_a_block_are_about_16_bytes_a_step():
     """One 100-m block near 10^7: every record stays cached, two int64 arrays of the
     half walk (under 24 bytes a step with their headers, where a dict of (c, B)
-    tuples took about 240), and only one walk's list of steps is alive at a time."""
+    tuples took about 240), which the walk appends to in place: no list of steps
+    is built on the way (it took 76 bytes a step of the longest walk)."""
     Ds = [m if m % 4 == 1 else 4 * m for m in range(10**7, 10**7 + 100) if is_squarefree(m)]
     pell._principal_cycle(Ds[0])  # the first call's imports are not the records'
     pell._principal_cycle.cache_clear()
@@ -186,5 +187,5 @@ def test_principal_cycle_records_of_a_block_are_about_16_bytes_a_step():
     assert pell._principal_cycle.cache_info().currsize == len(Ds) == 59
     assert sum(lengths) == 25591
     assert held < 24 * sum(lengths), held
-    assert peak - held < 200 * max(lengths), (peak, held)
+    assert peak - held < 16 * max(lengths), (peak, held)
     pell._principal_cycle.cache_clear()

@@ -16,10 +16,14 @@ replaced (`oracles.loop_class_number`), and its chi table against
 `kronecker`; so is the batch kernel `class_numbers`, in one call, in the
 blocks a scan forms and in mixed batches.  Its series length N_D is
 checked against the doubling-and-bisecting search it replaced
-(`oracles.bisect_series_length`).  The integer `_unit_reduce` is
-checked against the `QuadElem` version it replaced
-(`oracles.elem_unit_reduce`).
+(`oracles.bisect_series_length`).  Its error bound is
+checked against exact sums (mpmath): each E1 approximation within
+`_E1_ERR`, and on sampled D the tail past N_D within `_tail_bound`, and
+the partial sum within that tail of h.
 
+`class_order` and `represent` call `pell._principal_power`, which is
+tested here with them.  `pell`'s integer `_unit_reduce` is checked
+against the `QuadElem` version it replaced (`oracles.elem_unit_reduce`).
 The one-pass `_principal_power` is checked against the former two-walk
 route (`oracles.two_walk_principal_power`), which walks p^h0 a second
 time and carries the generator with a gcd on every step, also with the
@@ -32,6 +36,8 @@ import tracemalloc
 from fractions import Fraction
 from itertools import count
 
+import mpmath
+import numpy as np
 import pytest
 
 from iwascan import greenberg, pell, qforms
@@ -45,14 +51,12 @@ from oracles import (_gamma_walk, bisect_series_length, cycle_principal_power,
                      stops_at_its_first_reduced_ideal, two_walk_principal_power, xgcd)
 
 
+def is_fundamental(D):
+    return (D % 4 == 1 and is_squarefree(D)) or (D % 16 in (8, 12) and is_squarefree(D // 4))
+
+
 def fundamental_discriminants(limit):
-    out = []
-    for D in range(5, limit):
-        if D % 4 == 1 and is_squarefree(D):
-            out.append(D)
-        elif D % 16 in (8, 12) and is_squarefree(D // 4):
-            out.append(D)
-    return out
+    return [D for D in range(5, limit) if is_fundamental(D)]
 
 
 def log_unit(m):
@@ -253,7 +257,7 @@ def test_series_past_int64_is_refused(monkeypatch):
     # Euler's criterion squares residues mod q <= N in int64: q^2 < 2^63
     monkeypatch.setattr(qforms, "_INT64_ROOT", 100)
     with pytest.raises(ArithmeticError, match="overflow int64"):
-        qforms.class_number.__wrapped__(4 * 1000003)  # N is about 1500
+        class_number(4 * 1000003)  # N is about 1500
     with pytest.raises(ArithmeticError, match="overflow int64"):
         qforms._chi((41,), 101)  # N past the limit, D below its square
     with pytest.raises(ArithmeticError, match="overflow int64"):
@@ -270,11 +274,64 @@ def test_class_number_memory_is_linear_in_the_series_length():
         qforms._sieve.cache_clear()
         tracemalloc.start()
         try:
-            assert qforms.class_number.__wrapped__(D) == class_number(D)
+            assert class_number(D) >= 1
             per_root[m] = tracemalloc.get_traced_memory()[1] / math.sqrt(D)
         finally:
             tracemalloc.stop()
     assert max(per_root.values()) < 100, per_root
+
+
+# --- the error bound against exact arithmetic (mpmath, 30 digits) ---
+
+def approximate_e1(x):
+    """E1 as `_slab` takes it: A-S 5.1.53 on x <= 1, 5.1.56 above."""
+    if x <= 1:
+        return float(np.polyval(qforms._E1_SMALL, x) - np.log(x))
+    return float(np.exp(-x) / x * np.polyval(qforms._E1_NUM, x) / np.polyval(qforms._E1_DEN, x))
+
+
+def exact_term(D, n):
+    """The n-th term of the series without chi: (sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D)."""
+    return (mpmath.sqrt(D) / n * mpmath.erfc(n * mpmath.sqrt(mpmath.pi / D))
+            + mpmath.e1(mpmath.pi * n * n / D))
+
+
+@pytest.fixture(scope="module")
+def sampled_series():
+    """(D, R, N, h) of 12 seeded fundamental D < 10^5, N the series length."""
+    rng = random.Random(5)
+    Ds = [D for D in rng.sample(range(5, 10**5), 80) if is_fundamental(D)][:12]
+    assert len(Ds) == 12
+    Rs = [qforms._regulator(fundamental_unit(D // 4 if D % 4 == 0 else D)) for D in Ds]
+    return [(D, R, qforms._series_length(D, R), h)
+            for D, R, h in zip(Ds, Rs, qforms.class_numbers(Ds))]
+
+
+def test_both_e1_approximations_stay_within_their_error_bound():
+    # 5.1.53 peaks at 2.29e-7 near x = 0.069, above the 2e-7 that was claimed
+    xs = [k / 4000 for k in range(1, 4001)] + [1 + k / 100 for k in range(1, 5901)]
+    with mpmath.workdps(30):
+        errs = [abs(approximate_e1(x) - float(mpmath.e1(x))) for x in xs]
+    assert max(errs) <= qforms._E1_ERR, max(zip(errs, xs))
+    assert max(errs) > 0.99 * qforms._E1_ERR  # the bound is not loose either
+
+
+def test_the_tail_past_the_series_length_is_within_its_bound(sampled_series):
+    with mpmath.workdps(30):
+        for D, R, N, _ in sampled_series:
+            tail, n = mpmath.mpf(0), N + 1
+            while (t := exact_term(D, n)) > 1e-17 * tail:  # terms fall as e^(-pi n^2/D)
+                tail, n = tail + t, n + 1
+            assert 0 < tail <= qforms._tail_bound(N, D) <= R / 8, (D, N)
+
+
+def test_the_exact_partial_sum_is_within_the_tail_of_h(sampled_series):
+    with mpmath.workdps(30):
+        for D, R, N, h in sampled_series:
+            eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+            two_r = 2 * mpmath.log((eps.a + eps.b * mpmath.sqrt(eps.m)) / eps.den)
+            total = mpmath.fsum(kronecker(D, n) * exact_term(D, n) for n in range(1, N + 1))
+            assert abs(total / two_r - h) <= qforms._tail_bound(N, D) / (2 * R), (D, h)
 
 
 # --- the batch kernel: many discriminants, one numpy pass per slab ---
@@ -381,14 +438,14 @@ def test_class_numbers_memory_is_set_by_the_slab_cap():
 def generators_below_2e4():
     """(x, m) for every generator `_principal_power` reduces, D < 2*10^4, split q <= 43."""
     seen = []
-    reduce = qforms._unit_reduce
+    reduce = pell._unit_reduce
     Ds = fundamental_discriminants(2 * 10**4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qforms, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
+        mp.setattr(pell, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
         for D, h in zip(Ds, qforms.class_numbers(Ds)):
             for q in SPLIT_Q:
                 if kronecker(D, q) == 1:
-                    qforms._principal_power(D, q, divisors(h))
+                    pell._principal_power(D, q, divisors(h))
     return seen
 
 
@@ -397,13 +454,13 @@ def generators_near_1e6():
     """(x, m) for every generator `_principal_power` reduces on the benchmark's
     scan-large-m window (variant 0), m = 10^6..10^6+1000 at p = 3."""
     seen = []
-    reduce = qforms._unit_reduce
+    reduce = pell._unit_reduce
     Ds = [m if m % 4 == 1 else 4 * m
           for m in range(10**6, 10**6 + 1001) if greenberg.admissible(m, 3)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qforms, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
+        mp.setattr(pell, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
         for D, h in zip(Ds, qforms.class_numbers(Ds)):
-            qforms._principal_power(D, 3, divisors(h))
+            pell._principal_power(D, 3, divisors(h))
     return seen
 
 
@@ -417,12 +474,12 @@ def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
     (1-3sqrt(5))/2 (trace 1)."""
     elsewhere = set()
     for x, m in generators_below_2e4 + generators_near_1e6:
-        want = qforms._unit_reduce(x, m)
+        want = pell._unit_reduce(x, m)
         eps = fundamental_unit(m)
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = x * inv * inv * inv * inv * inv
         for k in range(-5, 6):
-            if k and qforms._unit_reduce(y, m) != want:
+            if k and pell._unit_reduce(y, m) != want:
                 elsewhere.add((m, k))
             y = y * eps
     assert len(generators_near_1e6) == 229
@@ -436,13 +493,13 @@ def test_the_generators_at_m5_are_unchanged(q, pi1):
     """At m = 5, the known exception above, pi1 is still the former route's."""
     want = make_elem(*pi1, 5)
     assert build_context(5, q).pi1 == want
-    assert qforms._principal_power(5, q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
+    assert pell._principal_power(5, q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
     assert len(generators_below_2e4) > 36000
     for x, m in generators_below_2e4:
-        assert qforms._unit_reduce(x, m) == elem_unit_reduce(x, m), x
+        assert pell._unit_reduce(x, m) == elem_unit_reduce(x, m), x
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2e4):
@@ -452,7 +509,7 @@ def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = elem_unit_reduce(x, m) * inv * inv * inv
         for k in range(-3, 4):
-            assert qforms._unit_reduce(y, m) == elem_unit_reduce(y, m), (x, k)
+            assert pell._unit_reduce(y, m) == elem_unit_reduce(y, m), (x, k)
             y = y * eps
 
 
@@ -593,7 +650,7 @@ def test_principal_power_matches_two_walk_oracle():
         for q in SPLIT_Q:
             if kronecker(D, q) == 1:
                 want = two_walk_principal_power(D, q, h)
-                assert qforms._principal_power(D, q, divisors(h)) == want, (D, q)
+                assert pell._principal_power(D, q, divisors(h)) == want, (D, q)
                 assert cycle_principal_power(D, q, divisors(h)) == want, (D, q)
                 pairs += 1
     assert pairs == 18230
@@ -611,14 +668,13 @@ def test_walks_stop_at_their_first_reduced_ideal():
                 continue
             s = hensel_sqrt(m, q, max(divisors(h)) + 1)
             for d in divisors(h):
-                A, B = q**d, qforms._canonical_root(D, q, d, s)
-                steps = pell._ideal_walk(A, B, D)
-                assert stops_at_its_first_reduced_ideal(steps, D), (D, q, d)
-                c, b = steps[-1]
-                principal = pell._cycle_generator(D, abs(c), b) is not None
+                A, B = q**d, pell._canonical_root(D, q, d, s)
+                cs, bs = walk = pell._ideal_walk(A, B, D)
+                assert stops_at_its_first_reduced_ideal(walk, D), (D, q, d)
+                principal = pell._cycle_generator(D, abs(cs[-1]), bs[-1]) is not None
                 assert principal == (_gamma_walk(A, B, D) is not None), (D, q, d)
                 closed += principal
-            assert qforms._principal_power(D, q, divisors(h)) == \
+            assert pell._principal_power(D, q, divisors(h)) == \
                 two_walk_principal_power(D, q, h), (D, q)
             pairs += 1
     assert (pairs, closed) == (2599, 2981)
@@ -638,7 +694,7 @@ def test_principal_power_matches_two_walk_oracle_near_1e7(m):
     assert split
     for q in split:
         want = two_walk_principal_power(D, q, h)
-        assert qforms._principal_power(D, q, divisors(h)) == want, q
+        assert pell._principal_power(D, q, divisors(h)) == want, q
         assert cycle_principal_power(D, q, divisors(h)) == want, q
 
 
@@ -652,7 +708,7 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
     for m, D, h in zip(ms, Ds, qforms.class_numbers(Ds)):
         s = hensel_sqrt(m, 3, max(9, h + 2))
         for d in divisors(h):  # each divisor alone: misses as well as hits
-            got = qforms._principal_power(D, 3, (d,), s)
+            got = pell._principal_power(D, 3, (d,), s)
             assert got == cycle_principal_power(D, 3, (d,), s), (m, d)
             found.append(got is not None)
     assert (found.count(True), found.count(False)) == (363, 307)
@@ -660,8 +716,8 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
 
 def test_principal_power_none_when_no_power_closes():
     # m = 10: p above 3 has order 2, so p^1 alone is not principal
-    assert qforms._principal_power(40, 3, (1,)) is None
-    assert qforms._principal_power(40, 3, (1, 2)) == (2, represent(40, 3, 2))
+    assert pell._principal_power(40, 3, (1,)) is None
+    assert pell._principal_power(40, 3, (1, 2)) == (2, represent(40, 3, 2))
 
 
 @pytest.mark.parametrize("D", [40, 60, 316, 412, 520, 1756])

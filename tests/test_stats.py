@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sympy import isprime
 
-from iwascan import qforms, stats
+from iwascan import pell, qforms, stats
 from iwascan.arith import kronecker, teichmuller
 from iwascan.quadint import hensel_sqrt
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
@@ -131,14 +131,14 @@ def reached_primes(monkeypatch, m, p, n, bound):
     """(tally, every ell the tally walks) of a one-worker scan; each walk of an ell
     goes only to its first reduced ideal, which a lookup then tests."""
     seen = []
-    power, walk = qforms._principal_power, qforms._ideal_walk
+    power, walk = pell._principal_power, pell._ideal_walk
 
-    def reducing(A, B, D):
-        steps = walk(A, B, D)
-        assert stops_at_its_first_reduced_ideal(steps, D), (A, B)
+    def reducing(A, B, D, half=False):
+        steps = walk(A, B, D, half)
+        assert half or stops_at_its_first_reduced_ideal(steps, D), (A, B)
         return steps
 
-    monkeypatch.setattr(qforms, "_ideal_walk", reducing)
+    monkeypatch.setattr(pell, "_ideal_walk", reducing)
     monkeypatch.setattr(stats, "_principal_power",
                         lambda D, ell, exps: seen.append(ell) or power(D, ell, exps))
     return prime_fermat_scan(m, p, n, bound, rmax=min(n, 5)), seen

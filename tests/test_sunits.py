@@ -72,13 +72,13 @@ def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
     """The norm is checked on the generator returned: a unit reduction that
     broke it would reach the context's pi1 and the tally's alpha unseen."""
     build_context(103, 3)  # cached, so the tally below reaches its own generators
-    reduce = qforms._unit_reduce
+    reduce = pell._unit_reduce
 
     def doubling(x, m):
         y = reduce(x, m)
         return make_elem(2 * y.a, 2 * y.b, y.den, m)
 
-    monkeypatch.setattr(qforms, "_unit_reduce", doubling)
+    monkeypatch.setattr(pell, "_unit_reduce", doubling)
     with pytest.raises(ArithmeticError, match="wrong norm"):
         build_context.__wrapped__(103, 3)
     with pytest.raises(ArithmeticError, match="wrong norm"):
@@ -89,8 +89,8 @@ def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
 def test_a_generator_of_the_other_prime_is_refused(monkeypatch, m, p):
     """Walks from the root -s reach the powers of the second prime above p;
     the support check on the returned generator refuses each one."""
-    root = qforms._canonical_root
-    monkeypatch.setattr(qforms, "_canonical_root", lambda D, q, k, s: root(D, q, k, -s))
+    root = pell._canonical_root
+    monkeypatch.setattr(pell, "_canonical_root", lambda D, q, k, s: root(D, q, k, -s))
     with pytest.raises(ArithmeticError, match="supports the wrong prime"):
         build_context.__wrapped__(m, p)
 
@@ -131,7 +131,6 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
             assert stops_at_its_first_reduced_ideal(steps, D), (A, B)
         return steps
 
-    monkeypatch.setattr(qforms, "_ideal_walk", recording)
     monkeypatch.setattr(pell, "_ideal_walk", recording)
     build_context.cache_clear()
     pell._principal_cycle.cache_clear()
@@ -153,7 +152,7 @@ def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
         return lift(m, p, N)
 
     monkeypatch.setattr(sunits, "hensel_sqrt", counting)
-    monkeypatch.setattr(qforms, "hensel_sqrt", counting)
+    monkeypatch.setattr(pell, "hensel_sqrt", counting)
     ctx = build_context.__wrapped__(m, p)
     assert lifts == [ctx.h + 2]
     assert ctx.s == lift(m, p, ctx.N)
