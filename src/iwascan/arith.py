@@ -156,13 +156,8 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-@lru_cache(maxsize=1024)
 def is_squarefree(n: int) -> bool:
-    """True when no prime square divides n >= 1.
-
-    Cached because one field's m is checked in turn by the scan filter,
-    `validate_field`, `fundamental_unit` and `qforms`; it is factored once.
-    """
+    """True when no prime square divides n >= 1."""
     if n < 1:
         return False
     for p, e in factorize(n).items():

@@ -5,8 +5,9 @@ vanish as soon as (a) the p-part of the class number is already carried by
 the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
-admissible m in an interval, for several primes at once.  `map_blocks` is
-the package's one process pool: both scans hand it fixed work items.
+admissible m in an interval, for several primes at once, handing each
+field's cycle record and h down.  `map_blocks` is the package's one
+process pool: both scans hand it fixed work items.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from itertools import chain, islice
 
 from .arith import is_squarefree, kronecker, valuation
 from .fermat import delta_exact
+from .pell import _cycle_record
 from .qforms import class_numbers
-from .sunits import UsageError, build_context, validate_discriminant, validate_prime
+from .sunits import (FieldContext, UsageError, build_context, field_context,
+                     validate_discriminant, validate_prime)
 
 
 @dataclass(frozen=True)
@@ -49,29 +52,31 @@ class FieldVerdict:
         return Fraction(1, self.p**self.delta_pi)
 
 
-def check_field(m: int, p: int, n0: int = 1, h: int | None = None) -> FieldVerdict:
+def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     """Run the vanishing test for Q(sqrt(m)) at p.
 
     n0 is only the starting precision; `delta_exact` recomputes deltas that
     exceed it at doubled precision, so the verdict does not depend on n0.
-    h, the wide class number, is computed unless given; the context is then cached
-    under (m, p) alone, the key that `check` and the tally use too.
     """
-    ctx = build_context(m, p) if h is None else build_context(m, p, h)
+    return _verdict(build_context(m, p), n0)
+
+
+def _verdict(ctx: FieldContext, n0: int) -> FieldVerdict:
+    """The vanishing test on the field data of `ctx`, deltas started at n0."""
     rep = delta_exact(ctx.eps, ctx, n0)
     if rep.delta1 != rep.delta2:
-        raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
+        raise ArithmeticError(f"unit deltas differ at the two primes for m={ctx.m}, p={ctx.p}")
     delta_eps = rep.delta1
     # delta at the first prime of the conjugate generator; multiplying by
     # units can only move it when it ties delta_eps, and never below the
     # min, so min(delta_eps, delta_pi) is convention-free.
     delta_pi = delta_exact(ctx.pi2, ctx, n0).delta1
 
-    v_p_h = valuation(ctx.h, p)
-    class_ok = v_p_h == valuation(ctx.h0, p)
+    v_p_h = valuation(ctx.h, ctx.p)
+    class_ok = v_p_h == valuation(ctx.h0, ctx.p)
     normic_ok = min(delta_eps, delta_pi) == 0
     return FieldVerdict(
-        m=m, p=p, h=ctx.h, h0=ctx.h0, v_p_h=v_p_h,
+        m=ctx.m, p=ctx.p, h=ctx.h, h0=ctx.h0, v_p_h=v_p_h,
         delta_eps=delta_eps, delta_pi=delta_pi,
         class_ok=class_ok, normic_ok=normic_ok,
         resolved=class_ok and normic_ok,
@@ -116,13 +121,15 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
 
 
 def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
-    # m outermost: a field's unit comes from cache after its first prime; h from one batch.
-    # m is tested once per block, its splitting once per prime.
+    # m is tested once per block, its splitting once per prime.  Each admissible m gets
+    # one cycle record, which holds its unit, and h from one batch; both serve every prime.
     primes, lo, hi, n0 = args
     fields = [(m, split) for m in range(lo, hi + 1) if _real_field(m)
               if (split := [p for p in primes if kronecker(m, p) == 1])]
-    hs = class_numbers([m if m % 4 == 1 else 4 * m for m, _ in fields])
-    return [check_field(m, p, n0, h) for (m, split), h in zip(fields, hs) for p in split]
+    records = [_cycle_record(m) for m, _ in fields]
+    hs = class_numbers([record.eps for record in records])
+    return [_verdict(field_context(record, p, h), n0)
+            for (_, split), record, h in zip(fields, records, hs) for p in split]
 
 
 @dataclass(frozen=True)

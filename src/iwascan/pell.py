@@ -10,8 +10,9 @@ and a generator may have either norm sign.  The reduced ideals of a class
 form one cycle (Cohen, GTM 138, secs. 5.7-5.8), so an ideal is principal
 iff its first reduced ideal is on the principal cycle, the unit ideal's.
 That cycle is a palindrome, its (l-j)-th ideal the conjugate of its j-th,
-so `_principal_cycle` records the unit ideal's walk up to the midpoint
-only; `fundamental_unit` combines the two halves (Cohen, Alg. 5.7.2), and
+so `_cycle_record` walks the unit ideal to the midpoint only and combines
+the two halves into the unit eps (Cohen, Alg. 5.7.2): the field's record,
+which its caller keeps (`fundamental_unit` caches only eps), and in which
 `_cycle_generator` looks a reduced ideal up.  `_principal_power` walks
 p^k = [q^k, (b_k+sqrt(D))/2], p the first prime above a split q and b_k
 from `_canonical_root`, for each k in turn to its first reduced ideal
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -85,49 +87,30 @@ def _product(p: tuple[int, int], q: tuple[int, int], a: int, D: int) -> tuple[in
     return (x * u + y * v * D) // (2 * a), (x * v + y * u) // (2 * a)
 
 
-@lru_cache(maxsize=128)  # more than a scan block's D: its units come first, then its fields
-def _principal_cycle(D: int) -> tuple[int, array, array]:
-    """B0, the largest B <= sqrt(D) with B = D (mod 2), and the half walk c, b of the
-    unit ideal [1, (B0+sqrt(D))/2]: the j-th ideal of the principal cycle,
-    j = 1..k, is [-c[j-1], (b[j-1]+sqrt(D))/2]."""
-    s = isqrt(D)
-    B0 = s - (s - D) % 2
-    return (B0, *_ideal_walk(1, B0, D, half=True))
+@dataclass(frozen=True)
+class CycleRecord:
+    """The principal cycle of Q(sqrt(m)) and its unit.  B0 is the largest B <= sqrt(D)
+    with B = D (mod 2); cs, bs the half walk of the unit ideal [1, (B0+sqrt(D))/2],
+    whose j-th ideal, j = 1..k, is [-cs[j-1], (bs[j-1]+sqrt(D))/2]; eps the
+    fundamental unit > 1 of the maximal order, eps.m = m."""
+
+    D: int
+    B0: int
+    cs: array
+    bs: array
+    eps: QuadElem
 
 
-def _cycle_generator(D: int, A: int, B: int) -> tuple[int, int] | None:
-    """(x, y) with (x + y*sqrt(D))/2 a generator of the reduced ideal [A, (B+sqrt(D))/2],
-    or None when it is off the principal cycle, that is, not wide-principal.
-
-    The j-th ideal I_j of the cycle is (P_j'), P_j the `_generator` of the first
-    j steps, and its conjugate, the (l-j)-th, is (P_j).
-    """
-    if A == 1:  # the unit ideal, position 0, which the record does not hold
-        return 2, 0
-    B0, c, b = _principal_cycle(D)
-    s = isqrt(D)
-    conj = s - (s + B) % (2 * A)  # the B of [A, (-B+sqrt(D))/2] in the window
-    i = -1
-    try:
-        while b[i := c.index(-A, i + 1)] not in (B, conj):
-            pass
-    except ValueError:  # no index left
-        return None
-    x, y = _generator(c[: i + 1], b[: i + 1], B0)
-    return (x, -y) if b[i] == B else (x, y)
-
-
-@lru_cache(maxsize=4096)
-def fundamental_unit(m: int) -> QuadElem:
-    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)), from the half
-    walk of the principal cycle, period l.  l = 2k: the walk stopped at
+def _cycle_record(m: int) -> CycleRecord:
+    """The record of m, a squarefree integer > 1 (not checked here).  eps comes from
+    the half walk of the principal cycle, period l.  l = 2k: the walk stopped at
     B_k = B_(k-1), I_k is its own conjugate, and eps = +-P_k^2/A_k.  l = 2k+1: it
     stopped at A_(k+1) = A_k, I_(k+1) = I_k', and eps = +-P_k P_(k+1)/A_k, with
     P_(k+1) = +-Q_k = +-P_k w_k/A_k.  l = 1 is the odd case with k = 0."""
-    if m <= 1 or not is_squarefree(m):
-        raise ValueError(f"m={m} must be a squarefree integer > 1")
     D = m if m % 4 == 1 else 4 * m
-    B0, c, b = _principal_cycle(D)
+    s = isqrt(D)
+    B0 = s - (s - D) % 2
+    c, b = _ideal_walk(1, B0, D, half=True)
     odd = c[-1] == (c[-2] if len(c) > 1 else -1)
     k = len(c) - odd
     p = _generator(c[:k], b[:k], B0)
@@ -137,7 +120,37 @@ def fundamental_unit(m: int) -> QuadElem:
     eps = make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
     if eps.norm() not in (1, -1):
         raise ArithmeticError(f"the unit ideal's half walk did not give a unit for m={m}")
-    return eps
+    return CycleRecord(D, B0, c, b, eps)
+
+
+def _cycle_generator(rec: CycleRecord, A: int, B: int) -> tuple[int, int] | None:
+    """(x, y) with (x + y*sqrt(D))/2 a generator of the reduced ideal [A, (B+sqrt(D))/2],
+    or None when it is off the principal cycle, that is, not wide-principal.
+
+    The j-th ideal I_j of the cycle is (P_j'), P_j the `_generator` of the first
+    j steps, and its conjugate, the (l-j)-th, is (P_j).
+    """
+    if A == 1:  # the unit ideal, position 0, which the record does not hold
+        return 2, 0
+    c, b = rec.cs, rec.bs
+    s = isqrt(rec.D)
+    conj = s - (s + B) % (2 * A)  # the B of [A, (-B+sqrt(D))/2] in the window
+    i = -1
+    try:
+        while b[i := c.index(-A, i + 1)] not in (B, conj):
+            pass
+    except ValueError:  # no index left
+        return None
+    x, y = _generator(c[: i + 1], b[: i + 1], rec.B0)
+    return (x, -y) if b[i] == B else (x, y)
+
+
+@lru_cache(maxsize=4096)
+def fundamental_unit(m: int) -> QuadElem:
+    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)): the eps of its record."""
+    if m <= 1 or not is_squarefree(m):
+        raise ValueError(f"m={m} must be a squarefree integer > 1")
+    return _cycle_record(m).eps
 
 
 def _canonical_root(D: int, q: int, k: int, s: int) -> int:
@@ -158,25 +171,24 @@ def _canonical_root(D: int, q: int, k: int, s: int) -> int:
     return b
 
 
-def _unit_reduce(x: QuadElem, m: int) -> QuadElem:
+def _unit_reduce(x: QuadElem, eps: QuadElem) -> QuadElem:
     """Associate of x with locally least |trace|: times 1/eps while |trace|
     falls, then times eps, on x = (A + B sqrt(m))/2, A the trace.  The greedy
     descent can stop at a local minimum, so the result may depend on the unit
     multiple of x it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
     k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
-    eps = fundamental_unit(m)
     E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
     g = 2 * x.a // x.den, 2 * x.b // x.den
     for u in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
-        while abs((g2 := _product(g, u, 1, m))[0]) < abs(g[0]):
+        while abs((g2 := _product(g, u, 1, eps.m))[0]) < abs(g[0]):
             g = g2
     A, B = g
-    return make_elem(-A, -B, 2, m) if A < 0 else make_elem(A, B, 2, m)
+    return make_elem(-A, -B, 2, eps.m) if A < 0 else make_elem(A, B, 2, eps.m)
 
 
-def _principal_power(D: int, q: int, exponents: Sequence[int],
+def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
                      s: int | None = None) -> tuple[int, QuadElem] | None:
-    """First k in `exponents` with p^k principal, and a generator alpha.
+    """First k in `exponents` with p^k principal in the field of `rec`, and a generator alpha.
 
     p is the first prime above q, an odd split prime that is not checked
     here (`qforms.represent` checks it).  alpha, reduced modulo units with
@@ -185,16 +197,16 @@ def _principal_power(D: int, q: int, exponents: Sequence[int],
     principal.  One root s of m mod q^K, K > max(exponents), lifted here
     unless passed, serves every k.
     """
-    m = D // 4 if D % 4 == 0 else D
+    D, m = rec.D, rec.eps.m
     s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)
         cs, bs = _ideal_walk(A, B, D)
         # p^k = (P/|c|) [|c|, (b+sqrt(D))/2], P the walk's generator
-        if (beta := _cycle_generator(D, abs(cs[-1]), bs[-1])) is None:
+        if (beta := _cycle_generator(rec, abs(cs[-1]), bs[-1])) is None:
             continue
         x, y = _product(_generator(cs, bs, B), beta, abs(cs[-1]), D)  # no gcd; checked below
-        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
+        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), rec.eps)
         # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")

@@ -2,14 +2,14 @@
 
 D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
 radicand.  `class_numbers` evaluates the analytic class number formula
-for a whole batch of D (a scan block) in one numpy pass per slab of at
-most _SLAB terms: chi by Euler's criterion on a (D x primes) grid and a
-smallest-prime-factor table, about sqrt(D) terms per D, with the
-regulator of the exact fundamental unit.  Each D keeps its own explicit
-error bound, which must separate h from every other integer, or the
-batch raises ArithmeticError, as it does up front for a D past _MAX_TERMS
-terms.  `class_number` is a batch of one.  `_sieve(P)`, spf and the primes
-<= P, is the package's one numpy prime table; the tally's presieve shares it.
+for the fields of a batch of fundamental units (a scan block's) in one
+numpy pass per slab of at most _SLAB terms: chi by Euler's criterion on a
+(D x primes) grid and a smallest-prime-factor table, about sqrt(D) terms
+per D, with the regulator of the exact unit.  Each D keeps its own error
+bound, which must separate h from every other integer, or the batch
+raises ArithmeticError, as it does up front for a D past _MAX_TERMS terms.
+`class_number(D)` checks D and is a batch of one.  `_sieve(P)`, spf and the
+primes <= P, is the package's one numpy prime table; the tally's presieve shares it.
 
 `class_order` and `represent` are the public calls of `pell._principal_power`,
 where principality is decided.
@@ -24,7 +24,7 @@ from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
-from .pell import _principal_power, fundamental_unit
+from .pell import _cycle_record, _principal_power, fundamental_unit
 from .quadint import QuadElem
 
 
@@ -124,21 +124,21 @@ _SLAB = 1 << 16  # cells (rows x (N+1)) of one numpy pass in `class_numbers`
 _MAX_TERMS = 1 << 20  # longest series `class_numbers` sums; m ~ 10^8 needs N ~ 15-30k
 
 
-def class_numbers(Ds: Sequence[int]) -> list[int]:
-    """Wide class numbers of the fundamental discriminants Ds > 0, in their order.
+def class_numbers(units: Sequence[QuadElem]) -> list[int]:
+    """Wide class numbers of the fields of the fundamental units `units`, in their order.
 
     2 h R = sum_{n >= 1} chi(n) * ((sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D))
     (Cohen, GTM 138, sec. 5.6), chi(n) = kronecker(D, n) and R = log(eps)
-    from the exact unit, summed to the least N_D with tail bound <= R/8.
+    of the unit, summed to the least N_D with tail bound <= R/8.
     Tail, E1 and float rounding are bounded explicitly; the batch is refused
     (ArithmeticError) unless, for every D, the bound leaves h the only
     integer within 1/2 of sum / (2R).  Rows sorted by N_D go in slabs of at
     most _SLAB cells (rows x (N+1)), one numpy pass each.
     """
     rows = []
-    for i, D in enumerate(Ds):
-        _check_fundamental(D)
-        R = _regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
+    for i, eps in enumerate(units):
+        D = eps.m if eps.m % 4 == 1 else 4 * eps.m
+        R = _regulator(eps)
         if (N := _series_length(D, R)) > _MAX_TERMS:
             raise ArithmeticError(f"D={D} needs {N} terms, past the series budget {_MAX_TERMS}")
         rows.append((N, i, D, R))
@@ -190,14 +190,16 @@ def _slab(rows: list[tuple[int, int, int, float]]) -> list[int]:
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0: the wide h
     of `class_numbers` (same bound, same refusal), doubled when N(eps) = +1."""
-    h = class_numbers((D,))[0]
-    return 2 * h if fundamental_unit(D // 4 if D % 4 == 0 else D).norm() == 1 else h
+    _check_fundamental(D)
+    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+    h = class_numbers((eps,))[0]
+    return 2 * h if eps.norm() == 1 else h
 
 
 def class_order(D: int, q: int, h: int) -> int:
     """Order of the first prime above split q, in the wide sense; divides h."""
     _check_fundamental(D)
-    found = _principal_power(D, q, divisors(h))
+    found = _principal_power(_cycle_record(D // 4 if D % 4 == 0 else D), q, divisors(h))
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     return found[0]
@@ -216,5 +218,5 @@ def represent(D: int, q: int, k: int) -> QuadElem | None:
         raise ValueError(f"exponent k={k} must be >= 1")
     if q == 2 or not is_prime(q) or kronecker(D, q) != 1:
         raise ValueError(f"q={q} is not an odd split prime for D={D}")
-    found = _principal_power(D, q, (k,))
+    found = _principal_power(_cycle_record(D // 4 if D % 4 == 0 else D), q, (k,))
     return None if found is None else found[1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import kronecker, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ def hensel_sqrt(m: int, p: int, N: int) -> int:
     """The square root s of m modulo p^N with s = s0 (mod p).
 
     s0 is the smallest positive root mod p, which fixes the labelling of
-    the two primes above p everywhere in the package.  Requires p odd
-    and split, i.e. kronecker(m, p) = 1.
+    the two primes above p everywhere in the package.  p must be odd and
+    split (ValueError): p = 2 and p | m are refused here, an inert p by `sqrt_mod_prime`.
     """
-    if p == 2 or kronecker(m, p) != 1:
+    if p == 2 or m % p == 0:
         raise ValueError(f"p={p} does not split in Q(sqrt({m}))")
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -115,7 +115,7 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
     for ell in _survivors(r, mod, j0, j1):
         if kronecker(m, ell) != 1 or not is_prime(ell):
             continue
-        found = _principal_power(ctx.D, ell, (1,))  # ell: a proven split prime
+        found = _principal_power(ctx.record, ell, (1,))  # ell: a proven split prime
         if found is None:
             skipped += 1
             continue

@@ -1,14 +1,14 @@
 """Per-field context: unit, class data, and the S-unit generators above p.
 
-`build_context` bundles everything the Fermat-quotient machinery needs
-for one pair (m, p): the fundamental unit, the wide class number h, the
-order h0 of the canonical prime above p in the class group, a generator
-pi1 of that prime's h0-th power (norm +-p^h0), and the Hensel root s
-fixing which prime is which, lifted once per field to p^(h+2): the most
-that the walks (p^(k+1), k <= h) and the first deltas (p^(2+h0)) read.
-A higher precision is re-lifted on demand, through `hensel_sqrt`'s cache.
-`pell` certifies pi1 where it makes it.  `validate_field` refuses a
-discriminant past the class number's int64 range before it factors m.
+`field_context` bundles everything the Fermat-quotient machinery needs at
+p from a field's `pell.CycleRecord`, which holds the unit, and its wide
+class number h: the order h0 of the canonical prime above p in the class
+group, a generator pi1 of that prime's h0-th power (norm +-p^h0, certified
+by `pell`), and the Hensel root s fixing which prime is which, lifted once
+per field to p^(h+2), the most that the walks (p^(k+1), k <= h) and the
+first deltas (p^(2+h0)) read; `hensel_sqrt`'s cache re-lifts above it.  A
+scan hands the record and h down; `build_context(m, p)` makes them after
+`validate_field`, which refuses a D past the int64 range before factoring m.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
-from .pell import _principal_power, fundamental_unit
+from .pell import CycleRecord, _cycle_record, _principal_power
 from .qforms import _INT64_ROOT, class_numbers
 from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
 
@@ -33,10 +33,10 @@ class UsageError(ValueError):
 @dataclass(frozen=True)
 class FieldContext:
     m: int
-    D: int
     p: int
     h: int           # wide class number
-    eps: QuadElem
+    record: CycleRecord  # the principal cycle and unit of Q(sqrt(m))
+    eps: QuadElem    # record.eps
     s: int           # sqrt(m) mod p^N, in the canonical root class
     N: int           # precision exponent carried by s: h + 2
     h0: int          # order of the canonical prime above p, wide sense
@@ -75,17 +75,21 @@ def validate_field(m: int, p: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def build_context(m: int, p: int, h: int | None = None) -> FieldContext:
-    """Assemble the field data for (m, p), given its wide h or not; raises PreconditionError."""
+def build_context(m: int, p: int) -> FieldContext:
+    """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)
-    D = m if m % 4 == 1 else 4 * m
-    eps = fundamental_unit(m)
-    h = class_numbers((D,))[0] if h is None else h
+    record = _cycle_record(m)
+    return field_context(record, p, class_numbers((record.eps,))[0])
+
+
+def field_context(record: CycleRecord, p: int, h: int) -> FieldContext:
+    """The field data at p, split, of the field of `record`, whose wide class number is h."""
+    m = record.eps.m
     # one lift serves the walks (up to p^(h+1)) and the n = 1 deltas (up to p^(2+h0))
     s = hensel_sqrt(m, p, h + 2)
-    found = _principal_power(D, p, divisors(h), s)
+    found = _principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
-    return FieldContext(m=m, D=D, p=p, h=h, eps=eps, s=s, N=h + 2, h0=h0,
-                        pi1=pi1, pi2=pi1.conjugate())
+    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2,
+                        h0=h0, pi1=pi1, pi2=pi1.conjugate())

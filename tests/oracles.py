@@ -210,7 +210,7 @@ def cycle_principal_power(D: int, q: int, exponents, s: int | None = None):
         alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")
-        return k, _unit_reduce(alpha, m)
+        return k, _unit_reduce(alpha, fundamental_unit(m))
     return None
 
 

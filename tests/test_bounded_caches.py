@@ -12,8 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import iwascan
-from iwascan import greenberg, pell
-from iwascan.arith import kronecker
+from iwascan import arith, greenberg, pell, sunits
 
 
 def _name(node):
@@ -69,20 +68,23 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"qforms._sieve", "pell.fundamental_unit", "pell._principal_cycle"} <= set(sizes)
+    assert set(sizes) == {"arith.divisors", "pell.fundamental_unit", "qforms._sieve",
+                          "quadint.hensel_sqrt", "sunits.build_context"}
     assert all(type(size) is int and size > 0 for size in sizes.values()), sizes
 
 
-def test_the_cycle_cache_holds_a_scan_block():
-    """A scan block's `class_numbers` walks the principal cycle of each of its D,
-    at most `_CHUNK` of them, and its fields then look their ideals up on those
-    cycles: a cache that held fewer would re-walk them silently."""
-    assert pell._principal_cycle.cache_info().maxsize > greenberg._CHUNK
-    lo = 10**6
-    Ds = {m if m % 4 == 1 else 4 * m for m in range(lo, lo + greenberg._CHUNK)
-          if greenberg._real_field(m) and kronecker(m, 3) == 1}
-    pell.fundamental_unit.cache_clear()
-    pell._principal_cycle.cache_clear()
-    greenberg._scan_block(((3,), lo, lo + greenberg._CHUNK - 1, 1))
-    assert pell._principal_cycle.cache_info().misses == len(Ds) > 0
-    pell._principal_cycle.cache_clear()
+def test_a_scan_block_walks_and_factors_each_field_once_and_reads_no_field_cache(monkeypatch):
+    """A cold 100-m block walks each admissible D's half cycle once, factors each m at
+    most once, and leaves the caches of `fundamental_unit` and `build_context` alone."""
+    lo, hi = 10**6, 10**6 + greenberg._CHUNK - 1
+    halves, factored = [], []
+    walk, factorize = pell._ideal_walk, arith.factorize
+    monkeypatch.setattr(pell, "_ideal_walk", lambda A, B, D, half=False:
+                        (half and halves.append(D)) or walk(A, B, D, half))
+    monkeypatch.setattr(arith, "factorize", lambda n: factored.append(n) or factorize(n))
+    caches = (pell.fundamental_unit, sunits.build_context)
+    before = [cache.cache_info() for cache in caches]
+    rows = greenberg._scan_block(((3,), lo, hi, 1))
+    assert sorted(halves) == sorted(r.m if r.m % 4 == 1 else 4 * r.m for r in rows) and rows
+    assert max(map(factored.count, range(lo, hi + 1))) == 1
+    assert [cache.cache_info() for cache in caches] == before

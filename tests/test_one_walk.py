@@ -1,19 +1,21 @@
 """Only `pell` knows the walk along the cycle of reduced ideals.
 
 `pell` owns the walk's steps, the principal-cycle record and the (x, y)
-coordinates of every generator.  Every other module of the package asks it
-for the unit (`fundamental_unit`) or for a principal power and its
-generator (`_principal_power`), and names none of the walk's helpers.
+coordinates of every generator.  Every other module takes from it only the
+unit, a field's record and principal powers with their generators, reads
+only the record's `eps` and `D`, and names none of the walk's helpers.
 """
 
 import ast
 from pathlib import Path
 
 import iwascan
+from iwascan.pell import CycleRecord
 
-HELPERS = ("_ideal_walk", "_generator", "_product", "_cycle_generator",
-           "_principal_cycle", "_canonical_root", "_unit_reduce")
-PUBLIC = {"fundamental_unit", "_principal_power"}
+HELPERS = ("_ideal_walk", "_generator", "_product", "_cycle_generator", "_canonical_root",
+           "_unit_reduce")
+PUBLIC = {"fundamental_unit", "CycleRecord", "_cycle_record", "_principal_power"}
+RECORD_WALK = tuple(set(CycleRecord.__dataclass_fields__) - {"eps", "D"})  # B0, cs, bs
 
 
 def _helper_names(tree):
@@ -22,7 +24,7 @@ def _helper_names(tree):
             yield from (node for alias in node.names if alias.name.split(".")[-1] in HELPERS)
         elif isinstance(node, ast.Name) and node.id in HELPERS:
             yield node
-        elif isinstance(node, ast.Attribute) and node.attr in HELPERS:
+        elif isinstance(node, ast.Attribute) and node.attr in HELPERS + RECORD_WALK:
             yield node
 
 
@@ -36,12 +38,12 @@ def test_only_pell_names_the_walk_helpers():
     assert found and all(f.startswith("pell.py:") for f in found), found
 
 
-def test_other_modules_take_only_the_unit_and_principal_powers_from_pell():
+def test_other_modules_take_only_the_unit_record_and_principal_powers_from_pell():
     taken = {name: {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.module == "pell"
                     for alias in node.names}
              for name, tree in _modules()}
-    assert taken["qforms.py"] == PUBLIC and all(names <= PUBLIC for names in taken.values()), taken
+    assert set().union(*taken.values()) == PUBLIC, taken  # so every module's names <= PUBLIC
 
 
 def test_the_check_catches_a_second_walk_user():
@@ -51,4 +53,5 @@ def test_the_check_catches_a_second_walk_user():
                     f"from . import pell\npell.{helper}(1, 2, 5)",
                     f"import iwascan.pell as p\nx = p.{helper}"):
             assert list(_helper_names(ast.parse(src))), src
-    assert not list(_helper_names(ast.parse("from .pell import _principal_power, fundamental_unit")))
+    assert all(list(_helper_names(ast.parse(f"ctx.record.{field}"))) for field in RECORD_WALK)
+    assert not list(_helper_names(ast.parse("from .pell import _cycle_record, _principal_power")))

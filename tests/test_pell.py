@@ -14,7 +14,6 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 from iwascan import pell
 from iwascan.arith import is_squarefree
 from iwascan.pell import fundamental_unit
-from iwascan.quadint import make_elem
 from oracles import cf_fundamental_unit, continued_fraction_sqrt, cycle_walk, full_period_unit
 
 SQUAREFREE = [m for m in range(2, 300) if is_squarefree(m)]
@@ -139,11 +138,9 @@ def test_walk_unit_equals_the_cf_oracle_below_2e4():
 def test_half_walk_unit_at_each_kind_of_period(m, l):
     """l = 1 once gave eps^2 (its one step has both A and B equal to the last)."""
     assert cycle_length(m) == l
-    D = m if m % 4 == 1 else 4 * m
-    c, b = pell._ideal_walk(1, isqrt(D) - (isqrt(D) - D) % 2, D, half=True)
-    assert len(c) == len(b) == ((l + 1) // 2 if l % 2 else l // 2)
-    eps = fundamental_unit.__wrapped__(m)
-    assert eps == cf_fundamental_unit(m) == full_period_unit(m)
+    record = pell._cycle_record(m)
+    assert len(record.cs) == len(record.bs) == ((l + 1) // 2 if l % 2 else l // 2)
+    assert record.eps == cf_fundamental_unit(m) == full_period_unit(m)
 
 
 @pytest.mark.parametrize("magnitude,count", [(10**6, 40), (10**7, 20), (10**8, 10)])
@@ -159,33 +156,27 @@ def test_walk_unit_equals_the_cf_oracle_at_large_m(magnitude, count):
 def test_unit_walk_that_does_not_close_raises(monkeypatch):
     # m = 103 has period 12: the half walk needs 6 steps, and 5 do not reach the midpoint
     monkeypatch.setattr(pell, "_MAX_WALK", 6)
-    pell._principal_cycle.cache_clear()
     assert fundamental_unit.__wrapped__(103) == cf_fundamental_unit(103)
     monkeypatch.setattr(pell, "_MAX_WALK", 5)
-    pell._principal_cycle.cache_clear()
     with pytest.raises(ArithmeticError, match="did not terminate"):
         fundamental_unit.__wrapped__(103)
-    pell._principal_cycle.cache_clear()
 
 
 def test_principal_cycle_records_of_a_block_are_about_16_bytes_a_step():
-    """One 100-m block near 10^7: every record stays cached, two int64 arrays of the
-    half walk (under 24 bytes a step with their headers, where a dict of (c, B)
-    tuples took about 240), which the walk appends to in place: no list of steps
-    is built on the way (it took 76 bytes a step of the longest walk)."""
-    Ds = [m if m % 4 == 1 else 4 * m for m in range(10**7, 10**7 + 100) if is_squarefree(m)]
-    pell._principal_cycle(Ds[0])  # the first call's imports are not the records'
-    pell._principal_cycle.cache_clear()
+    """One 100-m block near 10^7, its records held in a list as a scan block does: the
+    half walk's two int64 arrays and the unit, under 24 bytes a step (a dict of (c, B)
+    tuples took about 240); the walk appends in place, building no list of steps on
+    the way (it took 76 bytes a step of the longest walk)."""
+    ms = [m for m in range(10**7, 10**7 + 100) if is_squarefree(m)]
+    pell._cycle_record(ms[0])  # the first call's imports are not the records'
     tracemalloc.start()
     try:
-        for D in Ds:
-            pell._principal_cycle(D)
+        records = [pell._cycle_record(m) for m in ms]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lengths = [len(pell._principal_cycle(D)[1]) for D in Ds]
-    assert pell._principal_cycle.cache_info().currsize == len(Ds) == 59
+    lengths = [len(record.cs) for record in records]
+    assert len(records) == 59
     assert sum(lengths) == 25591
     assert held < 24 * sum(lengths), held
     assert peak - held < 16 * max(lengths), (peak, held)
-    pell._principal_cycle.cache_clear()

@@ -59,6 +59,14 @@ def fundamental_discriminants(limit):
     return [D for D in range(5, limit) if is_fundamental(D)]
 
 
+def record(D):
+    return pell._cycle_record(D // 4 if D % 4 == 0 else D)
+
+
+def units(Ds):
+    return [fundamental_unit(D // 4 if D % 4 == 0 else D) for D in Ds]
+
+
 def log_unit(m):
     """log of the fundamental unit, safe for gigantic coordinates."""
     eps = fundamental_unit(m)
@@ -250,7 +258,7 @@ def test_a_series_past_the_term_budget_is_refused_before_any_table(monkeypatch):
     D = 10**16 + 1
     assert fundamental_unit(D).a == 10**8
     with pytest.raises(ArithmeticError, match=f"past the series budget {qforms._MAX_TERMS}$"):
-        qforms.class_numbers([5, D])
+        qforms.class_numbers(units([5, D]))
 
 
 def test_series_past_int64_is_refused(monkeypatch):
@@ -304,7 +312,7 @@ def sampled_series():
     assert len(Ds) == 12
     Rs = [qforms._regulator(fundamental_unit(D // 4 if D % 4 == 0 else D)) for D in Ds]
     return [(D, R, qforms._series_length(D, R), h)
-            for D, R, h in zip(Ds, Rs, qforms.class_numbers(Ds))]
+            for D, R, h in zip(Ds, Rs, qforms.class_numbers(units(Ds)))]
 
 
 def test_both_e1_approximations_stay_within_their_error_bound():
@@ -337,8 +345,7 @@ def test_the_exact_partial_sum_is_within_the_tail_of_h(sampled_series):
 # --- the batch kernel: many discriminants, one numpy pass per slab ---
 
 def wide_loop_class_number(D):
-    m = D // 4 if D % 4 == 0 else D
-    return loop_class_number(D) // (2 if fundamental_unit(m).norm() == 1 else 1)
+    return loop_class_number(D) // (2 if units((D,))[0].norm() == 1 else 1)
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +355,7 @@ def wide_below_2e4():
 
 def test_class_numbers_equal_the_loop_oracle_below_2e4_in_one_call(wide_below_2e4):
     assert len(wide_below_2e4) == 6081
-    assert qforms.class_numbers(list(wide_below_2e4)) == list(wide_below_2e4.values())
+    assert qforms.class_numbers(units(wide_below_2e4)) == list(wide_below_2e4.values())
 
 
 def test_class_numbers_equal_the_loop_oracle_in_scan_blocks(monkeypatch, wide_below_2e4):
@@ -356,13 +363,14 @@ def test_class_numbers_equal_the_loop_oracle_in_scan_blocks(monkeypatch, wide_be
     got = {}
     kernel = qforms.class_numbers
 
-    def recording(Ds):
-        hs = kernel(Ds)
-        got.update(zip(Ds, hs))
+    def recording(us):
+        hs = kernel(us)
+        got.update((eps.m if eps.m % 4 == 1 else 4 * eps.m, h) for eps, h in zip(us, hs))
         return hs
 
     monkeypatch.setattr(greenberg, "class_numbers", recording)
-    monkeypatch.setattr(greenberg, "check_field", lambda *args: None)
+    monkeypatch.setattr(greenberg, "field_context", lambda *args: None)
+    monkeypatch.setattr(greenberg, "_verdict", lambda *args: None)
     for lo in range(1, 2 * 10**4, greenberg._CHUNK):
         greenberg._scan_block((SPLIT_Q, lo, lo + greenberg._CHUNK - 1, 1))
     seen = [D for D in wide_below_2e4 if D in got]
@@ -383,27 +391,27 @@ def test_class_numbers_of_a_mixed_batch_keep_the_input_order(monkeypatch):
     want = [wide_loop_class_number(D) for D in Ds]
     order = list(range(len(Ds)))
     random.Random(8).shuffle(order)
-    assert qforms.class_numbers([Ds[i] for i in order]) == [want[i] for i in order]
-    assert qforms.class_numbers(Ds) == want
-    assert qforms.class_numbers(Ds[::-1]) == want[::-1]
+    assert qforms.class_numbers(units([Ds[i] for i in order])) == [want[i] for i in order]
+    assert qforms.class_numbers(units(Ds)) == want
+    assert qforms.class_numbers(units(Ds[::-1])) == want[::-1]
     monkeypatch.setattr(qforms, "_SLAB", 1)  # every row a slab of its own
-    assert qforms.class_numbers(Ds) == want
+    assert qforms.class_numbers(units(Ds)) == want
     monkeypatch.setattr(qforms, "_SLAB", 1 << 22)  # both magnitudes in one slab
-    assert qforms.class_numbers(Ds) == want
+    assert qforms.class_numbers(units(Ds)) == want
     assert qforms.class_numbers([]) == []
 
 
 def test_a_batch_with_one_unseparated_discriminant_is_refused(monkeypatch):
     # m = 103 has wide h = 1; a regulator 1.3 times too large puts sum/(2R) at 0.77
     Ds = fundamental_discriminants(600)
-    want = qforms.class_numbers(Ds)
+    want = qforms.class_numbers(units(Ds))
     regulator = qforms._regulator
     monkeypatch.setattr(qforms, "_regulator",
                         lambda eps: regulator(eps) * (1.3 if eps.m == 103 else 1))
     with pytest.raises(ArithmeticError, match="not separated at D=412"):
-        qforms.class_numbers(Ds)
+        qforms.class_numbers(units(Ds))
     rest = [(D, h) for D, h in zip(Ds, want) if D != 412]
-    assert qforms.class_numbers([D for D, _ in rest]) == [h for _, h in rest]
+    assert qforms.class_numbers(units(D for D, _ in rest)) == [h for _, h in rest]
 
 
 def test_every_row_of_the_chi_grid_equals_kronecker():
@@ -418,10 +426,10 @@ def test_class_numbers_memory_is_set_by_the_slab_cap():
     """Both peaks stay below 100 bytes per slab cell, and the second 100 D
     add well under the ~12 MB that holding every term of a batch would."""
     ms = [m for m in range(10**6, 10**6 + 400) if is_squarefree(m)][:200]
-    Ds = [m if m % 4 == 1 else 4 * m for m in ms]
-    qforms.class_numbers(Ds)  # units and sieve tables cached: the peaks are the slabs'
+    us = [fundamental_unit(m) for m in ms]
+    qforms.class_numbers(us)  # sieve tables cached: the peaks are the slabs'
     peaks = []
-    for batch in (Ds[:100], Ds):
+    for batch in (us[:100], us):
         tracemalloc.start()
         try:
             qforms.class_numbers(batch)
@@ -434,34 +442,30 @@ def test_class_numbers_memory_is_set_by_the_slab_cap():
 
 # --- unit reduction: plain integers against the QuadElem oracle ---
 
-@pytest.fixture(scope="module")
-def generators_below_2e4():
-    """(x, m) for every generator `_principal_power` reduces, D < 2*10^4, split q <= 43."""
+def reduced_generators(Ds, primes):
+    """(x, m) for every generator `_principal_power` reduces on Ds at their split q in primes."""
     seen = []
     reduce = pell._unit_reduce
-    Ds = fundamental_discriminants(2 * 10**4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pell, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
-        for D, h in zip(Ds, qforms.class_numbers(Ds)):
-            for q in SPLIT_Q:
+        mp.setattr(pell, "_unit_reduce", lambda x, eps: seen.append((x, eps.m)) or reduce(x, eps))
+        for D, h in zip(Ds, qforms.class_numbers(units(Ds))):
+            for q in primes:
                 if kronecker(D, q) == 1:
-                    pell._principal_power(D, q, divisors(h))
+                    pell._principal_power(record(D), q, divisors(h))
     return seen
+
+
+@pytest.fixture(scope="module")
+def generators_below_2e4():
+    """Those of D < 2*10^4 at split q <= 43."""
+    return reduced_generators(fundamental_discriminants(2 * 10**4), SPLIT_Q)
 
 
 @pytest.fixture(scope="module")
 def generators_near_1e6():
-    """(x, m) for every generator `_principal_power` reduces on the benchmark's
-    scan-large-m window (variant 0), m = 10^6..10^6+1000 at p = 3."""
-    seen = []
-    reduce = pell._unit_reduce
-    Ds = [m if m % 4 == 1 else 4 * m
-          for m in range(10**6, 10**6 + 1001) if greenberg.admissible(m, 3)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pell, "_unit_reduce", lambda x, m: seen.append((x, m)) or reduce(x, m))
-        for D, h in zip(Ds, qforms.class_numbers(Ds)):
-            pell._principal_power(D, 3, divisors(h))
-    return seen
+    """Those of the benchmark's scan-large-m window (variant 0), m = 10^6..10^6+1000 at p = 3."""
+    return reduced_generators([m if m % 4 == 1 else 4 * m for m in range(10**6, 10**6 + 1001)
+                               if greenberg.admissible(m, 3)], (3,))
 
 
 def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
@@ -474,12 +478,12 @@ def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
     (1-3sqrt(5))/2 (trace 1)."""
     elsewhere = set()
     for x, m in generators_below_2e4 + generators_near_1e6:
-        want = pell._unit_reduce(x, m)
         eps = fundamental_unit(m)
+        want = pell._unit_reduce(x, eps)
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = x * inv * inv * inv * inv * inv
         for k in range(-5, 6):
-            if k and pell._unit_reduce(y, m) != want:
+            if k and pell._unit_reduce(y, eps) != want:
                 elsewhere.add((m, k))
             y = y * eps
     assert len(generators_near_1e6) == 229
@@ -493,13 +497,13 @@ def test_the_generators_at_m5_are_unchanged(q, pi1):
     """At m = 5, the known exception above, pi1 is still the former route's."""
     want = make_elem(*pi1, 5)
     assert build_context(5, q).pi1 == want
-    assert pell._principal_power(5, q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
+    assert pell._principal_power(record(5), q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
     assert len(generators_below_2e4) > 36000
     for x, m in generators_below_2e4:
-        assert pell._unit_reduce(x, m) == elem_unit_reduce(x, m), x
+        assert pell._unit_reduce(x, fundamental_unit(m)) == elem_unit_reduce(x, m), x
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2e4):
@@ -509,7 +513,7 @@ def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = elem_unit_reduce(x, m) * inv * inv * inv
         for k in range(-3, 4):
-            assert pell._unit_reduce(y, m) == elem_unit_reduce(y, m), (x, k)
+            assert pell._unit_reduce(y, eps) == elem_unit_reduce(y, m), (x, k)
             y = y * eps
 
 
@@ -625,8 +629,7 @@ def oracle_class_order(D, q, h):
 
 
 def wide_class_number(D):
-    m = D // 4 if D % 4 == 0 else D
-    return class_number(D) // (2 if fundamental_unit(m).norm() == 1 else 1)
+    return qforms.class_numbers(units((D,)))[0]
 
 
 SPLIT_Q = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -650,7 +653,7 @@ def test_principal_power_matches_two_walk_oracle():
         for q in SPLIT_Q:
             if kronecker(D, q) == 1:
                 want = two_walk_principal_power(D, q, h)
-                assert pell._principal_power(D, q, divisors(h)) == want, (D, q)
+                assert pell._principal_power(record(D), q, divisors(h)) == want, (D, q)
                 assert cycle_principal_power(D, q, divisors(h)) == want, (D, q)
                 pairs += 1
     assert pairs == 18230
@@ -671,10 +674,10 @@ def test_walks_stop_at_their_first_reduced_ideal():
                 A, B = q**d, pell._canonical_root(D, q, d, s)
                 cs, bs = walk = pell._ideal_walk(A, B, D)
                 assert stops_at_its_first_reduced_ideal(walk, D), (D, q, d)
-                principal = pell._cycle_generator(D, abs(cs[-1]), bs[-1]) is not None
+                principal = pell._cycle_generator(record(D), abs(cs[-1]), bs[-1]) is not None
                 assert principal == (_gamma_walk(A, B, D) is not None), (D, q, d)
                 closed += principal
-            assert pell._principal_power(D, q, divisors(h)) == \
+            assert pell._principal_power(record(D), q, divisors(h)) == \
                 two_walk_principal_power(D, q, h), (D, q)
             pairs += 1
     assert (pairs, closed) == (2599, 2981)
@@ -694,7 +697,7 @@ def test_principal_power_matches_two_walk_oracle_near_1e7(m):
     assert split
     for q in split:
         want = two_walk_principal_power(D, q, h)
-        assert pell._principal_power(D, q, divisors(h)) == want, q
+        assert pell._principal_power(record(D), q, divisors(h)) == want, q
         assert cycle_principal_power(D, q, divisors(h)) == want, q
 
 
@@ -705,10 +708,10 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
     Ds = [m if m % 4 == 1 else 4 * m for m in ms]
     assert len(Ds) == 229
     found = []
-    for m, D, h in zip(ms, Ds, qforms.class_numbers(Ds)):
+    for m, D, h in zip(ms, Ds, qforms.class_numbers(units(Ds))):
         s = hensel_sqrt(m, 3, max(9, h + 2))
         for d in divisors(h):  # each divisor alone: misses as well as hits
-            got = pell._principal_power(D, 3, (d,), s)
+            got = pell._principal_power(record(D), 3, (d,), s)
             assert got == cycle_principal_power(D, 3, (d,), s), (m, d)
             found.append(got is not None)
     assert (found.count(True), found.count(False)) == (363, 307)
@@ -716,8 +719,8 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
 
 def test_principal_power_none_when_no_power_closes():
     # m = 10: p above 3 has order 2, so p^1 alone is not principal
-    assert pell._principal_power(40, 3, (1,)) is None
-    assert pell._principal_power(40, 3, (1, 2)) == (2, represent(40, 3, 2))
+    assert pell._principal_power(record(40), 3, (1,)) is None
+    assert pell._principal_power(record(40), 3, (1, 2)) == (2, represent(40, 3, 2))
 
 
 @pytest.mark.parametrize("D", [40, 60, 316, 412, 520, 1756])

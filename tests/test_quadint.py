@@ -86,8 +86,9 @@ def test_hensel_sqrt(m, p, N):
 
 
 def test_hensel_sqrt_rejects_inert():
-    with pytest.raises(ValueError):
-        hensel_sqrt(5, 3, 4)  # kronecker(5,3) = -1
+    for m, p in ((5, 3), (15, 3), (7, 2)):  # inert, ramified, p = 2; at N = 1 no lift refuses
+        with pytest.raises(ValueError):
+            hensel_sqrt(m, p, 1)
 
 
 def test_make_elem_canonicalizes():

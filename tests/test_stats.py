@@ -140,7 +140,7 @@ def reached_primes(monkeypatch, m, p, n, bound):
 
     monkeypatch.setattr(pell, "_ideal_walk", reducing)
     monkeypatch.setattr(stats, "_principal_power",
-                        lambda D, ell, exps: seen.append(ell) or power(D, ell, exps))
+                        lambda rec, ell, exps: seen.append(ell) or power(rec, ell, exps))
     return prime_fermat_scan(m, p, n, bound, rmax=min(n, 5)), seen
 
 

@@ -8,8 +8,7 @@ from iwascan import pell, qforms, stats, sunits
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
-from iwascan.sunits import (FieldContext, PreconditionError, build_context,
-                            validate_discriminant, validate_field)
+from iwascan.sunits import PreconditionError, build_context, validate_discriminant, validate_field
 from oracles import loop_class_number, stops_at_its_first_reduced_ideal
 
 CASES = [(103, 3), (7, 3), (10, 3), (13, 3), (2659, 3), (12007, 3),
@@ -24,7 +23,7 @@ def test_context_invariants(m, p):
     assert prod.b == 0 and prod.den == 1 and abs(prod.a) == p**ctx.h0
     assert ctx.h % ctx.h0 == 0
     # narrow/wide bookkeeping
-    h_narrow = class_number(ctx.D)
+    h_narrow = class_number(ctx.record.D)
     assert h_narrow in (ctx.h, 2 * ctx.h)
     assert (h_narrow == ctx.h) == (ctx.eps.norm() == -1)
     # the labelled embedding localizes pi1 at the first prime only
@@ -74,9 +73,9 @@ def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
     build_context(103, 3)  # cached, so the tally below reaches its own generators
     reduce = pell._unit_reduce
 
-    def doubling(x, m):
-        y = reduce(x, m)
-        return make_elem(2 * y.a, 2 * y.b, y.den, m)
+    def doubling(x, eps):
+        y = reduce(x, eps)
+        return make_elem(2 * y.a, 2 * y.b, y.den, eps.m)
 
     monkeypatch.setattr(pell, "_unit_reduce", doubling)
     with pytest.raises(ArithmeticError, match="wrong norm"):
@@ -101,7 +100,7 @@ def test_context_is_cached():
 
 def test_context_values_103():
     ctx = build_context(103, 3)
-    assert (ctx.h, ctx.h0, class_number(ctx.D)) == (1, 1, 2)
+    assert (ctx.h, ctx.h0, class_number(ctx.record.D)) == (1, 1, 2)
     assert (ctx.eps.a, ctx.eps.b) == (227528, 22419)
     assert abs(ctx.pi1.norm()) == 3
 
@@ -118,7 +117,7 @@ def test_context_values_30043():
                                       (10, 3, 2, 2), (2659, 3, 3, 3)])
 def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
     """One walk per divisor d <= h0 of h, each only to its first reduced ideal,
-    no second walk of p1^h0, and at most one half walk, of the unit ideal's cycle."""
+    no second walk of p1^h0, and one half walk, of the unit ideal's cycle."""
     walked, halves = [], []
     walk = pell._ideal_walk
 
@@ -132,13 +131,10 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
         return steps
 
     monkeypatch.setattr(pell, "_ideal_walk", recording)
-    build_context.cache_clear()
-    pell._principal_cycle.cache_clear()
-    ctx = build_context(m, p)
+    ctx = build_context.__wrapped__(m, p)
     assert (ctx.h, ctx.h0) == (h, h0)
     assert walked == [p**d for d in divisors(h) if d <= h0]
-    assert halves in ([], [1])  # none when the unit is cached and no lookup needs the cycle
-    pell._principal_cycle.cache_clear()
+    assert halves == [1]
 
 
 @pytest.mark.parametrize("m,p", CASES)
@@ -167,9 +163,9 @@ def test_context_h_is_the_narrow_number_halved_when_the_unit_norm_is_one():
         if p is None or not is_squarefree(m):
             continue
         ctx = build_context(m, p)
-        narrow = loop_class_number(ctx.D)
+        narrow = loop_class_number(ctx.record.D)
         assert ctx.h == narrow // (2 if ctx.eps.norm() == 1 else 1), m
-        assert class_number(ctx.D) == narrow
+        assert class_number(ctx.record.D) == narrow
         norms.append(ctx.eps.norm())
     assert len(norms) > 50 and set(norms) == {1, -1}
 

@@ -1,8 +1,8 @@
 """The benchmark's tracer resolves layer functions by name.
 
-`perfbench/spans.py` wraps every `layer.function` in its `TRACED` tuple;
-a rename in the package would break `perfbench/run.py --trace 1` without
-failing any other test.  The tuple is read from the source, not imported.
+`perfbench/spans.py` wraps every `layer.function` in `TRACED`, and reads and
+clears the cache of each in `CACHED`: a rename or a lost cache in the package
+breaks `perfbench/run.py --trace 1` and no other test.  Both are read from source.
 """
 
 import ast
@@ -12,18 +12,23 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def traced_names():
+def spans_tuple(name):
     for node in ast.parse(SPANS.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no TRACED tuple in {SPANS}")
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            pairs = [qual.split(".") for qual in ast.literal_eval(node.value)]
+            return {f"{layer}.{func}": getattr(importlib.import_module(f"iwascan.{layer}"), func, None)
+                    for layer, func in pairs}
+    raise AssertionError(f"no {name} tuple in {SPANS}")
 
 
 def test_every_traced_name_resolves_to_a_callable():
-    names = traced_names()
-    assert len(names) >= 10
-    for qual in names:
-        layer, func = qual.split(".")
-        module = importlib.import_module(f"iwascan.{layer}")
-        assert callable(getattr(module, func, None)), qual
+    traced = spans_tuple("TRACED")
+    assert len(traced) >= 10
+    assert not [qual for qual, fn in traced.items() if not callable(fn)]
+
+
+def test_every_cached_name_has_a_cache_to_read_and_clear():
+    cached = spans_tuple("CACHED")
+    assert cached and not [qual for qual, fn in cached.items()
+                           if not (hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"))]
