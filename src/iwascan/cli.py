@@ -173,7 +173,7 @@ def _write(ns: argparse.Namespace, out: str | dict | list[str]) -> int:
 # ------------------------------------------------------------- subcommands
 
 def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
-    v = check_field(ns.m, ns.p[0], ns.n0)
+    v = check_field(ns.m, ns.p[0])
     ctx = build_context(ns.m, ns.p[0])
     if ns.fmt == "csv":
         return to_csv([v], VERDICT_COLUMNS)
@@ -196,7 +196,7 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
 
 
 def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
-    results = scan_range(ns.p, ns.min_m, ns.max_m, ns.n0, ns.workers)
+    results = scan_range(ns.p, ns.min_m, ns.max_m, workers=ns.workers)
     counts = [ScanCount(p=r.p, c1=r.tested, c2=r.resolved) for r in results]
     rows = [v for r in results for v in r.rows]
     if ns.fmt == "csv":
@@ -258,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="verdict for one field")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_prime_range, required=True)
-    sp.add_argument("--n0", type=parse_positive, default=8)
     common(sp, cmd_check)
 
     sp = sub.add_parser("scan", help="counting table over an m-range")
@@ -266,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="single prime or range like 3..43")
     sp.add_argument("--min-m", type=int, default=2)
     sp.add_argument("--max-m", type=int, default=10_000)
-    sp.add_argument("--n0", type=parse_positive, default=1)
     sp.add_argument("--workers", type=parse_positive, default=os.cpu_count() or 1)
     common(sp, cmd_scan)
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
-from .arith import is_squarefree, kronecker, valuation
+from .arith import kronecker, valuation
 from .fermat import delta_exact
 from .pell import _cycle_record
 from .qforms import class_numbers
-from .sunits import (FieldContext, UsageError, build_context, field_context,
-                     validate_discriminant, validate_prime)
+from .sunits import (FieldContext, UsageError, build_context, field_context, real_field,
+                     validate_prime)
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,9 @@ def _verdict(ctx: FieldContext, n0: int) -> FieldVerdict:
     )
 
 
-def _real_field(m: int) -> bool:
-    """True when Q(sqrt(m)) is a real quadratic field of radicand m; an m whose
-    discriminant is past the class number's range is refused before it is factored."""
-    if m > 1:
-        validate_discriminant(m)
-    return m > 1 and is_squarefree(m)
-
-
 def admissible(m: int, p: int) -> bool:
     """True when Q(sqrt(m)) is a real quadratic field where p splits."""
-    return _real_field(m) and kronecker(m, p) == 1
+    return real_field(m) and kronecker(m, p) == 1
 
 
 _AHEAD = 4  # blocks in flight per pool worker: enough to keep each busy
@@ -124,7 +116,7 @@ def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdic
     # m is tested once per block, its splitting once per prime.  Each admissible m gets
     # one cycle record, which holds its unit, and h from one batch; both serve every prime.
     primes, lo, hi, n0 = args
-    fields = [(m, split) for m in range(lo, hi + 1) if _real_field(m)
+    fields = [(m, split) for m in range(lo, hi + 1) if real_field(m)
               if (split := [p for p in primes if kronecker(m, p) == 1])]
     records = [_cycle_record(m) for m, _ in fields]
     hs = class_numbers([record.eps for record in records])

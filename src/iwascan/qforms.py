@@ -24,11 +24,12 @@ from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
-from .pell import _cycle_record, _principal_power, fundamental_unit
+from .pell import _cycle_record, _principal_power
 from .quadint import QuadElem
 
 
-def _check_fundamental(D: int) -> None:
+def _check_fundamental(D: int) -> int:
+    """The squarefree radicand m = D or D/4 of the fundamental discriminant D."""
     if D <= 0 or isqrt(D) ** 2 == D:
         raise ValueError("discriminant must be positive and nonsquare")
     if D % 4 not in (0, 1):
@@ -36,6 +37,7 @@ def _check_fundamental(D: int) -> None:
     m = D // 4 if D % 4 == 0 else D
     if (D % 4 == 0 and m % 4 == 1) or not is_squarefree(m):
         raise ValueError(f"D={D} is not fundamental")
+    return m
 
 
 # Abramowitz-Stegun 5.1.53 on 0 < x <= 1 and 5.1.56 on x >= 1 (highest degree
@@ -190,16 +192,14 @@ def _slab(rows: list[tuple[int, int, int, float]]) -> list[int]:
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0: the wide h
     of `class_numbers` (same bound, same refusal), doubled when N(eps) = +1."""
-    _check_fundamental(D)
-    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
+    eps = _cycle_record(_check_fundamental(D)).eps
     h = class_numbers((eps,))[0]
     return 2 * h if eps.norm() == 1 else h
 
 
 def class_order(D: int, q: int, h: int) -> int:
     """Order of the first prime above split q, in the wide sense; divides h."""
-    _check_fundamental(D)
-    found = _principal_power(_cycle_record(D // 4 if D % 4 == 0 else D), q, divisors(h))
+    found = _principal_power(_cycle_record(_check_fundamental(D)), q, divisors(h))
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     return found[0]
@@ -213,10 +213,10 @@ def represent(D: int, q: int, k: int) -> QuadElem | None:
     the generator of `_principal_power`, or None when p^k is not
     (wide-)principal.
     """
-    _check_fundamental(D)
+    m = _check_fundamental(D)
     if k < 1:
         raise ValueError(f"exponent k={k} must be >= 1")
     if q == 2 or not is_prime(q) or kronecker(D, q) != 1:
         raise ValueError(f"q={q} is not an odd split prime for D={D}")
-    found = _principal_power(_cycle_record(D // 4 if D % 4 == 0 else D), q, (k,))
+    found = _principal_power(_cycle_record(m), q, (k,))
     return None if found is None else found[1]

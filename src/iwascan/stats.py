@@ -148,7 +148,7 @@ def _items(m: int, p: int, n: int, rmax: int, bound: int) -> Iterator[tuple[int,
 def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
                       workers: int = 1) -> StatTally:
     """Tally generator deltas over split primes ell^(p-1) = 1 mod p^(n+1), ell < bound."""
-    validate_field(m, p)
+    ctx = build_context(m, p)  # checks (m, p) first: a bad field is refused before a bad flag
     if rmax < 0:
         raise UsageError("rmax must be >= 0")
     if rmax > 63:  # rmax <= n, and a scan with 3^(n+1) < bound <= 2^63 has n <= 38
@@ -157,7 +157,6 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
         raise UsageError("need n >= rmax to fill every bucket")
     if bound > 2**63:  # candidates are sieved in int64
         raise UsageError("bound must be <= 2^63")
-    ctx = build_context(m, p)
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
     counts, skipped = [0] * (rmax + 1), 0

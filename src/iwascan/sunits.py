@@ -8,7 +8,8 @@ by `pell`), and the Hensel root s fixing which prime is which, lifted once
 per field to p^(h+2), the most that the walks (p^(k+1), k <= h) and the
 first deltas (p^(2+h0)) read; `hensel_sqrt`'s cache re-lifts above it.  A
 scan hands the record and h down; `build_context(m, p)` makes them after
-`validate_field`, which refuses a D past the int64 range before factoring m.
+`validate_field`.  `real_field` is the one radicand test of every command:
+it refuses a D past the int64 range before m is factored.
 """
 
 from __future__ import annotations
@@ -59,15 +60,18 @@ def validate_prime(p: int) -> None:
         raise PreconditionError(f"p={p} must be an odd prime")
 
 
-def validate_discriminant(m: int) -> None:
-    """Refuse, before factoring m, a D = m or 4m past the class number's int64 range."""
-    if isinstance(m, int) and (m if m % 4 == 1 else 4 * m) > _INT64_ROOT**2:
+def real_field(m: int) -> bool:
+    """True when m, an int > 1, is squarefree: the radicand of a real quadratic field.
+    A D = m or 4m past the class number's int64 range is refused before m is factored."""
+    if not (isinstance(m, int) and m > 1):
+        return False
+    if (m if m % 4 == 1 else 4 * m) > _INT64_ROOT**2:
         raise PreconditionError(f"m={m}: the discriminant is past the class number's int64 range")
+    return is_squarefree(m)
 
 
 def validate_field(m: int, p: int) -> None:
-    validate_discriminant(m)
-    if not (isinstance(m, int) and m > 1 and is_squarefree(m)):
+    if not real_field(m):
         raise PreconditionError(f"m={m} must be a squarefree integer > 1")
     validate_prime(p)
     if kronecker(m, p) != 1:

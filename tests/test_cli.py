@@ -524,9 +524,8 @@ def test_refused_flag_values_are_usage_errors():
     for call, message in refused:
         with pytest.raises(UsageError, match=message):
             call()
-    # precisions below 1 are refused by the parser
-    for argv in (("check", "--m", "103", "--p", "3", "--n0", "0"),
-                 ("scan", "--p", "3", "--max-m", "10", "--n0", "-1"),
-                 ("stats-primes", "--m", "103", "--p", "3", "--n", "0", "--rmax", "0")):
-        code, _, err = run_cli(*argv)
-        assert code == 2 and "must be >= 1" in err, argv
+    # a precision below 1 is refused by the parser; check and scan take no starting precision
+    code, _, err = run_cli("stats-primes", "--m", "103", "--p", "3", "--n", "0", "--rmax", "0")
+    assert code == 2 and "must be >= 1" in err
+    code, _, err = run_cli("check", "--m", "103", "--p", "3", "--n0", "8")
+    assert code == 2 and "unrecognized arguments: --n0" in err

@@ -153,20 +153,20 @@ def test_scan_range_edges(m_min, m_max, workers):
 
 @pytest.mark.parametrize("m_min, m_max", [(-3, 40), (0, 1), (1, 1)])
 def test_scan_windows_starting_below_two_equal_the_serial_loop(monkeypatch, m_min, m_max):
-    """m <= 1 gives no field; each m > 1 of a block is range-checked once, for all primes."""
+    """m <= 1 gives no field; each m of a block is tested once, for all primes."""
     primes = (3, 7)
     want = serial_scan(primes, m_min, m_max)
     checked = []
-    validate = greenberg.validate_discriminant
+    real_field = greenberg.real_field
 
     def counting(m):
         checked.append(m)
-        return validate(m)
+        return real_field(m)
 
-    monkeypatch.setattr(greenberg, "validate_discriminant", counting)
+    monkeypatch.setattr(greenberg, "real_field", counting)
     got = scan_range(primes, m_min, m_max, workers=1)
     assert {r.p: list(r.rows) for r in got} == want
-    assert checked == list(range(2, m_max + 1))
+    assert checked == list(range(m_min, m_max + 1))
 
 
 @pytest.mark.parametrize("primes, lo", [((3, 5, 7), 10**4), ((3,), 10**6)])

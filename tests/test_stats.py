@@ -16,11 +16,12 @@ from sympy import isprime
 
 from iwascan import pell, qforms, stats
 from iwascan.arith import kronecker, teichmuller
-from iwascan.quadint import hensel_sqrt
+from iwascan.fermat import delta_embed
+from iwascan.quadint import hensel_sqrt, make_elem
 from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
-from iwascan.sunits import PreconditionError, UsageError
+from iwascan.sunits import PreconditionError, UsageError, build_context
 from oracles import candidate_primes, eratosthenes, mask_sieve, stops_at_its_first_reduced_ideal
 
 
@@ -348,6 +349,32 @@ def test_density_matches_exact_integers(m, p, mode, samples, seed):
     assume(kronecker(m, p) == 1)
     t = random_elem_density(m, p, samples, mode, seed)
     assert (t.accepted, t.hits) == exact_density(m, p, samples, mode, seed)
+
+
+def true_density(m, p, samples, mode, seed):
+    """(accepted, hits) read off each draw y = a*sqrt(m) + b itself: its norm b^2 - m*a^2
+    and the deltas of `delta_embed` at n = 1, from the context's root of m mod p^N."""
+    ctx = build_context(m, p)
+    draw = np.random.default_rng(seed).integers(0, 10**6, size=(samples, 2), dtype=np.int64)
+    accepted = hits = 0
+    for a, b in draw.tolist():
+        nrm = b * b - m * a * a
+        if nrm % p == 0 or mode == NORM_CONSTRAINED and pow(nrm, p - 1, p * p) != 1:
+            continue
+        accepted += 1
+        rep = delta_embed(make_elem(b, a, 1, m), ctx, 1)
+        hits += rep.delta1 == 0 if mode == NORM_CONSTRAINED else 0 in (rep.delta1, rep.delta2)
+    return accepted, hits
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "random_elem_density classifies residues mod p^2 with a root of m mod p only "
+    "(hensel_sqrt(m, p, 1)), so its norm and delta tests read another element than y"))
+@pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("m, p", [(7, 3), (13, 23)])  # residue-pair histogram, then per draw
+def test_density_matches_the_deltas_of_each_draw(m, p, mode):
+    t = random_elem_density(m, p, 3000, mode, seed=0)
+    assert (t.accepted, t.hits) == true_density(m, p, 3000, mode, 0)
 
 
 @pytest.mark.parametrize("mode", [NORM_CONSTRAINED, UNCONSTRAINED])

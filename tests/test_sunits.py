@@ -8,7 +8,7 @@ from iwascan import pell, qforms, stats, sunits
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
-from iwascan.sunits import PreconditionError, build_context, validate_discriminant, validate_field
+from iwascan.sunits import PreconditionError, build_context, real_field, validate_field
 from oracles import loop_class_number, stops_at_its_first_reduced_ideal
 
 CASES = [(103, 3), (7, 3), (10, 3), (13, 3), (2659, 3), (12007, 3),
@@ -170,13 +170,15 @@ def test_context_h_is_the_narrow_number_halved_when_the_unit_norm_is_one():
     assert len(norms) > 50 and set(norms) == {1, -1}
 
 
-def test_validate_discriminant_refuses_exactly_past_the_int64_range():
+def test_real_field_refuses_exactly_past_the_int64_range(monkeypatch):
+    # an m in range reaches the squarefree test, stubbed: factoring one near 2^63 takes seconds
+    monkeypatch.setattr(sunits, "is_squarefree", lambda m: True)
     top = qforms._INT64_ROOT**2  # an odd square, so 1 (mod 4): D = m
     assert top % 4 == 1
-    validate_discriminant(top)
+    assert real_field(top)
     with pytest.raises(PreconditionError):
-        validate_discriminant(top + 4)
+        real_field(top + 4)
     m = top // 4 - (top // 4 - 2) % 4  # 2 (mod 4): D = 4m
-    validate_discriminant(m)
+    assert real_field(m)
     with pytest.raises(PreconditionError):
-        validate_discriminant(m + 4)
+        real_field(m + 4)
