@@ -20,11 +20,12 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .arith import kronecker, valuation
-from .fermat import delta_exact
-from .pell import _cycle_record
+from .fermat import _deltas_exact
+from .pell import CycleRecord, _cycle_record
 from .qforms import class_numbers
-from .sunits import (FieldContext, UsageError, build_context, field_context, real_field,
-                     validate_prime)
+from .sunits import UsageError, build_context, field_context, real_field, validate_prime
+
+_ONE = Fraction(1)  # z = 1/p^0, shared by the cells with delta = 0
 
 
 @dataclass(frozen=True)
@@ -45,43 +46,43 @@ class FieldVerdict:
 
     @property
     def z_eps(self) -> Fraction:
-        return Fraction(1, self.p**self.delta_eps)
+        return Fraction(1, self.p**self.delta_eps) if self.delta_eps else _ONE
 
     @property
     def z_pi(self) -> Fraction:
-        return Fraction(1, self.p**self.delta_pi)
+        return Fraction(1, self.p**self.delta_pi) if self.delta_pi else _ONE
 
 
 def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     """Run the vanishing test for Q(sqrt(m)) at p.
 
-    n0 is only the starting precision; `delta_exact` recomputes deltas that
+    n0 is only the starting precision; `fermat` recomputes deltas that
     exceed it at doubled precision, so the verdict does not depend on n0.
     """
-    return _verdict(build_context(m, p), n0)
+    ctx = build_context(m, p)
+    return _verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0)
 
 
-def _verdict(ctx: FieldContext, n0: int) -> FieldVerdict:
-    """The vanishing test on the field data of `ctx`, deltas started at n0."""
-    rep = delta_exact(ctx.eps, ctx, n0)
-    if rep.delta1 != rep.delta2:
-        raise ArithmeticError(f"unit deltas differ at the two primes for m={ctx.m}, p={ctx.p}")
-    delta_eps = rep.delta1
-    # delta at the first prime of the conjugate generator; multiplying by
+def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[int, int]],
+             n0: int) -> FieldVerdict:
+    """The vanishing test at p on the field of `record`, of wide class number h, from
+    its `field_context` facts (s, h0, pi1), deltas started at n0."""
+    (s, h0, (A, B)), eps = facts, record.eps
+    root = (eps.m, p, s, h + 2)
+    delta_eps, d2, _ = _deltas_exact(eps.coords(), 0, root, n0)
+    if delta_eps != d2:
+        raise ArithmeticError(f"unit deltas differ at the two primes for m={eps.m}, p={p}")
+    # delta at the first prime of pi2 = pi1', of norm +-p^h0; multiplying by
     # units can only move it when it ties delta_eps, and never below the
     # min, so min(delta_eps, delta_pi) is convention-free.
-    delta_pi = delta_exact(ctx.pi2, ctx, n0).delta1
+    delta_pi = _deltas_exact((A, -B), h0, root, n0)[0]
 
-    v_p_h = valuation(ctx.h, ctx.p)
-    class_ok = v_p_h == valuation(ctx.h0, ctx.p)
+    v_p_h = valuation(h, p)
+    class_ok = v_p_h == valuation(h0, p)
     normic_ok = min(delta_eps, delta_pi) == 0
-    return FieldVerdict(
-        m=ctx.m, p=ctx.p, h=ctx.h, h0=ctx.h0, v_p_h=v_p_h,
-        delta_eps=delta_eps, delta_pi=delta_pi,
-        class_ok=class_ok, normic_ok=normic_ok,
-        resolved=class_ok and normic_ok,
-        torsion_v=v_p_h + delta_eps,
-    )
+    # positional, in field order: a frozen row built by keywords takes a third longer
+    return FieldVerdict(eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
+                        class_ok and normic_ok, v_p_h + delta_eps)
 
 
 def admissible(m: int, p: int) -> bool:
@@ -120,7 +121,7 @@ def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdic
               if (split := [p for p in primes if kronecker(m, p) == 1])]
     records = [_cycle_record(m) for m, _ in fields]
     hs = class_numbers([record.eps for record in records])
-    return [_verdict(field_context(record, p, h), n0)
+    return [_verdict(record, p, h, field_context(record, p, h), n0)
             for (_, split), record, h in zip(fields, records, hs) for p in split]
 
 

@@ -17,8 +17,9 @@ which its caller keeps (`fundamental_unit` caches only eps), and in which
 p^k = [q^k, (b_k+sqrt(D))/2], p the first prime above a split q and b_k
 from `_canonical_root`, for each k in turn to its first reduced ideal
 only: a miss proves p^k non-principal, and the first hit gives p^k's
-generator, the walk's times the cycle ideal's, which is unit-reduced and
-certified as returned (its norm and support are checked).
+generator, the walk's times the cycle ideal's, which is unit-reduced on
+the record's unit data and certified as returned (its norm and support are
+checked), all in plain ints (A, B), the element (A + B*sqrt(m))/2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_squarefree, valuation
-from .quadint import QuadElem, hensel_sqrt, make_elem, residues
+from .quadint import QuadElem, hensel_sqrt, make_elem
 
 _MAX_WALK = 10**6
 
@@ -91,14 +92,15 @@ def _product(p: tuple[int, int], q: tuple[int, int], a: int, D: int) -> tuple[in
 class CycleRecord:
     """The principal cycle of Q(sqrt(m)) and its unit.  B0 is the largest B <= sqrt(D)
     with B = D (mod 2); cs, bs the half walk of the unit ideal [1, (B0+sqrt(D))/2],
-    whose j-th ideal, j = 1..k, is [-cs[j-1], (bs[j-1]+sqrt(D))/2]; eps the
-    fundamental unit > 1 of the maximal order, eps.m = m."""
+    whose j-th ideal, j = 1..k, is [-cs[j-1], (bs[j-1]+sqrt(D))/2]; eps the fundamental
+    unit > 1 of the maximal order, eps.m = m, = (E + F*sqrt(m))/2, and unit (E, F, N(eps))."""
 
     D: int
     B0: int
     cs: array
     bs: array
     eps: QuadElem
+    unit: tuple[int, int, int]
 
 
 def _cycle_record(m: int) -> CycleRecord:
@@ -118,9 +120,9 @@ def _cycle_record(m: int) -> CycleRecord:
     q = _product(p, (bk, 1), a, D) if odd else p
     x, y = _product(p, q, a, D)
     eps = make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
-    if eps.norm() not in (1, -1):
+    if (n := eps.norm()) not in (1, -1):
         raise ArithmeticError(f"the unit ideal's half walk did not give a unit for m={m}")
-    return CycleRecord(D, B0, c, b, eps)
+    return CycleRecord(D, B0, c, b, eps, (*eps.coords(), n))
 
 
 def _cycle_generator(rec: CycleRecord, A: int, B: int) -> tuple[int, int] | None:
@@ -171,24 +173,23 @@ def _canonical_root(D: int, q: int, k: int, s: int) -> int:
     return b
 
 
-def _unit_reduce(x: QuadElem, eps: QuadElem) -> QuadElem:
-    """Associate of x with locally least |trace|: times 1/eps while |trace|
-    falls, then times eps, on x = (A + B sqrt(m))/2, A the trace.  The greedy
-    descent can stop at a local minimum, so the result may depend on the unit
-    multiple of x it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
+def _unit_reduce(g: tuple[int, int], rec: CycleRecord) -> tuple[int, int]:
+    """Associate of g = (A + B sqrt(m))/2 with locally least |trace| A, A > 0: times
+    1/eps while |A| falls, then times eps, each trial's trace first and its B only when
+    taken.  The greedy descent can stop at a local minimum, so the result may depend
+    on the unit multiple of g it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
     k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
-    E, F, n = 2 * eps.a // eps.den, 2 * eps.b // eps.den, eps.norm()
-    g = 2 * x.a // x.den, 2 * x.b // x.den
-    for u in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
-        while abs((g2 := _product(g, u, 1, eps.m))[0]) < abs(g[0]):
-            g = g2
-    A, B = g
-    return make_elem(-A, -B, 2, eps.m) if A < 0 else make_elem(A, B, 2, eps.m)
+    (A, B), (E, F, n), m = g, rec.unit, rec.eps.m
+    for u, v in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
+        while abs(A2 := (A * u + B * v * m) // 2) < abs(A):
+            A, B = A2, (A * v + B * u) // 2
+    return (-A, -B) if A < 0 else (A, B)
 
 
 def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
-                     s: int | None = None) -> tuple[int, QuadElem] | None:
-    """First k in `exponents` with p^k principal in the field of `rec`, and a generator alpha.
+                     s: int | None = None) -> tuple[int, tuple[int, int]] | None:
+    """First k in `exponents` with p^k principal in the field of `rec`, and a generator
+    alpha = (A + B*sqrt(m))/2, as (k, (A, B)).
 
     p is the first prime above q, an odd split prime that is not checked
     here (`qforms.represent` checks it).  alpha, reduced modulo units with
@@ -206,12 +207,12 @@ def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
         if (beta := _cycle_generator(rec, abs(cs[-1]), bs[-1])) is None:
             continue
         x, y = _product(_generator(cs, bs, B), beta, abs(cs[-1]), D)  # no gcd; checked below
-        alpha = _unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), rec.eps)
-        # certify the generator returned: |norm| = q^k, and p^k, not p'^k, divides it
-        if abs(alpha.norm()) != A:
+        x, y = _unit_reduce((x, y * (2 if D % 4 == 0 else 1)), rec)
+        # certify it: |norm| = q^k (so it is integral), and p^k, not p'^k, divides it
+        if abs(x * x - m * y * y) != 4 * A:
             raise ArithmeticError("generator has the wrong norm")
-        r1 = residues(alpha, s, q ** (k + 1))[0]
+        r1 = (x + y * s) * ((A * q + 1) // 2) % (A * q)
         if (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError("generator supports the wrong prime")
-        return k, alpha
+        return k, (x, y)
     return None

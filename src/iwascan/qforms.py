@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
 from .pell import _cycle_record, _principal_power
-from .quadint import QuadElem
+from .quadint import QuadElem, make_elem
 
 
 def _check_fundamental(D: int) -> int:
@@ -219,4 +219,4 @@ def represent(D: int, q: int, k: int) -> QuadElem | None:
     if q == 2 or not is_prime(q) or kronecker(D, q) != 1:
         raise ValueError(f"q={q} is not an odd split prime for D={D}")
     found = _principal_power(_cycle_record(m), q, (k,))
-    return None if found is None else found[1]
+    return None if found is None else make_elem(*found[1], 2, m)

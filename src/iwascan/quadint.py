@@ -7,10 +7,10 @@ when both coordinates are even.
 
 For a prime p split in the field, `residues` maps an element to its pair of
 residues modulo p^N under sqrt(m) -> s and sqrt(m) -> -s, where s is the
-Hensel root produced by `hensel_sqrt`; `embed` wraps that pair with its
-modulus.  The labelling of the two primes above p is fixed once and for
-all by the choice s = s0 (mod p) with s0 the smallest positive square
-root of m mod p.
+Hensel root of `_lift_sqrt` (cached as `hensel_sqrt`); `embed` wraps that
+pair with its modulus.  The labelling of the two primes above p is fixed
+once and for all by the choice s = s0 (mod p) with s0 the smallest positive
+square root of m mod p, found once per class (m mod p, p) by `_least_root`.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class QuadElem:
             raise ArithmeticError("norm of an integral element must be an integer")
         return q
 
+    def coords(self) -> tuple[int, int]:
+        """(A, B) with self = (A + B*sqrt(m))/2, the plain form of `pell` and `fermat`."""
+        return 2 * self.a // self.den, 2 * self.b // self.den
+
     def trace(self) -> int:
         q, r = divmod(2 * self.a, self.den)
         if r:
@@ -97,30 +101,41 @@ class QuadResidue:
     modulus: int
 
 
-@lru_cache(maxsize=4096)
-def hensel_sqrt(m: int, p: int, N: int) -> int:
+@lru_cache(maxsize=1024)
+def _least_root(r: int, p: int) -> tuple[int, int]:
+    """(s0, 1/(2 s0) mod p), s0 the least positive root of r mod the odd prime p, 0 < r < p:
+    Tonelli-Shanks and its (r/p) run once per class (ValueError for a non-residue)."""
+    s = sqrt_mod_prime(r, p)
+    s = min(s, p - s)
+    return s, pow(2 * s, -1, p)
+
+
+def _lift_sqrt(m: int, p: int, N: int) -> int:
     """The square root s of m modulo p^N with s = s0 (mod p).
 
     s0 is the smallest positive root mod p, which fixes the labelling of
     the two primes above p everywhere in the package.  p must be odd and
     split (ValueError): p = 2 and p | m are refused here, an inert p by `sqrt_mod_prime`.
+    Uncached: a field's first lift is never asked for again.
     """
     if p == 2 or m % p == 0:
         raise ValueError(f"p={p} does not split in Q(sqrt({m}))")
     if N < 1:
         raise ValueError("N must be >= 1")
-    r = sqrt_mod_prime(m, p)
-    s = min(r, p - r)
-    prec = 1
-    while prec < N:
-        # Newton step doubles the precision: s <- s - (s^2 - m)/(2s)
-        prec = min(2 * prec, N)
-        mod = p**prec
-        s = (s - (s * s - m) * pow(2 * s, -1, mod)) % mod
-    s %= p**N
-    if pow(s, 2, p**N) != m % p**N:
-        raise ArithmeticError(f"Newton lift did not give a root of {m} mod {p}^{N}")
+    s, t = _least_root(m % p, p)
+    mod = p**N
+    for _ in range(N - 1):
+        # s <- s - (s^2 - m)/(2 s0): as t = 1/(2s) mod p, each step fixes one more digit
+        s = (s - (s * s - m) * t) % mod
+    if (s * s - m) % mod:
+        raise ArithmeticError(f"Hensel lift did not give a root of {m} mod {p}^{N}")
     return s
+
+
+@lru_cache(maxsize=4096)
+def hensel_sqrt(m: int, p: int, N: int) -> int:
+    """`_lift_sqrt` behind a bounded cache, for the re-lifts past a context's p^N."""
+    return _lift_sqrt(m, p, N)
 
 
 def residues(x: QuadElem, s: int, mod: int) -> tuple[int, int]:

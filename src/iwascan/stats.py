@@ -37,7 +37,7 @@ from .fermat import Capped, delta_embed
 from .greenberg import map_blocks
 from .pell import _principal_power
 from .qforms import _sieve
-from .quadint import hensel_sqrt
+from .quadint import hensel_sqrt, make_elem
 from .sunits import PreconditionError, UsageError, build_context, validate_field
 
 NORM_CONSTRAINED = "norm"
@@ -119,7 +119,7 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
         if found is None:
             skipped += 1
             continue
-        alpha = found[1]  # certified: |norm| = ell
+        alpha = make_elem(*found[1], 2, m)  # certified: |norm| = ell
         if pow(alpha.norm(), p - 1, mod) != 1:
             raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
         rep = delta_embed(alpha, ctx, n)

@@ -1,15 +1,15 @@
 """Per-field context: unit, class data, and the S-unit generators above p.
 
-`field_context` bundles everything the Fermat-quotient machinery needs at
-p from a field's `pell.CycleRecord`, which holds the unit, and its wide
-class number h: the order h0 of the canonical prime above p in the class
-group, a generator pi1 of that prime's h0-th power (norm +-p^h0, certified
-by `pell`), and the Hensel root s fixing which prime is which, lifted once
-per field to p^(h+2), the most that the walks (p^(k+1), k <= h) and the
-first deltas (p^(2+h0)) read; `hensel_sqrt`'s cache re-lifts above it.  A
-scan hands the record and h down; `build_context(m, p)` makes them after
-`validate_field`.  `real_field` is the one radicand test of every command:
-it refuses a D past the int64 range before m is factored.
+`field_context` gives, in plain ints, what the Fermat-quotient machinery
+needs at p from a field's `pell.CycleRecord`, which holds the unit, and its
+wide class number h: the Hensel root s fixing which prime is which, lifted
+once, uncached, to p^(h+2), the most that the walks (p^(k+1), k <= h) and
+the first deltas (p^(2+h0)) read; the order h0 of the canonical prime above
+p; and a generator pi1 of that prime's h0-th power (norm +-p^h0, certified
+by `pell`).  A scan hands the record and h down and builds no context;
+`build_context(m, p)` makes them after `validate_field` and wraps the lot,
+with `QuadElem`s, in a `FieldContext`.  `real_field` is the one radicand
+test of every command: it refuses a D past the int64 range before m is factored.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from .arith import divisors, is_prime, is_squarefree, kronecker
 from .pell import CycleRecord, _cycle_record, _principal_power
 from .qforms import _INT64_ROOT, class_numbers
-from .quadint import QuadElem, QuadResidue, embed, hensel_sqrt
+from .quadint import QuadElem, QuadResidue, _lift_sqrt, embed, hensel_sqrt, make_elem
 
 
 class PreconditionError(ValueError):
@@ -83,17 +83,18 @@ def build_context(m: int, p: int) -> FieldContext:
     """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)
     record = _cycle_record(m)
-    return field_context(record, p, class_numbers((record.eps,))[0])
+    h = class_numbers((record.eps,))[0]
+    s, h0, (A, B) = field_context(record, p, h)
+    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2, h0=h0,
+                        pi1=make_elem(A, B, 2, m), pi2=make_elem(A, -B, 2, m))
 
 
-def field_context(record: CycleRecord, p: int, h: int) -> FieldContext:
-    """The field data at p, split, of the field of `record`, whose wide class number is h."""
-    m = record.eps.m
+def field_context(record: CycleRecord, p: int, h: int) -> tuple[int, int, tuple[int, int]]:
+    """(s, h0, pi1) at p, split, in the field of `record`, whose wide class number is h:
+    s = sqrt(m) mod p^(h+2), h0 and pi1 = (A + B*sqrt(m))/2 as (A, B), in plain ints."""
     # one lift serves the walks (up to p^(h+1)) and the n = 1 deltas (up to p^(2+h0))
-    s = hensel_sqrt(m, p, h + 2)
+    s = _lift_sqrt(record.eps.m, p, h + 2)
     found = _principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
-    h0, pi1 = found
-    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2,
-                        h0=h0, pi1=pi1, pi2=pi1.conjugate())
+    return s, *found

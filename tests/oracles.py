@@ -37,6 +37,14 @@ None of these is used by the package itself:
   carries the generator (gA + gB*sqrt(m))/gC with a gcd on every step.
 * `elem_unit_reduce` is the former `_unit_reduce`: the same greedy
   steps, one `QuadElem` product per trial.
+* `per_prime_scan_block` is the former per-prime path of a scan row,
+  where `greenberg._scan_block` now works on plain integers and takes
+  the unit's data once per field: `per_prime_context` builds a
+  `FieldContext` per prime, from a root lifted by `newton_sqrt` (a
+  search for s0, no Tonelli-Shanks, then Newton steps) and the
+  generator of `elem_principal_power` (the same walks, a `QuadElem`
+  reduced by `elem_unit_reduce`), and `per_prime_verdict` takes both
+  deltas by `elem_delta_exact` on `QuadElem` residues.
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
   array in the calling process, each survivor proven, then sorted.
@@ -60,12 +68,14 @@ from math import erfc, exp, gcd, isqrt, log, pi, sqrt
 import numpy as np
 
 from iwascan.arith import divisors, factorize, kronecker, valuation
-from iwascan.fermat import Capped, Delta, delta_embed
-from iwascan.pell import _canonical_root, _generator, _unit_reduce, fundamental_unit
+from iwascan.fermat import N_CAP, Capped, Delta, delta_embed
+from iwascan.greenberg import FieldVerdict
+from iwascan.pell import (CycleRecord, _canonical_root, _cycle_generator, _cycle_record,
+                          _generator, _ideal_walk, _product, fundamental_unit)
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
-                            _check_fundamental, _regulator, _tail_bound)
-from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
-from iwascan.sunits import FieldContext
+                            _check_fundamental, _regulator, _tail_bound, class_numbers)
+from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem, residues
+from iwascan.sunits import FieldContext, real_field
 
 _MAX_STEPS = 10**6
 
@@ -210,7 +220,7 @@ def cycle_principal_power(D: int, q: int, exponents, s: int | None = None):
         alpha = make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m)
         if abs(alpha.norm()) != A:
             raise ArithmeticError("generator has the wrong norm")
-        return k, _unit_reduce(alpha, fundamental_unit(m))
+        return k, elem_unit_reduce(alpha, m)
     return None
 
 
@@ -426,6 +436,102 @@ def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13, Sorenson-Webster 2015
+
+
+def newton_sqrt(m: int, p: int, N: int) -> int:
+    """The root of m mod p^N = s0 mod p, s0 the least positive root mod p found by search,
+    lifted by Newton steps that double the precision (the former `hensel_sqrt`'s lift)."""
+    s, prec = next(x for x in range(1, p) if (x * x - m) % p == 0), 1
+    while prec < N:
+        prec = min(2 * prec, N)
+        s = (s - (s * s - m) * pow(2 * s, -1, p**prec)) % p**prec
+    return s % p**N
+
+
+def elem_principal_power(rec: CycleRecord, q: int, exponents, s: int) -> tuple[int, QuadElem] | None:
+    """The former `pell._principal_power`: the same walks and lookups, its generator
+    a `QuadElem`, reduced by `elem_unit_reduce` and certified on `residues`."""
+    D, m = rec.D, rec.eps.m
+    for k in exponents:
+        A, B = q**k, _canonical_root(D, q, k, s)
+        cs, bs = _ideal_walk(A, B, D)
+        if (beta := _cycle_generator(rec, abs(cs[-1]), bs[-1])) is None:
+            continue
+        x, y = _product(_generator(cs, bs, B), beta, abs(cs[-1]), D)
+        alpha = elem_unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
+        r1 = residues(alpha, s, q ** (k + 1))[0]
+        if abs(alpha.norm()) != A or (valuation(r1, q) if r1 else k + 1) != k:
+            raise ArithmeticError(f"generator of p^{k} not certified for m={m}, q={q}")
+        return k, alpha
+    return None
+
+
+def elem_delta_exact(x: QuadElem, ctx: FieldContext, n: int) -> tuple[int, int]:
+    """The former `fermat.delta_exact`: both deltas of x from its `residues` at the
+    context's root, its norm's p-valuation taken again at each doubling of n."""
+    p, n = ctx.p, min(n, N_CAP)
+    while True:
+        extra = valuation(nrm, p) if (nrm := x.norm()) % p == 0 else 0
+        prec = n + 1 + extra
+        s = ctx.s if prec <= ctx.N else newton_sqrt(ctx.m, p, prec)
+        deltas = []
+        for r in residues(x, s, p**prec):
+            for _ in range(extra + 1):  # v_p(r) <= extra, or the precision is too low
+                if r % p:
+                    break
+                r //= p
+            else:
+                raise ValueError("residue precision too low for the valuation")
+            y = pow(r, p - 1, p ** (n + 1))
+            deltas.append(Capped(n) if y == 1 else valuation(y - 1, p) - 1)
+        if not any(isinstance(d, Capped) for d in deltas):
+            return deltas[0], deltas[1]
+        if n >= N_CAP:
+            raise ArithmeticError(f"delta >= {n} for m={ctx.m}, p={p}")
+        n = min(2 * n, N_CAP)
+
+
+def per_prime_context(record: CycleRecord, p: int, h: int) -> FieldContext:
+    """The former `sunits.field_context`: a `FieldContext` per prime, from a root lifted by
+    `newton_sqrt` and the `QuadElem` generator of `elem_principal_power`."""
+    m = record.eps.m
+    s = newton_sqrt(m, p, h + 2)
+    found = elem_principal_power(record, p, divisors(h), s)
+    if found is None:
+        raise ArithmeticError("class order does not divide the class number")
+    h0, pi1 = found
+    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2,
+                        h0=h0, pi1=pi1, pi2=pi1.conjugate())
+
+
+def per_prime_verdict(ctx: FieldContext, n0: int = 1) -> FieldVerdict:
+    """The former `greenberg._verdict`: the deltas by `elem_delta_exact` on the context's
+    `QuadElem`s."""
+    delta_eps, d2 = elem_delta_exact(ctx.eps, ctx, n0)
+    if delta_eps != d2:
+        raise ArithmeticError(f"unit deltas differ at the two primes for m={ctx.m}, p={ctx.p}")
+    delta_pi = elem_delta_exact(ctx.pi2, ctx, n0)[0]
+    v_p_h = valuation(ctx.h, ctx.p)
+    class_ok = v_p_h == valuation(ctx.h0, ctx.p)
+    normic_ok = min(delta_eps, delta_pi) == 0
+    return FieldVerdict(m=ctx.m, p=ctx.p, h=ctx.h, h0=ctx.h0, v_p_h=v_p_h,
+                        delta_eps=delta_eps, delta_pi=delta_pi, class_ok=class_ok,
+                        normic_ok=normic_ok, resolved=class_ok and normic_ok,
+                        torsion_v=v_p_h + delta_eps)
+
+
+def per_prime_scan_block(args: tuple[tuple[int, ...], int, int, int]
+                         ) -> list[tuple[FieldVerdict, FieldContext]]:
+    """The rows of `greenberg._scan_block(args)` by the former per-prime path, from the
+    same records and class numbers, each with the context it was read from."""
+    primes, lo, hi, n0 = args
+    fields = [(m, split) for m in range(lo, hi + 1) if real_field(m)
+              if (split := [p for p in primes if kronecker(m, p) == 1])]
+    records = [_cycle_record(m) for m, _ in fields]
+    hs = class_numbers([record.eps for record in records])
+    ctxs = [per_prime_context(record, p, h)
+            for (_, split), record, h in zip(fields, records, hs) for p in split]
+    return [(per_prime_verdict(ctx, n0), ctx) for ctx in ctxs]
 
 
 def is_sprp(n: int, a: int) -> bool:

@@ -12,7 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import iwascan
-from iwascan import arith, greenberg, pell, sunits
+from iwascan import arith, greenberg, pell, quadint, sunits
 
 
 def _name(node):
@@ -69,7 +69,7 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert set(sizes) == {"arith.divisors", "pell.fundamental_unit", "qforms._sieve",
-                          "quadint.hensel_sqrt", "sunits.build_context"}
+                          "quadint._least_root", "quadint.hensel_sqrt", "sunits.build_context"}
     assert all(type(size) is int and size > 0 for size in sizes.values()), sizes
 
 
@@ -88,3 +88,18 @@ def test_a_scan_block_walks_and_factors_each_field_once_and_reads_no_field_cache
     assert sorted(halves) == sorted(r.m if r.m % 4 == 1 else 4 * r.m for r in rows) and rows
     assert max(map(factored.count, range(lo, hi + 1))) == 1
     assert [cache.cache_info() for cache in caches] == before
+
+
+def test_a_cold_scan_block_finds_each_root_mod_p_once(monkeypatch):
+    """Tonelli-Shanks, with its (m/p), runs once per residue class (m mod p, p) of a cold
+    block, not once per row: `quadint._least_root` caches s0 by that class, at most
+    sum (p-1)/2 = 133 classes for p = 3..43."""
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    quadint._least_root.cache_clear()
+    calls = []
+    tonelli = quadint.sqrt_mod_prime
+    monkeypatch.setattr(quadint, "sqrt_mod_prime", lambda a, p: calls.append((a, p)) or tonelli(a, p))
+    rows = greenberg._scan_block((primes, 10**4, 10**4 + greenberg._CHUNK - 1, 1))
+    classes = {(r.m % r.p, r.p) for r in rows}
+    assert sorted(calls) == sorted(classes)  # each class once
+    assert quadint._least_root.cache_info().misses == len(classes) <= 133 < len(rows)

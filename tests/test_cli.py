@@ -17,7 +17,7 @@ from iwascan import cli, fermat, greenberg
 from iwascan.cli import (COUNT_COLUMNS, DENSITY_COLUMNS, TALLY_COLUMNS,
                          VERDICT_COLUMNS, ScanCount, main, parse_count,
                          parse_prime_range, to_csv)
-from iwascan.fermat import N_CAP, Capped, DeltaReport
+from iwascan.fermat import N_CAP, Capped
 from iwascan.greenberg import FieldVerdict, check_field
 from iwascan.stats import (NORM_CONSTRAINED, DensityTally, StatTally,
                            prime_fermat_scan, random_elem_density)
@@ -481,8 +481,7 @@ def test_an_engine_value_error_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_a_delta_capped_at_n_cap_exits_3_in_one_line(monkeypatch, capsys):
-    monkeypatch.setattr(fermat, "delta_embed",
-                        lambda x, ctx, n: DeltaReport(Capped(n), Capped(n), n))
+    monkeypatch.setattr(fermat, "_deltas", lambda x, e, root, n: (Capped(n), Capped(n)))
     assert main(["check", "--m", "103", "--p", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: delta >= {N_CAP} for m=103, p=3\n"

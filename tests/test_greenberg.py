@@ -7,10 +7,13 @@ from itertools import count
 import pytest
 
 from iwascan import fermat, greenberg, qforms
-from iwascan.fermat import N_CAP, Capped, DeltaReport, delta_embed, delta_exact
+from iwascan.fermat import N_CAP, Capped, delta_exact
 from iwascan.greenberg import (_AHEAD, _CHUNK, _scan_block, admissible, check_field,
                                map_blocks, scan_range)
-from iwascan.sunits import PreconditionError, UsageError, build_context
+from iwascan.pell import _cycle_record
+from iwascan.sunits import PreconditionError, UsageError, build_context, field_context
+
+import oracles
 
 WINDOW = [30001, 30007, 30010, 30013, 30019, 30022, 30031, 30034, 30043,
           30046, 30049, 30055, 30058, 30061, 30067, 30070, 30073, 30079,
@@ -193,14 +196,47 @@ def test_a_scan_block_makes_one_kernel_call_per_slab(monkeypatch, primes, lo):
 def test_a_delta_capped_at_n_cap_raises(monkeypatch):
     tried = []
 
-    def capped(x, ctx, n):
+    def capped(x, e, root, n):
         tried.append(n)
-        return DeltaReport(delta1=Capped(n), delta2=Capped(n), n=n)
+        return Capped(n), Capped(n)
 
-    monkeypatch.setattr(fermat, "delta_embed", capped)
+    monkeypatch.setattr(fermat, "_deltas", capped)  # the deltas of one try, at precision n
     with pytest.raises(ArithmeticError, match=f"^delta >= {N_CAP} for m=103, p=3$"):
         check_field(103, 3)
     assert tried == [1, 2, 4, 8, 16, 32, 64]  # doubled up to the cap, then refused
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
+    """Every row of the plain-integer scan, and the (s, h0, pi1) it is read from, equal the
+    former per-prime path's, a `FieldContext` and `QuadElem`s per prime, on windows fixed
+    in advance: every m <= 2000
+    at p = 3..43, and 200 m at 10^6 at p = 3 and 5.  The sample holds each hard case."""
+    moved = []
+    reduce = oracles.elem_unit_reduce
+    monkeypatch.setattr(oracles, "elem_unit_reduce",
+                        lambda x, m: ((y := reduce(x, m)) != x and moved.append(x)) or y)
+    rows = {}
+    for primes, lo, hi in ((PRIMES, 2, 2000), ((3, 5), 10**6, 10**6 + 199)):
+        for a in range(lo, hi + 1, _CHUNK):
+            args = (primes, a, min(a + _CHUNK - 1, hi), 1)
+            got, want = _scan_block(args), oracles.per_prime_scan_block(args)
+            assert got == [row for row, _ in want], args
+            # and the root, h0 and generator of each row, not only what the row shows of them
+            assert all(field_context(c.record, c.p, c.h) == (c.s, c.h0, c.pi1.coords())
+                       for _, c in want), args
+            rows[lo] = rows.get(lo, []) + got
+    small = rows[2]
+    assert (len(small), len(rows[10**6])) == (7274, 96)
+    assert sum(r.h0 > 1 for r in small) == 3404
+    assert sum(r.delta_eps >= 2 for r in small) == 67  # both deltas take the doubling path
+    assert sum(r.delta_pi >= 2 for r in small) == 82
+    assert {r.p % 4 for r in small} == {1, 3}  # p = 1 (mod 4) takes Tonelli-Shanks
+    assert {r.m % 4 == 1 for r in small} == {True, False}  # D = m and D = 4m
+    assert 2 in {_cycle_record(m).eps.den for m in {r.m for r in small}}  # units with den = 2
+    assert moved  # generators that the unit reduction moves
 
 
 def test_scan_range_validates_each_prime_before_scanning():

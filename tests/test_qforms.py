@@ -22,8 +22,9 @@ checked against exact sums (mpmath): each E1 approximation within
 the partial sum within that tail of h.
 
 `class_order` and `represent` call `pell._principal_power`, which is
-tested here with them.  `pell`'s integer `_unit_reduce` is checked
-against the `QuadElem` version it replaced (`oracles.elem_unit_reduce`).
+tested here with them, its plain (A, B) generators read as `QuadElem`s.
+`pell`'s integer `_unit_reduce` is checked against the `QuadElem` version
+it replaced (`oracles.elem_unit_reduce`).
 The one-pass `_principal_power` is checked against the former two-walk
 route (`oracles.two_walk_principal_power`), which walks p^h0 a second
 time and carries the generator with a gcd on every step, also with the
@@ -61,6 +62,12 @@ def fundamental_discriminants(limit):
 
 def record(D):
     return pell._cycle_record(D // 4 if D % 4 == 0 else D)
+
+
+def principal_power(D, q, exponents, s=None):
+    """pell's `_principal_power` in the field of D, its generator as a QuadElem."""
+    found = pell._principal_power(record(D), q, exponents, s)
+    return found and (found[0], make_elem(*found[1], 2, D // 4 if D % 4 == 0 else D))
 
 
 def units(Ds):
@@ -442,16 +449,24 @@ def test_class_numbers_memory_is_set_by_the_slab_cap():
 
 # --- unit reduction: plain integers against the QuadElem oracle ---
 
+def unit_reduce(x, rec):
+    """pell's integer `_unit_reduce` of the QuadElem x in the field of `rec`, as a QuadElem."""
+    return make_elem(*pell._unit_reduce(x.coords(), rec), 2, x.m)
+
+
 def reduced_generators(Ds, primes):
-    """(x, m) for every generator `_principal_power` reduces on Ds at their split q in primes."""
+    """(x, rec) for every generator x, as a QuadElem, that `_principal_power` reduces on Ds
+    at their split q in primes, rec its field's record."""
     seen = []
     reduce = pell._unit_reduce
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pell, "_unit_reduce", lambda x, eps: seen.append((x, eps.m)) or reduce(x, eps))
+        mp.setattr(pell, "_unit_reduce", lambda g, rec:
+                   seen.append((make_elem(*g, 2, rec.eps.m), rec)) or reduce(g, rec))
         for D, h in zip(Ds, qforms.class_numbers(units(Ds))):
+            rec = record(D)
             for q in primes:
                 if kronecker(D, q) == 1:
-                    pell._principal_power(record(D), q, divisors(h))
+                    pell._principal_power(rec, q, divisors(h))
     return seen
 
 
@@ -477,14 +492,14 @@ def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
     (7+sqrt(5))/2 * eps^k, k = 1..5, at 3+2sqrt(5) (trace 6) instead of
     (1-3sqrt(5))/2 (trace 1)."""
     elsewhere = set()
-    for x, m in generators_below_2e4 + generators_near_1e6:
-        eps = fundamental_unit(m)
-        want = pell._unit_reduce(x, eps)
+    for x, rec in generators_below_2e4 + generators_near_1e6:
+        eps = rec.eps
+        want = unit_reduce(x, rec)
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = x * inv * inv * inv * inv * inv
         for k in range(-5, 6):
-            if k and pell._unit_reduce(y, eps) != want:
-                elsewhere.add((m, k))
+            if k and unit_reduce(y, rec) != want:
+                elsewhere.add((eps.m, k))
             y = y * eps
     assert len(generators_near_1e6) == 229
     assert {m for m, _ in elsewhere} == {5}, elsewhere
@@ -497,23 +512,23 @@ def test_the_generators_at_m5_are_unchanged(q, pi1):
     """At m = 5, the known exception above, pi1 is still the former route's."""
     want = make_elem(*pi1, 5)
     assert build_context(5, q).pi1 == want
-    assert pell._principal_power(record(5), q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
+    assert principal_power(5, q, (1,)) == cycle_principal_power(5, q, (1,)) == (1, want)
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
     assert len(generators_below_2e4) > 36000
-    for x, m in generators_below_2e4:
-        assert pell._unit_reduce(x, fundamental_unit(m)) == elem_unit_reduce(x, m), x
+    for x, rec in generators_below_2e4:
+        assert unit_reduce(x, rec) == elem_unit_reduce(x, rec.eps.m), x
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2e4):
     # every k in [-3, 3] on a seeded sample of the reduced generators
-    for x, m in random.Random(3).sample(generators_below_2e4, 1500):
-        eps = fundamental_unit(m)
+    for x, rec in random.Random(3).sample(generators_below_2e4, 1500):
+        eps, m = rec.eps, rec.eps.m
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = elem_unit_reduce(x, m) * inv * inv * inv
         for k in range(-3, 4):
-            assert pell._unit_reduce(y, eps) == elem_unit_reduce(y, m), (x, k)
+            assert unit_reduce(y, rec) == elem_unit_reduce(y, m), (x, k)
             y = y * eps
 
 
@@ -653,7 +668,7 @@ def test_principal_power_matches_two_walk_oracle():
         for q in SPLIT_Q:
             if kronecker(D, q) == 1:
                 want = two_walk_principal_power(D, q, h)
-                assert pell._principal_power(record(D), q, divisors(h)) == want, (D, q)
+                assert principal_power(D, q, divisors(h)) == want, (D, q)
                 assert cycle_principal_power(D, q, divisors(h)) == want, (D, q)
                 pairs += 1
     assert pairs == 18230
@@ -677,7 +692,7 @@ def test_walks_stop_at_their_first_reduced_ideal():
                 principal = pell._cycle_generator(record(D), abs(cs[-1]), bs[-1]) is not None
                 assert principal == (_gamma_walk(A, B, D) is not None), (D, q, d)
                 closed += principal
-            assert pell._principal_power(record(D), q, divisors(h)) == \
+            assert principal_power(D, q, divisors(h)) == \
                 two_walk_principal_power(D, q, h), (D, q)
             pairs += 1
     assert (pairs, closed) == (2599, 2981)
@@ -697,7 +712,7 @@ def test_principal_power_matches_two_walk_oracle_near_1e7(m):
     assert split
     for q in split:
         want = two_walk_principal_power(D, q, h)
-        assert pell._principal_power(record(D), q, divisors(h)) == want, q
+        assert principal_power(D, q, divisors(h)) == want, q
         assert cycle_principal_power(D, q, divisors(h)) == want, q
 
 
@@ -711,7 +726,7 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
     for m, D, h in zip(ms, Ds, qforms.class_numbers(units(Ds))):
         s = hensel_sqrt(m, 3, max(9, h + 2))
         for d in divisors(h):  # each divisor alone: misses as well as hits
-            got = pell._principal_power(record(D), 3, (d,), s)
+            got = principal_power(D, 3, (d,), s)
             assert got == cycle_principal_power(D, 3, (d,), s), (m, d)
             found.append(got is not None)
     assert (found.count(True), found.count(False)) == (363, 307)
@@ -719,8 +734,8 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
 
 def test_principal_power_none_when_no_power_closes():
     # m = 10: p above 3 has order 2, so p^1 alone is not principal
-    assert pell._principal_power(record(40), 3, (1,)) is None
-    assert pell._principal_power(record(40), 3, (1, 2)) == (2, represent(40, 3, 2))
+    assert principal_power(40, 3, (1,)) is None
+    assert principal_power(40, 3, (1, 2)) == (2, represent(40, 3, 2))
 
 
 @pytest.mark.parametrize("D", [40, 60, 316, 412, 520, 1756])

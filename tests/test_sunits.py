@@ -73,9 +73,9 @@ def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
     build_context(103, 3)  # cached, so the tally below reaches its own generators
     reduce = pell._unit_reduce
 
-    def doubling(x, eps):
-        y = reduce(x, eps)
-        return make_elem(2 * y.a, 2 * y.b, y.den, eps.m)
+    def doubling(g, rec):
+        A, B = reduce(g, rec)
+        return 2 * A, 2 * B
 
     monkeypatch.setattr(pell, "_unit_reduce", doubling)
     with pytest.raises(ArithmeticError, match="wrong norm"):
@@ -141,12 +141,13 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
 def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
     """One lift, to p^(h+2), serves the walks and the context's p^N."""
     lifts = []
-    lift = sunits.hensel_sqrt
+    lift = sunits._lift_sqrt
 
     def counting(m, p, N):
         lifts.append(N)
         return lift(m, p, N)
 
+    monkeypatch.setattr(sunits, "_lift_sqrt", counting)  # the one lift, uncached
     monkeypatch.setattr(sunits, "hensel_sqrt", counting)
     monkeypatch.setattr(pell, "hensel_sqrt", counting)
     ctx = build_context.__wrapped__(m, p)
