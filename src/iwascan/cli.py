@@ -7,7 +7,9 @@ Subcommands
     stats-random delta densities of random elements
 
 Formats: ``table`` (human), ``csv`` and ``json`` (schema-versioned); both
-machine formats come from one column spec per record type.  Identical
+machine formats come from one column spec per record type, and verdict
+rows go to CSV through one line writer on their plain tuples, which a
+scan's pool workers run on their own blocks.  Identical
 flags give byte-identical data; the only run-dependent line is the
 timestamped ``#`` header, off via --no-header.  Exit codes: 0 success,
 2 bad arguments or an unwritable --output, 3 precondition violation,
@@ -22,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -30,7 +32,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .arith import is_prime
-from .greenberg import check_field, scan_range
+from .greenberg import FieldVerdict, Row, check_field, scan_parts
 from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
                     random_elem_density)
 from .sunits import PreconditionError, UsageError, build_context
@@ -135,6 +137,27 @@ def to_csv(rows: Sequence, columns: Sequence[Column]) -> str:
     return buf.getvalue()
 
 
+VERDICT_HEADER = ",".join(VERDICT_COLUMNS) + "\n"
+_BOOL = ("false", "true")
+
+
+def _z(p: int, delta: int) -> str:
+    return f"1/{p**delta}" if delta else "1"
+
+
+def verdict_line(row: Row) -> str:
+    """The CSV line of one verdict, from its values in `FieldVerdict` field order:
+    `to_csv`'s bytes under VERDICT_HEADER, for a row tuple rather than a record."""
+    m, p, h, h0, v_p_h, d_eps, d_pi, class_ok, normic_ok, resolved, torsion_v = row
+    return (f"{m},{p},{h},{h0},{v_p_h},{d_eps},{d_pi},{_z(p, d_eps)},{_z(p, d_pi)},"
+            f"{_BOOL[class_ok]},{_BOOL[normic_ok]},{_BOOL[resolved]},{torsion_v}\n")
+
+
+def _csv_lines(rows: list[Row]) -> str:
+    """A scan block's CSV lines for one prime; made in the pool worker."""
+    return "".join(map(verdict_line, rows))
+
+
 def _plain(x):
     if isinstance(x, Fraction):
         return str(x)
@@ -176,7 +199,7 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
     v = check_field(ns.m, ns.p[0])
     ctx = build_context(ns.m, ns.p[0])
     if ns.fmt == "csv":
-        return to_csv([v], VERDICT_COLUMNS)
+        return VERDICT_HEADER + verdict_line(astuple(v))
     if ns.fmt == "json":
         return {"verdict": {**to_json(v, VERDICT_COLUMNS),
                             "eps": [ctx.eps.a, ctx.eps.b, ctx.eps.den],
@@ -196,14 +219,19 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
 
 
 def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
-    results = scan_range(ns.p, ns.min_m, ns.max_m, workers=ns.workers)
-    counts = [ScanCount(p=r.p, c1=r.tested, c2=r.resolved) for r in results]
-    rows = [v for r in results for v in r.rows]
+    # CSV lines are written in the worker that made their block's rows; JSON records
+    # are built here from the row tuples, and a table prints only the counts
+    part = _csv_lines if ns.fmt == "csv" else list
+    per_p = scan_parts(ns.p, ns.min_m, ns.max_m, part, workers=ns.workers)
+    counts = [ScanCount(p=p, c1=tested, c2=resolved)
+              for p, (tested, resolved, _) in zip(ns.p, per_p)]
     if ns.fmt == "csv":
-        return to_csv(counts, COUNT_COLUMNS) + to_csv(rows, VERDICT_COLUMNS)
+        return (to_csv(counts, COUNT_COLUMNS) + VERDICT_HEADER
+                + "".join(text for *_, texts in per_p for text in texts))
     if ns.fmt == "json":
         return {"counts": [to_json(c, COUNT_COLUMNS) for c in counts],
-                "rows": [to_json(v, VERDICT_COLUMNS) for v in rows]}
+                "rows": [to_json(FieldVerdict(*row), VERDICT_COLUMNS)
+                         for *_, blocks in per_p for rows in blocks for row in rows]}
     return ([f"m in [{ns.min_m}, {ns.max_m}]", "p  c1  c2  unresolved"]
             + [f"{c.p}  {c.c1}  {c.c2}  {c.unresolved}" for c in counts])
 

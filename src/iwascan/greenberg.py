@@ -6,16 +6,19 @@ the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
 admissible m in an interval, for several primes at once, handing each
-field's cycle record and h down.  `map_blocks` is the package's one
+field's cycle record and h down.  A scan row is a plain tuple in
+`FieldVerdict` field order until `scan_range` wraps it; `scan_parts` lets
+the pool workers fold each block's rows per prime, so the CLI writes a
+block's CSV lines where its rows were computed.  `map_blocks` is the package's one
 process pool: both scans hand it fixed work items.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -24,8 +27,6 @@ from .fermat import _deltas_exact
 from .pell import CycleRecord, _cycle_record
 from .qforms import class_numbers
 from .sunits import UsageError, build_context, field_context, real_field, validate_prime
-
-_ONE = Fraction(1)  # z = 1/p^0, shared by the cells with delta = 0
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,11 @@ class FieldVerdict:
 
     @property
     def z_eps(self) -> Fraction:
-        return Fraction(1, self.p**self.delta_eps) if self.delta_eps else _ONE
+        return Fraction(1, self.p**self.delta_eps)
 
     @property
     def z_pi(self) -> Fraction:
-        return Fraction(1, self.p**self.delta_pi) if self.delta_pi else _ONE
+        return Fraction(1, self.p**self.delta_pi)
 
 
 def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
@@ -60,13 +61,18 @@ def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     exceed it at doubled precision, so the verdict does not depend on n0.
     """
     ctx = build_context(m, p)
-    return _verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0)
+    return FieldVerdict(*_verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0))
+
+
+Row = tuple[int, int, int, int, int, int, int, bool, bool, bool, int]  # FieldVerdict's fields
+_RESOLVED = [f.name for f in fields(FieldVerdict)].index("resolved")
 
 
 def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[int, int]],
-             n0: int) -> FieldVerdict:
+             n0: int) -> Row:
     """The vanishing test at p on the field of `record`, of wide class number h, from
-    its `field_context` facts (s, h0, pi1), deltas started at n0."""
+    its `field_context` facts (s, h0, pi1), deltas started at n0: the values of its
+    `FieldVerdict`, in field order."""
     (s, h0, (A, B)), eps = facts, record.eps
     root = (eps.m, p, s, h + 2)
     delta_eps, d2, _ = _deltas_exact(eps.coords(), 0, root, n0)
@@ -80,9 +86,10 @@ def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[i
     v_p_h = valuation(h, p)
     class_ok = v_p_h == valuation(h0, p)
     normic_ok = min(delta_eps, delta_pi) == 0
-    # positional, in field order: a frozen row built by keywords takes a third longer
-    return FieldVerdict(eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
-                        class_ok and normic_ok, v_p_h + delta_eps)
+    # a plain tuple, which a scan ships through the pool; a record is built only by the
+    # callers that return one
+    return (eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
+            class_ok and normic_ok, v_p_h + delta_eps)
 
 
 def admissible(m: int, p: int) -> bool:
@@ -113,16 +120,53 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
             yield flight.pop(0).result()
 
 
-def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
+def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[Row]:
     # m is tested once per block, its splitting once per prime.  Each admissible m gets
     # one cycle record, which holds its unit, and h from one batch; both serve every prime.
     primes, lo, hi, n0 = args
-    fields = [(m, split) for m in range(lo, hi + 1) if real_field(m)
-              if (split := [p for p in primes if kronecker(m, p) == 1])]
-    records = [_cycle_record(m) for m, _ in fields]
+    admitted = [(m, split) for m in range(lo, hi + 1) if real_field(m)
+                if (split := [p for p in primes if kronecker(m, p) == 1])]
+    records = [_cycle_record(m) for m, _ in admitted]
     hs = class_numbers([record.eps for record in records])
     return [_verdict(record, p, h, field_context(record, p, h), n0)
-            for (_, split), record, h in zip(fields, records, hs) for p in split]
+            for (_, split), record, h in zip(admitted, records, hs) for p in split]
+
+
+def _block_parts(args: tuple[tuple[int, ...], int, int, int, Callable[[list[Row]], object]]
+                 ) -> list[tuple[int, int, object]]:
+    # a block's rows grouped by prime, each group counted and folded by `part` where the
+    # rows were made: in the pool worker, which then ships only the folded part
+    *block, part = args
+    by_p: dict[int, list[Row]] = {p: [] for p in block[0]}
+    for row in _scan_block(tuple(block)):
+        by_p[row[1]].append(row)
+    return [(len(rows), sum(row[_RESOLVED] for row in rows), part(rows))
+            for rows in by_p.values()]
+
+
+def scan_parts(primes: tuple[int, ...], m_min: int, m_max: int,
+               part: Callable[[list[Row]], object], n0: int = 1, workers: int = 1
+               ) -> list[tuple[int, int, list]]:
+    """The scan of `scan_range`, each block's rows of each prime folded by `part` in the
+    worker that made them: per prime, in the given order, (tested, resolved, the parts
+    of its blocks in m order).  `part` takes a prime's m-ascending rows of one block,
+    plain tuples in `FieldVerdict` field order; at two or more workers it crosses the
+    pool, so it must be a module-level function."""
+    if m_min > m_max:
+        raise UsageError("empty range")
+    if not primes or len(set(primes)) < len(primes):
+        raise UsageError("need at least one prime, none repeated")
+    for p in primes:  # even when no m in the range is admissible at p
+        validate_prime(p)
+    blocks = ((primes, lo, min(lo + _CHUNK - 1, m_max), n0, part)
+              for lo in range(m_min, m_max + 1, _CHUNK))
+    tested, resolved, parts = [0] * len(primes), [0] * len(primes), [[] for _ in primes]
+    for block in map_blocks(_block_parts, blocks, workers):
+        for i, (t, r, got) in enumerate(block):
+            tested[i] += t
+            resolved[i] += r
+            parts[i].append(got)
+    return list(zip(tested, resolved, parts))
 
 
 @dataclass(frozen=True)
@@ -141,18 +185,7 @@ def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
     per prime, in the given order, with rows m-ascending.  The m-range is
     cut into blocks of _CHUNK values, each checked at every prime, m
     outermost, by `map_blocks` on `workers` processes."""
-    if m_min > m_max:
-        raise UsageError("empty range")
-    if not primes or len(set(primes)) < len(primes):
-        raise UsageError("need at least one prime, none repeated")
-    for p in primes:  # even when no m in the range is admissible at p
-        validate_prime(p)
-    blocks = ((primes, lo, min(lo + _CHUNK - 1, m_max), n0)
-              for lo in range(m_min, m_max + 1, _CHUNK))
-    rows: dict[int, list[FieldVerdict]] = {p: [] for p in primes}
-    for part in map_blocks(_scan_block, blocks, workers):
-        for r in part:
-            rows[r.p].append(r)
-    return tuple(ScanResult(p=p, m_min=m_min, m_max=m_max, tested=len(rs),
-                            resolved=sum(r.resolved for r in rs), rows=tuple(rs))
-                 for p, rs in rows.items())
+    return tuple(ScanResult(p=p, m_min=m_min, m_max=m_max, tested=tested, resolved=resolved,
+                            rows=tuple(FieldVerdict(*row) for rows in parts for row in rows))
+                 for p, (tested, resolved, parts)
+                 in zip(primes, scan_parts(primes, m_min, m_max, list, n0, workers)))

@@ -45,6 +45,11 @@ None of these is used by the package itself:
   generator of `elem_principal_power` (the same walks, a `QuadElem`
   reduced by `elem_unit_reduce`), and `per_prime_verdict` takes both
   deltas by `elem_delta_exact` on `QuadElem` residues.
+* `scan_output_after_the_scan` is the former output route of the `scan`
+  command: `FieldVerdict` records from `scan_range`, serialized by
+  `cli.to_csv` or `cli.to_json` in the calling process once the whole scan
+  has finished, where `cli.cmd_scan` now takes each block's rows as plain
+  tuples, written to CSV in the pool worker that made them.
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
   array in the calling process, each survivor proven, then sorted.
@@ -62,6 +67,7 @@ None of these is used by the package itself:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import erfc, exp, gcd, isqrt, log, pi, sqrt
 
@@ -69,7 +75,8 @@ import numpy as np
 
 from iwascan.arith import divisors, factorize, kronecker, valuation
 from iwascan.fermat import N_CAP, Capped, Delta, delta_embed
-from iwascan.greenberg import FieldVerdict
+from iwascan.cli import COUNT_COLUMNS, VERDICT_COLUMNS, ScanCount, to_csv, to_json
+from iwascan.greenberg import FieldVerdict, scan_range
 from iwascan.pell import (CycleRecord, _canonical_root, _cycle_generator, _cycle_record,
                           _generator, _ideal_walk, _product, fundamental_unit)
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
@@ -532,6 +539,23 @@ def per_prime_scan_block(args: tuple[tuple[int, ...], int, int, int]
     ctxs = [per_prime_context(record, p, h)
             for (_, split), record, h in zip(fields, records, hs) for p in split]
     return [(per_prime_verdict(ctx, n0), ctx) for ctx in ctxs]
+
+
+def scan_output_after_the_scan(primes: tuple[int, ...], m_min: int, m_max: int, fmt: str,
+                               workers: int) -> str:
+    """The stdout of `iwascan scan ... --format fmt --no-header` by the former route: every
+    row a `FieldVerdict` from `scan_range`, serialized after the scan."""
+    results = scan_range(primes, m_min, m_max, workers=workers)
+    counts = [ScanCount(p=r.p, c1=r.tested, c2=r.resolved) for r in results]
+    rows = [v for r in results for v in r.rows]
+    if fmt == "csv":
+        return to_csv(counts, COUNT_COLUMNS) + to_csv(rows, VERDICT_COLUMNS)
+    if fmt == "json":
+        doc = {"schema": 1, "counts": [to_json(c, COUNT_COLUMNS) for c in counts],
+               "rows": [to_json(v, VERDICT_COLUMNS) for v in rows]}
+        return json.dumps(doc, indent=2) + "\n"
+    return "\n".join([f"m in [{m_min}, {m_max}]", "p  c1  c2  unresolved"]
+                      + [f"{c.p}  {c.c1}  {c.c2}  {c.unresolved}" for c in counts]) + "\n"
 
 
 def is_sprp(n: int, a: int) -> bool:

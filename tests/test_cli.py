@@ -23,6 +23,8 @@ from iwascan.stats import (NORM_CONSTRAINED, DensityTally, StatTally,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import UsageError
 
+import oracles
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "iwascan.cli", *args],
@@ -201,6 +203,42 @@ def test_scan_command_csv(capsys):
     assert counts == [ScanCount(3, 22, 19)]
     rows = read_csv("m,p," + out.split("m,p,", 1)[1], FieldVerdict, VERDICT_COLUMNS)
     assert len(rows) == 22 and rows[0].m == 30001
+
+
+# windows fixed in advance, as (--p, --min-m, --max-m): every m <= 2000 at p = 3..43, which
+# holds rows with delta >= 2 (z = 1/p^k, k >= 2); a window at p = 3; an empty window; and a
+# window where p = 5 admits no m
+SCAN_WINDOWS = {
+    "table-2000": ("3..43", 2, 2000),
+    "window-30001": ("3", 30001, 30097),
+    "empty": ("3", 4, 4),
+    "p5-empty": ("3..5", 7, 7),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("window", sorted(SCAN_WINDOWS))
+def test_scan_output_equals_the_after_the_scan_oracle(window, fmt, workers, capsys):
+    """`scan` writes each block's CSV lines in its worker; the bytes equal the former route's,
+    `FieldVerdict` rows serialized by `to_csv`/`to_json` once the scan is done."""
+    p, m_min, m_max = SCAN_WINDOWS[window]
+    assert main(["scan", "--p", p, "--min-m", str(m_min), "--max-m", str(m_max),
+                 "--workers", str(workers), "--format", fmt, "--no-header"]) == 0
+    assert capsys.readouterr().out == oracles.scan_output_after_the_scan(
+        parse_prime_range(p), m_min, m_max, fmt, workers)
+
+
+def test_the_scan_windows_hold_their_hard_cases():
+    def scan(window):
+        p, m_min, m_max = SCAN_WINDOWS[window]
+        return greenberg.scan_range(parse_prime_range(p), m_min, m_max)
+
+    rows = [v for r in scan("table-2000") for v in r.rows]
+    assert {v.delta_eps >= 2 for v in rows} == {v.delta_pi >= 2 for v in rows} == {True, False}
+    assert [r.tested for r in scan("window-30001")] == [22]
+    assert [r.tested for r in scan("empty")] == [0]
+    assert [r.tested for r in scan("p5-empty")] == [1, 0]
 
 
 def test_a_discriminant_past_int64_is_refused_before_factoring(capsys):

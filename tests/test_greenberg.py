@@ -2,14 +2,15 @@
 
 import os
 from concurrent.futures import Future
+from dataclasses import fields
 from itertools import count
 
 import pytest
 
 from iwascan import fermat, greenberg, qforms
 from iwascan.fermat import N_CAP, Capped, delta_exact
-from iwascan.greenberg import (_AHEAD, _CHUNK, _scan_block, admissible, check_field,
-                               map_blocks, scan_range)
+from iwascan.greenberg import (_AHEAD, _CHUNK, FieldVerdict, _scan_block, admissible,
+                               check_field, map_blocks, scan_range)
 from iwascan.pell import _cycle_record
 from iwascan.sunits import PreconditionError, UsageError, build_context, field_context
 
@@ -184,7 +185,7 @@ def test_a_scan_block_makes_one_kernel_call_per_slab(monkeypatch, primes, lo):
         return chi(Ds, N)
 
     monkeypatch.setattr(qforms, "_chi", counting)
-    rows = _scan_block((primes, lo, lo + _CHUNK - 1, 1))
+    rows = [FieldVerdict(*row) for row in _scan_block((primes, lo, lo + _CHUNK - 1, 1))]
     fields = len({r.m for r in rows})
     assert len(rows) >= fields > 20
     assert sum(k for k, _ in slabs) == fields
@@ -222,7 +223,8 @@ def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
     for primes, lo, hi in ((PRIMES, 2, 2000), ((3, 5), 10**6, 10**6 + 199)):
         for a in range(lo, hi + 1, _CHUNK):
             args = (primes, a, min(a + _CHUNK - 1, hi), 1)
-            got, want = _scan_block(args), oracles.per_prime_scan_block(args)
+            got = [FieldVerdict(*row) for row in _scan_block(args)]
+            want = oracles.per_prime_scan_block(args)
             assert got == [row for row, _ in want], args
             # and the root, h0 and generator of each row, not only what the row shows of them
             assert all(field_context(c.record, c.p, c.h) == (c.s, c.h0, c.pi1.coords())
@@ -237,6 +239,20 @@ def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
     assert {r.m % 4 == 1 for r in small} == {True, False}  # D = m and D = 4m
     assert 2 in {_cycle_record(m).eps.den for m in {r.m for r in small}}  # units with den = 2
     assert moved  # generators that the unit reduction moves
+
+
+def test_only_plain_tuples_cross_the_pool():
+    """Each row `_scan_block` returns is a plain tuple of its `FieldVerdict`'s values in
+    field order, each cell exactly an int or a bool as the field says: no record and no
+    numpy scalar is pickled.  Sampled rows wrap to `check_field`'s verdict."""
+    kinds = [bool if f.type == "bool" else int for f in fields(FieldVerdict)]
+    assert len(kinds) == 11 and kinds.count(bool) == 3
+    for args in ((PRIMES, 1901, 2000, 1), ((3, 5), 10**6, 10**6 + _CHUNK - 1, 1)):
+        rows = _scan_block(args)
+        assert len(rows) > 20, args
+        assert all(type(row) is tuple and [type(cell) for cell in row] == kinds
+                   for row in rows), args
+        assert all(FieldVerdict(*row) == check_field(row[0], row[1]) for row in rows[::5]), args
 
 
 def test_scan_range_validates_each_prime_before_scanning():
