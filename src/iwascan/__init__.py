@@ -1,26 +1,39 @@
 """Vanishing tests for Iwasawa invariants of real quadratic fields at split p,
-plus Fermat-quotient statistics over primes and random elements."""
+plus Fermat-quotient statistics over primes and random elements.
 
-from .arith import is_prime, is_squarefree, kronecker, valuation
-from .fermat import Capped, DeltaReport, delta_embed, delta_exact
-from .greenberg import (FieldVerdict, ScanResult, admissible, check_field,
-                        scan_range)
-from .pell import fundamental_unit
-from .qforms import class_number, class_order, represent
-from .quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem
-from .stats import (DensityTally, NORM_CONSTRAINED, StatTally, UNCONSTRAINED,
-                    expected_proportions, prime_fermat_scan, random_elem_density)
-from .sunits import (FieldContext, PreconditionError, UsageError, build_context,
-                     validate_field)
+The root loads each submodule on first use of one of its names (PEP 562), so
+``import iwascan`` alone imports neither numpy nor any submodule.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Capped", "DeltaReport", "DensityTally", "FieldContext", "FieldVerdict",
-    "NORM_CONSTRAINED", "PreconditionError", "QuadElem", "QuadResidue",
-    "ScanResult", "StatTally", "UNCONSTRAINED", "UsageError", "admissible",
-    "build_context", "check_field", "class_number", "class_order", "delta_embed",
-    "delta_exact", "expected_proportions", "fundamental_unit", "hensel_sqrt",
-    "is_prime", "is_squarefree", "kronecker", "make_elem", "prime_fermat_scan",
-    "random_elem_density", "represent", "scan_range", "validate_field", "valuation",
-]
+# Each public name and the submodule it lives in.
+_HOME = {
+    **dict.fromkeys(("is_prime", "is_squarefree", "kronecker", "valuation"), "arith"),
+    **dict.fromkeys(("Capped", "DeltaReport", "delta_embed", "delta_exact"), "fermat"),
+    **dict.fromkeys(("FieldVerdict", "ScanResult", "admissible", "check_field",
+                     "scan_range"), "greenberg"),
+    "fundamental_unit": "pell",
+    **dict.fromkeys(("class_number", "class_order", "represent"), "qforms"),
+    **dict.fromkeys(("QuadElem", "QuadResidue", "hensel_sqrt", "make_elem"), "quadint"),
+    **dict.fromkeys(("DensityTally", "NORM_CONSTRAINED", "StatTally", "UNCONSTRAINED",
+                     "expected_proportions", "prime_fermat_scan",
+                     "random_elem_density"), "stats"),
+    **dict.fromkeys(("FieldContext", "PreconditionError", "UsageError", "build_context",
+                     "validate_field"), "sunits"),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

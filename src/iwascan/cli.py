@@ -31,6 +31,9 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
+# Set before numpy loads: the CLI makes no BLAS call, so OpenBLAS needs no thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import is_prime
 from .greenberg import FieldVerdict, Row, check_field, scan_parts
 from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, islice
@@ -112,6 +111,7 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
     if len(head) < 2:
         yield from map(fn, chain(head, blocks))
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
         ahead = chain(head, islice(blocks, (_AHEAD - 1) * len(head)))
         flight = [pool.submit(fn, b) for b in ahead]

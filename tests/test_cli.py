@@ -1,6 +1,7 @@
 """CLI surface: parsing, serialization round-trips, exit codes, determinism."""
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -444,12 +445,12 @@ def test_output_bytes_are_pinned(case, fmt, capsys):
 def test_a_multi_prime_scan_builds_one_pool(monkeypatch, capsys):
     pools = []
 
-    class CountedPool(greenberg.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     assert main(["scan", "--p", "3..11", "--max-m", "300", "--workers", "2",
                  "--no-header"]) == 0
     assert pools == [{"max_workers": 2}]
@@ -459,12 +460,12 @@ def test_a_multi_prime_scan_builds_one_pool(monkeypatch, capsys):
 def test_a_split_prime_tally_builds_one_pool(monkeypatch, capsys):
     pools = []
 
-    class CountedPool(greenberg.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     assert main(["stats-primes", "--m", "103", "--p", "3", "--n", "5", "--bound", "1e6",
                  "--workers", "2", "--no-header"]) == 0
     assert pools == [{"max_workers": 2}]

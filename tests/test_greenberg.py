@@ -1,5 +1,6 @@
 """Verdict logic: invariance properties and scan bookkeeping."""
 
+import concurrent.futures
 import os
 from concurrent.futures import Future
 from dataclasses import fields
@@ -302,7 +303,7 @@ def test_no_pool_has_more_processes_than_cpus(monkeypatch):
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(greenberg, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cpus = len(os.sched_getaffinity(0))
     got = scan_range((3, 7), 2, 1 + 6 * _CHUNK, workers=10**6)
     assert {r.p: list(r.rows) for r in got} == serial_scan((3, 7), 2, 1 + 6 * _CHUNK)
