@@ -8,12 +8,12 @@ Subcommands
 
 Formats: ``table`` (human), ``csv`` and ``json`` (schema-versioned); both
 machine formats come from one column spec per record type, and verdict
-rows go to CSV through one line writer on their plain tuples, which a
-scan's pool workers run on their own blocks.  Identical
-flags give byte-identical data; the only run-dependent line is the
-timestamped ``#`` header, off via --no-header.  Exit codes: 0 success,
-2 bad arguments or an unwritable --output, 3 precondition violation,
-4 internal error (any other ValueError: a defect, reported in one line).
+rows go to CSV through one line writer, which a scan's pool workers run on
+their own blocks (a table scan's keep no rows).  Identical flags give
+byte-identical data; the only run-dependent line is the timestamped ``#``
+header, off via --no-header.  Exit codes: 0 success, 2 bad arguments or
+an unwritable --output, 3 precondition violation, 4 internal error (any
+other ValueError: a defect, reported in one line).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -35,7 +35,7 @@ from typing import Sequence
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import is_prime
-from .greenberg import FieldVerdict, Row, check_field, scan_parts
+from .greenberg import FieldVerdict, check_field, scan_parts
 from .stats import (NORM_CONSTRAINED, UNCONSTRAINED, prime_fermat_scan,
                     random_elem_density)
 from .sunits import PreconditionError, UsageError, build_context
@@ -148,17 +148,23 @@ def _z(p: int, delta: int) -> str:
     return f"1/{p**delta}" if delta else "1"
 
 
-def verdict_line(row: Row) -> str:
-    """The CSV line of one verdict, from its values in `FieldVerdict` field order:
-    `to_csv`'s bytes under VERDICT_HEADER, for a row tuple rather than a record."""
+def verdict_line(row: FieldVerdict) -> str:
+    """The CSV line of one verdict: `to_csv`'s bytes under VERDICT_HEADER."""
     m, p, h, h0, v_p_h, d_eps, d_pi, class_ok, normic_ok, resolved, torsion_v = row
     return (f"{m},{p},{h},{h0},{v_p_h},{d_eps},{d_pi},{_z(p, d_eps)},{_z(p, d_pi)},"
             f"{_BOOL[class_ok]},{_BOOL[normic_ok]},{_BOOL[resolved]},{torsion_v}\n")
 
 
-def _csv_lines(rows: list[Row]) -> str:
+def _csv_lines(rows: list[FieldVerdict]) -> str:
     """A scan block's CSV lines for one prime; made in the pool worker."""
     return "".join(map(verdict_line, rows))
+
+
+def _no_rows(rows: list[FieldVerdict]) -> None:
+    """A table scan's part: the table prints only the counts, so no row is shipped."""
+
+
+_SCAN_PARTS = {"csv": _csv_lines, "json": list, "table": _no_rows}  # fold of each format
 
 
 def _plain(x):
@@ -170,8 +176,10 @@ def _plain(x):
 
 
 def to_json(record, columns: Sequence[Column]) -> dict:
-    """The dataclass fields of `record`, then its other columns in spec order."""
-    names = [f.name for f in fields(record)] + [attr for _, attr in _pairs(columns)]
+    """The fields of `record`, a dataclass or a named tuple, then its other columns in
+    spec order."""
+    own = record._fields if isinstance(record, tuple) else [f.name for f in fields(record)]
+    names = [*own, *(attr for _, attr in _pairs(columns))]
     return {a: _plain(getattr(record, a)) for a in dict.fromkeys(names)}
 
 
@@ -202,7 +210,7 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
     v = check_field(ns.m, ns.p[0])
     ctx = build_context(ns.m, ns.p[0])
     if ns.fmt == "csv":
-        return VERDICT_HEADER + verdict_line(astuple(v))
+        return VERDICT_HEADER + verdict_line(v)
     if ns.fmt == "json":
         return {"verdict": {**to_json(v, VERDICT_COLUMNS),
                             "eps": [ctx.eps.a, ctx.eps.b, ctx.eps.den],
@@ -222,10 +230,9 @@ def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
 
 
 def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
-    # CSV lines are written in the worker that made their block's rows; JSON records
-    # are built here from the row tuples, and a table prints only the counts
-    part = _csv_lines if ns.fmt == "csv" else list
-    per_p = scan_parts(ns.p, ns.min_m, ns.max_m, part, workers=ns.workers)
+    # CSV lines are written in the worker that made their block's rows, JSON records
+    # built here from the rows, and a table prints only the counts
+    per_p = scan_parts(ns.p, ns.min_m, ns.max_m, _SCAN_PARTS[ns.fmt], workers=ns.workers)
     counts = [ScanCount(p=p, c1=tested, c2=resolved)
               for p, (tested, resolved, _) in zip(ns.p, per_p)]
     if ns.fmt == "csv":
@@ -233,7 +240,7 @@ def cmd_scan(ns: argparse.Namespace) -> str | dict | list[str]:
                 + "".join(text for *_, texts in per_p for text in texts))
     if ns.fmt == "json":
         return {"counts": [to_json(c, COUNT_COLUMNS) for c in counts],
-                "rows": [to_json(FieldVerdict(*row), VERDICT_COLUMNS)
+                "rows": [to_json(row, VERDICT_COLUMNS)
                          for *_, blocks in per_p for rows in blocks for row in rows]}
     return ([f"m in [{ns.min_m}, {ns.max_m}]", "p  c1  c2  unresolved"]
             + [f"{c.p}  {c.c1}  {c.c2}  {c.unresolved}" for c in counts])

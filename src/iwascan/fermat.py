@@ -2,10 +2,11 @@
 
 For x prime to the prime P above p, delta_P(x) + 1 is the valuation of
 x^(p-1) - 1 at P (non-units get their P-part divided out first).
-`_deltas` reads it straight off the two residues of x = (A + B*sqrt(m))/2,
+`_deltas` reads it off the two `quadint.residues` of x = (A + B*sqrt(m))/2,
 plain ints, under the labelled embeddings, from the root of m when its p^N
 suffices and from a cached re-lift when it does not, v_p(N(x)) passed in
-once.  `delta_embed` and `delta_exact` take a `QuadElem` and a context.
+once: the route of the scan rows and of the split-prime tally.
+`delta_embed` and `delta_exact` take a `QuadElem` and a context.
 (The tests check it against an independent route through the S-unit
 Bezout associate of x.)  A computation can only certify delta < n; larger
 values surface as a `Capped` marker.  `_deltas_exact` retries at doubled n
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import valuation
-from .quadint import QuadElem, hensel_sqrt
+from .quadint import QuadElem, hensel_sqrt, residues
 from .sunits import FieldContext
 
 N_CAP = 64
@@ -61,12 +62,10 @@ def _deltas(x: tuple[int, int], e: int, root: Root, n: int) -> tuple[Delta, Delt
     below n, from root = (m, p, s, N), s = sqrt(m) mod p^N (re-lifted when too short)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    (A, B), (m, p, s, N) = x, root
-    mod = p ** (prec := n + 1 + e)
-    bs = B * (s if prec <= N else hensel_sqrt(m, p, prec))
-    half = (mod + 1) // 2
-    return (_delta_of_residue((A + bs) * half % mod, p, n, e),
-            _delta_of_residue((A - bs) * half % mod, p, n, e))
+    m, p, s, N = root
+    prec = n + 1 + e
+    r1, r2 = residues(x, s if prec <= N else hensel_sqrt(m, p, prec), p**prec)
+    return _delta_of_residue(r1, p, n, e), _delta_of_residue(r2, p, n, e)
 
 
 def _deltas_exact(x: tuple[int, int], e: int, root: Root, n: int) -> tuple[int, int, int]:

@@ -6,20 +6,22 @@ the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
 admissible m in an interval, for several primes at once, handing each
-field's cycle record and h down.  A scan row is a plain tuple in
-`FieldVerdict` field order until `scan_range` wraps it; `scan_parts` lets
-the pool workers fold each block's rows per prime, so the CLI writes a
-block's CSV lines where its rows were computed.  `map_blocks` is the package's one
-process pool: both scans hand it fixed work items.
+field's cycle record and h down.  A `FieldVerdict` is a named tuple of
+ints and bools, so each scan row is one from the worker that makes it to
+the code that reads it; `scan_parts` lets the pool workers fold each
+block's rows per prime, so the CLI writes a block's CSV lines where its
+rows were computed.  `map_blocks` is the package's one process pool: both
+scans hand it fixed work items.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .arith import kronecker, valuation
 from .fermat import _deltas_exact
@@ -28,9 +30,8 @@ from .qforms import class_numbers
 from .sunits import UsageError, build_context, field_context, real_field, validate_prime
 
 
-@dataclass(frozen=True)
-class FieldVerdict:
-    """Everything `check_field` learns about one (m, p)."""
+class FieldVerdict(NamedTuple):
+    """Everything `check_field` learns about one (m, p): a scan row."""
 
     m: int
     p: int
@@ -60,18 +61,13 @@ def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     exceed it at doubled precision, so the verdict does not depend on n0.
     """
     ctx = build_context(m, p)
-    return FieldVerdict(*_verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0))
-
-
-Row = tuple[int, int, int, int, int, int, int, bool, bool, bool, int]  # FieldVerdict's fields
-_RESOLVED = [f.name for f in fields(FieldVerdict)].index("resolved")
+    return _verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0)
 
 
 def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[int, int]],
-             n0: int) -> Row:
+             n0: int) -> FieldVerdict:
     """The vanishing test at p on the field of `record`, of wide class number h, from
-    its `field_context` facts (s, h0, pi1), deltas started at n0: the values of its
-    `FieldVerdict`, in field order."""
+    its `field_context` facts (s, h0, pi1), deltas started at n0."""
     (s, h0, (A, B)), eps = facts, record.eps
     root = (eps.m, p, s, h + 2)
     delta_eps, d2, _ = _deltas_exact(eps.coords(), 0, root, n0)
@@ -85,10 +81,8 @@ def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[i
     v_p_h = valuation(h, p)
     class_ok = v_p_h == valuation(h0, p)
     normic_ok = min(delta_eps, delta_pi) == 0
-    # a plain tuple, which a scan ships through the pool; a record is built only by the
-    # callers that return one
-    return (eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
-            class_ok and normic_ok, v_p_h + delta_eps)
+    return FieldVerdict(eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
+                        class_ok and normic_ok, v_p_h + delta_eps)
 
 
 def admissible(m: int, p: int) -> bool:
@@ -120,7 +114,7 @@ def map_blocks(fn, blocks: Iterable, workers: int) -> Iterator:
             yield flight.pop(0).result()
 
 
-def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[Row]:
+def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdict]:
     # m is tested once per block, its splitting once per prime.  Each admissible m gets
     # one cycle record, which holds its unit, and h from one batch; both serve every prime.
     primes, lo, hi, n0 = args
@@ -132,26 +126,26 @@ def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[Row]:
             for (_, split), record, h in zip(admitted, records, hs) for p in split]
 
 
-def _block_parts(args: tuple[tuple[int, ...], int, int, int, Callable[[list[Row]], object]]
+def _block_parts(args: tuple[tuple[int, ...], int, int, int,
+                             Callable[[list[FieldVerdict]], object]]
                  ) -> list[tuple[int, int, object]]:
     # a block's rows grouped by prime, each group counted and folded by `part` where the
     # rows were made: in the pool worker, which then ships only the folded part
     *block, part = args
-    by_p: dict[int, list[Row]] = {p: [] for p in block[0]}
+    by_p: dict[int, list[FieldVerdict]] = {p: [] for p in block[0]}
     for row in _scan_block(tuple(block)):
-        by_p[row[1]].append(row)
-    return [(len(rows), sum(row[_RESOLVED] for row in rows), part(rows))
+        by_p[row.p].append(row)
+    return [(len(rows), sum(row.resolved for row in rows), part(rows))
             for rows in by_p.values()]
 
 
 def scan_parts(primes: tuple[int, ...], m_min: int, m_max: int,
-               part: Callable[[list[Row]], object], n0: int = 1, workers: int = 1
+               part: Callable[[list[FieldVerdict]], object], n0: int = 1, workers: int = 1
                ) -> list[tuple[int, int, list]]:
     """The scan of `scan_range`, each block's rows of each prime folded by `part` in the
     worker that made them: per prime, in the given order, (tested, resolved, the parts
-    of its blocks in m order).  `part` takes a prime's m-ascending rows of one block,
-    plain tuples in `FieldVerdict` field order; at two or more workers it crosses the
-    pool, so it must be a module-level function."""
+    of its blocks in m order).  `part` takes a prime's m-ascending rows of one block;
+    at two or more workers it crosses the pool, so it must be a module-level function."""
     if m_min > m_max:
         raise UsageError("empty range")
     if not primes or len(set(primes)) < len(primes):
@@ -186,6 +180,6 @@ def scan_range(primes: tuple[int, ...], m_min: int, m_max: int, n0: int = 1,
     cut into blocks of _CHUNK values, each checked at every prime, m
     outermost, by `map_blocks` on `workers` processes."""
     return tuple(ScanResult(p=p, m_min=m_min, m_max=m_max, tested=tested, resolved=resolved,
-                            rows=tuple(FieldVerdict(*row) for rows in parts for row in rows))
+                            rows=tuple(chain.from_iterable(parts)))
                  for p, (tested, resolved, parts)
                  in zip(primes, scan_parts(primes, m_min, m_max, list, n0, workers)))

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_squarefree, valuation
-from .quadint import QuadElem, hensel_sqrt, make_elem
+from .quadint import QuadElem, _lift_sqrt, make_elem, residues
 
 _MAX_WALK = 10**6
 
@@ -196,10 +196,11 @@ def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
     positive trace, is certified as returned: |norm(alpha)| = q^k and
     v_p(alpha) = k, so (alpha) = p^k, or ArithmeticError.  None if no p^k is
     principal.  One root s of m mod q^K, K > max(exponents), lifted here
-    unless passed, serves every k.
+    unless passed, serves every k; that lift is uncached, as its callers (each tally
+    prime, `class_order`, `represent`) do not repeat an (m, q, K) within a command.
     """
     D, m = rec.D, rec.eps.m
-    s = hensel_sqrt(m, q, max(exponents) + 1) if s is None else s
+    s = _lift_sqrt(m, q, max(exponents) + 1) if s is None else s
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)
         cs, bs = _ideal_walk(A, B, D)
@@ -211,7 +212,7 @@ def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
         # certify it: |norm| = q^k (so it is integral), and p^k, not p'^k, divides it
         if abs(x * x - m * y * y) != 4 * A:
             raise ArithmeticError("generator has the wrong norm")
-        r1 = (x + y * s) * ((A * q + 1) // 2) % (A * q)
+        r1 = residues((x, y), s, A * q)[0]
         if (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError("generator supports the wrong prime")
         return k, (x, y)

@@ -5,12 +5,13 @@ is only legal in the maximal order of Q(sqrt(m)) for m = 1 (mod 4), with
 a and b of equal parity.  The canonical representative always has den = 1
 when both coordinates are even.
 
-For a prime p split in the field, `residues` maps an element to its pair of
-residues modulo p^N under sqrt(m) -> s and sqrt(m) -> -s, where s is the
-Hensel root of `_lift_sqrt` (cached as `hensel_sqrt`); `embed` wraps that
-pair with its modulus.  The labelling of the two primes above p is fixed
-once and for all by the choice s = s0 (mod p) with s0 the smallest positive
-square root of m mod p, found once per class (m mod p, p) by `_least_root`.
+For a prime p split in the field, `residues`, the package's one residue
+formula, maps an element in the plain form (A, B) of (A + B*sqrt(m))/2 to
+its pair of residues modulo p^N under sqrt(m) -> s and sqrt(m) -> -s, where
+s is the Hensel root of `_lift_sqrt` (cached as `hensel_sqrt`).  The
+labelling of the two primes above p is fixed once and for all by the choice
+s = s0 (mod p) with s0 the smallest positive square root of m mod p, found
+once per class (m mod p, p) by `_least_root`.
 """
 
 from __future__ import annotations
@@ -138,14 +139,8 @@ def hensel_sqrt(m: int, p: int, N: int) -> int:
     return _lift_sqrt(m, p, N)
 
 
-def residues(x: QuadElem, s: int, mod: int) -> tuple[int, int]:
-    """The residues of x mod an odd `mod` under sqrt(m) -> s and sqrt(m) -> -s."""
-    inv_den = (mod + 1) // 2 if x.den == 2 else 1
-    bs = x.b * s
-    return (x.a + bs) * inv_den % mod, (x.a - bs) * inv_den % mod
-
-
-def embed(x: QuadElem, s: int, p: int, N: int) -> QuadResidue:
-    """Map x into Z/p^N x Z/p^N via sqrt(m) -> +-s."""
-    mod = p**N
-    return QuadResidue(*residues(x, s, mod), mod)
+def residues(x: tuple[int, int], s: int, mod: int) -> tuple[int, int]:
+    """The residues of x = (A + B*sqrt(m))/2 mod an odd `mod` under sqrt(m) -> s and -s."""
+    (A, B), half = x, (mod + 1) // 2
+    bs = B * s
+    return (A + bs) * half % mod, (A - bs) * half % mod

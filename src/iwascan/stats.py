@@ -33,11 +33,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import is_prime, kronecker, teichmuller
-from .fermat import Capped, delta_embed
+from .fermat import Capped, _deltas
 from .greenberg import map_blocks
 from .pell import _principal_power
 from .qforms import _sieve
-from .quadint import hensel_sqrt, make_elem
+from .quadint import hensel_sqrt
 from .sunits import PreconditionError, UsageError, build_context, validate_field
 
 NORM_CONSTRAINED = "norm"
@@ -107,10 +107,12 @@ def _survivors(r: int, mod: int, j0: int, j1: int) -> list[int]:
 
 
 def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
-    """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1."""
+    """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1, each generator
+    (A + B*sqrt(m))/2 kept as plain ints (A, B) from `_principal_power` to `_deltas`."""
     m, p, n, rmax, r, j0, j1 = item
     mod = p ** (n + 1)
     ctx = build_context(m, p)
+    root = (m, p, ctx.s, ctx.N)
     counts, skipped = [0] * (rmax + 1), 0
     for ell in _survivors(r, mod, j0, j1):
         if kronecker(m, ell) != 1 or not is_prime(ell):
@@ -119,14 +121,14 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
         if found is None:
             skipped += 1
             continue
-        alpha = make_elem(*found[1], 2, m)  # certified: |norm| = ell
-        if pow(alpha.norm(), p - 1, mod) != 1:
+        _, (A, B) = found  # certified: |norm| = ell, prime to p
+        if pow((A * A - m * B * B) // 4, p - 1, mod) != 1:
             raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
-        rep = delta_embed(alpha, ctx, n)
-        c1, c2 = isinstance(rep.delta1, Capped), isinstance(rep.delta2, Capped)
-        if c1 != c2 or not (c1 or rep.delta1 == rep.delta2):
+        d1, d2 = _deltas((A, B), 0, root, n)
+        c1, c2 = isinstance(d1, Capped), isinstance(d2, Capped)
+        if c1 != c2 or not (c1 or d1 == d2):
             raise ArithmeticError(f"delta dichotomy violated at ell={ell}")
-        counts[rmax if c1 else min(rep.delta1, rmax)] += 1
+        counts[rmax if c1 else min(d1, rmax)] += 1
     return counts, skipped
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .arith import divisors, is_prime, is_squarefree, kronecker
 from .pell import CycleRecord, _cycle_record, _principal_power
 from .qforms import _INT64_ROOT, class_numbers
-from .quadint import QuadElem, QuadResidue, _lift_sqrt, embed, hensel_sqrt, make_elem
+from .quadint import QuadElem, QuadResidue, _lift_sqrt, hensel_sqrt, make_elem, residues
 
 
 class PreconditionError(ValueError):
@@ -46,9 +46,9 @@ class FieldContext:
 
     def embed(self, x: QuadElem, n: int | None = None) -> QuadResidue:
         """Residue pair of x mod p^(n+1) (defaults to the stored precision)."""
-        prec = self.N if n is None else n + 1
+        mod = self.p ** (prec := self.N if n is None else n + 1)
         s = self.s if prec <= self.N else hensel_sqrt(self.m, self.p, prec)
-        return embed(x, s, self.p, prec)
+        return QuadResidue(*residues(x.coords(), s, mod), mod)
 
 
 def validate_prime(p: int) -> None:

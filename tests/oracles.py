@@ -58,6 +58,11 @@ None of these is used by the package itself:
   per sieve prime q.  Its primes come from `eratosthenes`, a plain list
   sieve that shares nothing with `qforms._sieve`, the package's one prime
   table.
+* `elem_tally_block` is the former `stats._tally_block`: each split
+  prime's generator a `QuadElem`, its norm by `QuadElem.norm` and its
+  deltas by `fermat.delta_embed` on the field's `FieldContext`, where the
+  tally now keeps (A, B) as plain ints into `fermat._deltas`.  Its
+  candidates come from `mask_sieve`, proven by `is_prime_all_bases`.
 * `is_prime_all_bases` is the former `arith.is_prime`: Miller-Rabin on all
   13 bases, by `is_sprp`, whatever the size of n.
 * `primitive_root_mod_prime_power` is the former route to the residue
@@ -78,11 +83,12 @@ from iwascan.fermat import N_CAP, Capped, Delta, delta_embed
 from iwascan.cli import COUNT_COLUMNS, VERDICT_COLUMNS, ScanCount, to_csv, to_json
 from iwascan.greenberg import FieldVerdict, scan_range
 from iwascan.pell import (CycleRecord, _canonical_root, _cycle_generator, _cycle_record,
-                          _generator, _ideal_walk, _product, fundamental_unit)
+                          _generator, _ideal_walk, _principal_power, _product,
+                          fundamental_unit)
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _check_fundamental, _regulator, _tail_bound, class_numbers)
-from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem, residues
-from iwascan.sunits import FieldContext, real_field
+from iwascan.quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem, residues
+from iwascan.sunits import FieldContext, build_context, real_field
 
 _MAX_STEPS = 10**6
 
@@ -435,7 +441,7 @@ def two_walk_principal_power(D: int, q: int, h: int) -> tuple[int, QuadElem]:
     if abs(alpha.norm()) != q**h0:
         raise ArithmeticError("generator has the wrong norm")
     alpha = elem_unit_reduce(alpha, m)
-    r1 = embed(alpha, hensel_sqrt(m, q, h0 + 1), q, h0 + 1).r1
+    r1 = residues(alpha.coords(), hensel_sqrt(m, q, h0 + 1), q ** (h0 + 1))[0]
     if (valuation(r1, q) if r1 else h0 + 1) != h0:
         raise ArithmeticError("generator supports the wrong prime")
     return h0, alpha
@@ -466,7 +472,7 @@ def elem_principal_power(rec: CycleRecord, q: int, exponents, s: int) -> tuple[i
             continue
         x, y = _product(_generator(cs, bs, B), beta, abs(cs[-1]), D)
         alpha = elem_unit_reduce(make_elem(x, y * (2 if D % 4 == 0 else 1), 2, m), m)
-        r1 = residues(alpha, s, q ** (k + 1))[0]
+        r1 = residues(alpha.coords(), s, q ** (k + 1))[0]
         if abs(alpha.norm()) != A or (valuation(r1, q) if r1 else k + 1) != k:
             raise ArithmeticError(f"generator of p^{k} not certified for m={m}, q={q}")
         return k, alpha
@@ -482,7 +488,7 @@ def elem_delta_exact(x: QuadElem, ctx: FieldContext, n: int) -> tuple[int, int]:
         prec = n + 1 + extra
         s = ctx.s if prec <= ctx.N else newton_sqrt(ctx.m, p, prec)
         deltas = []
-        for r in residues(x, s, p**prec):
+        for r in residues(x.coords(), s, p**prec):
             for _ in range(extra + 1):  # v_p(r) <= extra, or the precision is too low
                 if r % p:
                     break
@@ -612,6 +618,31 @@ def candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]
             out += filter(is_prime_all_bases, mask_sieve(r, modulus, 1, top + 1))
     out.sort()
     return out
+
+
+def elem_tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
+    """(counts, skipped) of `stats._tally_block(item)` by the former route, a `QuadElem`
+    and a `DeltaReport` per split prime ell = r + j*p^(n+1), j0 <= j < j1."""
+    m, p, n, rmax, r, j0, j1 = item
+    mod = p ** (n + 1)
+    ctx = build_context(m, p)
+    counts, skipped = [0] * (rmax + 1), 0
+    for ell in filter(is_prime_all_bases, mask_sieve(r, mod, j0, j1)):
+        if kronecker(m, ell) != 1:
+            continue
+        found = _principal_power(ctx.record, ell, (1,))
+        if found is None:
+            skipped += 1
+            continue
+        alpha = make_elem(*found[1], 2, m)
+        if pow(alpha.norm(), p - 1, mod) != 1:
+            raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
+        rep = delta_embed(alpha, ctx, n)
+        c1, c2 = isinstance(rep.delta1, Capped), isinstance(rep.delta2, Capped)
+        if c1 != c2 or not (c1 or rep.delta1 == rep.delta2):
+            raise ArithmeticError(f"delta dichotomy violated at ell={ell}")
+        counts[rmax if c1 else min(rep.delta1, rmax)] += 1
+    return counts, skipped
 
 
 def primitive_root_mod_prime_power(p: int, k: int) -> int:

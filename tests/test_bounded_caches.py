@@ -84,7 +84,7 @@ def test_a_scan_block_walks_and_factors_each_field_once_and_reads_no_field_cache
     monkeypatch.setattr(arith, "factorize", lambda n: factored.append(n) or factorize(n))
     caches = (pell.fundamental_unit, sunits.build_context)
     before = [cache.cache_info() for cache in caches]
-    rows = [greenberg.FieldVerdict(*row) for row in greenberg._scan_block(((3,), lo, hi, 1))]
+    rows = greenberg._scan_block(((3,), lo, hi, 1))
     assert sorted(halves) == sorted(r.m if r.m % 4 == 1 else 4 * r.m for r in rows) and rows
     assert max(map(factored.count, range(lo, hi + 1))) == 1
     assert [cache.cache_info() for cache in caches] == before
@@ -99,8 +99,7 @@ def test_a_cold_scan_block_finds_each_root_mod_p_once(monkeypatch):
     calls = []
     tonelli = quadint.sqrt_mod_prime
     monkeypatch.setattr(quadint, "sqrt_mod_prime", lambda a, p: calls.append((a, p)) or tonelli(a, p))
-    rows = [greenberg.FieldVerdict(*row)
-            for row in greenberg._scan_block((primes, 10**4, 10**4 + greenberg._CHUNK - 1, 1))]
+    rows = greenberg._scan_block((primes, 10**4, 10**4 + greenberg._CHUNK - 1, 1))
     classes = {(r.m % r.p, r.p) for r in rows}
     assert sorted(calls) == sorted(classes)  # each class once
     assert quadint._least_root.cache_info().misses == len(classes) <= 133 < len(rows)

@@ -53,12 +53,12 @@ def read_csv(text, cls, columns):
 
     `#` lines are skipped.  A column whose header is absent must be spread
     over header0, header1, ...; the header must be exactly the spec's.  The
-    dataclass fields rebuild each record; every other column must spell the
-    record's property of that name, or ValueError is raised.
+    record's fields, of a dataclass or a named tuple, rebuild each record; every other
+    column must spell the record's property of that name, or ValueError is raised.
     """
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     header, *body = csv.reader(lines)
-    names = {f.name for f in fields(cls)}
+    names = set(cls._fields) if issubclass(cls, tuple) else {f.name for f in fields(cls)}
     widths, want = {}, []  # attribute -> None (one cell) or spread width
     for col in columns:
         head, attr = (col, col) if isinstance(col, str) else col
@@ -228,6 +228,23 @@ def test_scan_output_equals_the_after_the_scan_oracle(window, fmt, workers, caps
                  "--workers", str(workers), "--format", fmt, "--no-header"]) == 0
     assert capsys.readouterr().out == oracles.scan_output_after_the_scan(
         parse_prime_range(p), m_min, m_max, fmt, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_table_scan_ships_no_rows(monkeypatch, capsys, workers):
+    """A table prints only the counts, so each block's part of each prime holds no row,
+    in process and across the pool; the table's bytes are the former route's."""
+    got = []
+    scan = cli.scan_parts
+    monkeypatch.setattr(cli, "scan_parts", lambda *a, **k: got.append(r := scan(*a, **k)) or r)
+    assert main(["scan", "--p", "3..7", "--min-m", "2", "--max-m", "450",
+                 "--workers", str(workers), "--no-header"]) == 0
+    [per_p] = got
+    assert [len(parts) for *_, parts in per_p] == [5, 5, 5]  # blocks of greenberg._CHUNK m
+    assert all(tested > 0 for tested, _, _ in per_p)
+    assert all(part is None for *_, parts in per_p for part in parts)
+    assert capsys.readouterr().out == oracles.scan_output_after_the_scan(
+        (3, 5, 7), 2, 450, "table", workers)
 
 
 def test_the_scan_windows_hold_their_hard_cases():

@@ -3,8 +3,8 @@
 import concurrent.futures
 import os
 from concurrent.futures import Future
-from dataclasses import fields
 from itertools import count
+from typing import get_type_hints
 
 import pytest
 
@@ -186,7 +186,7 @@ def test_a_scan_block_makes_one_kernel_call_per_slab(monkeypatch, primes, lo):
         return chi(Ds, N)
 
     monkeypatch.setattr(qforms, "_chi", counting)
-    rows = [FieldVerdict(*row) for row in _scan_block((primes, lo, lo + _CHUNK - 1, 1))]
+    rows = _scan_block((primes, lo, lo + _CHUNK - 1, 1))
     fields = len({r.m for r in rows})
     assert len(rows) >= fields > 20
     assert sum(k for k, _ in slabs) == fields
@@ -224,7 +224,7 @@ def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
     for primes, lo, hi in ((PRIMES, 2, 2000), ((3, 5), 10**6, 10**6 + 199)):
         for a in range(lo, hi + 1, _CHUNK):
             args = (primes, a, min(a + _CHUNK - 1, hi), 1)
-            got = [FieldVerdict(*row) for row in _scan_block(args)]
+            got = _scan_block(args)
             want = oracles.per_prime_scan_block(args)
             assert got == [row for row, _ in want], args
             # and the root, h0 and generator of each row, not only what the row shows of them
@@ -243,17 +243,17 @@ def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
 
 
 def test_only_plain_tuples_cross_the_pool():
-    """Each row `_scan_block` returns is a plain tuple of its `FieldVerdict`'s values in
-    field order, each cell exactly an int or a bool as the field says: no record and no
-    numpy scalar is pickled.  Sampled rows wrap to `check_field`'s verdict."""
-    kinds = [bool if f.type == "bool" else int for f in fields(FieldVerdict)]
-    assert len(kinds) == 11 and kinds.count(bool) == 3
+    """Each row `_scan_block` returns is a `FieldVerdict`, a named tuple whose cells are
+    each exactly an int or a bool as the field says: no numpy scalar is pickled.  Every
+    fifth row equals `check_field`'s verdict."""
+    kinds = list(get_type_hints(FieldVerdict).values())
+    assert len(kinds) == 11 and kinds.count(bool) == 3 and set(kinds) == {int, bool}
     for args in ((PRIMES, 1901, 2000, 1), ((3, 5), 10**6, 10**6 + _CHUNK - 1, 1)):
         rows = _scan_block(args)
         assert len(rows) > 20, args
-        assert all(type(row) is tuple and [type(cell) for cell in row] == kinds
+        assert all(type(row) is FieldVerdict and [type(cell) for cell in row] == kinds
                    for row in rows), args
-        assert all(FieldVerdict(*row) == check_field(row[0], row[1]) for row in rows[::5]), args
+        assert all(row == check_field(row.m, row.p) for row in rows[::5]), args
 
 
 def test_scan_range_validates_each_prime_before_scanning():

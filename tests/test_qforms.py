@@ -808,14 +808,14 @@ def test_represent_validates_input():
 
 def test_represent_supports_canonical_prime():
     # norm sign is free, but the q-adic support must sit at the labelled prime
-    from iwascan.quadint import embed
+    from iwascan.quadint import residues
     for D, q in ((412, 3), (10636, 3), (412, 11), (120028, 3)):
         k = class_order(D, q, class_number(D))
         alpha = represent(D, q, k)
         m = D // 4 if D % 4 == 0 else D
         s = hensel_sqrt(m, q, k + 1)
-        r = embed(alpha, s, q, k + 1)
-        assert valuation(r.r1, q) == k and r.r2 % q != 0
+        r1, r2 = residues(alpha.coords(), s, q ** (k + 1))
+        assert valuation(r1, q) == k and r2 % q != 0
 
 
 def test_reduced_forms_are_reduced_and_complete():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.ntheory import sqrt_mod
 
 from iwascan.arith import kronecker
-from iwascan.quadint import QuadElem, QuadResidue, embed, hensel_sqrt, make_elem
+from iwascan.quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem, residues
 
 SPLIT_CASES = [(m, p) for m in (7, 10, 13, 103, 2659, 30007)
                for p in (3, 5, 7, 11) if kronecker(m, p) == 1]
@@ -15,6 +15,11 @@ def coords(m):
     half = m % 4 == 1
     return st.tuples(st.integers(-10**8, 10**8), st.integers(-10**8, 10**8),
                      st.sampled_from((1, 2) if half else (1,)))
+
+
+def embed(x, s, p, N):
+    """x in Z/p^N x Z/p^N via sqrt(m) -> +-s: `residues` of its plain coordinates."""
+    return QuadResidue(*residues(x.coords(), s, p**N), p**N)
 
 
 def elem(m, t):

@@ -22,7 +22,8 @@ from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError, build_context
-from oracles import candidate_primes, eratosthenes, mask_sieve, stops_at_its_first_reduced_ideal
+from oracles import (candidate_primes, elem_tally_block, eratosthenes, mask_sieve,
+                     stops_at_its_first_reduced_ideal)
 
 
 def test_expected_proportions_values():
@@ -114,6 +115,26 @@ def test_a_short_window_gives_the_lift_paths_items_and_tally(bound):
         counts = [a + b for a, b in zip(counts, stats._tally_block(item)[0])]
     assert t.counts == tuple(counts)
     assert t.total == (bound > 32839)
+
+
+# (m, p, n, rmax, bound), fixed in advance: m = 10 and 79 have h = 2 and 3, so half and
+# two thirds of their split primes are skipped; m = 13 has generators with den = 2
+TALLY_SAMPLE = ((10, 3, 2, 2, 10**5), (13, 3, 2, 2, 10**5), (79, 7, 1, 1, 10**5))
+
+
+def test_the_plain_tally_equals_the_former_element_route():
+    """`_tally_block` keeps each generator as plain ints into `fermat._deltas`; its
+    (counts, skipped) equal the former route's, a `QuadElem` and `delta_embed` per
+    split prime, on every item of the sample.  As rmax = n there, the rmax bucket
+    holds only capped deltas."""
+    skipped = capped = 0
+    for m, p, n, rmax, bound in TALLY_SAMPLE:
+        for item in stats._items(m, p, n, rmax, bound):
+            got = stats._tally_block(item)
+            assert got == elem_tally_block(item), item
+            skipped += got[1]
+            capped += got[0][rmax]
+    assert skipped > 0 and capped > 0  # a non-principal prime and a capped delta
 
 
 def test_rmax_past_63_is_refused():

@@ -139,7 +139,8 @@ def test_build_context_walks_each_divisor_once(monkeypatch, m, p, h, h0):
 
 @pytest.mark.parametrize("m,p", CASES)
 def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
-    """One lift, to p^(h+2), serves the walks and the context's p^N."""
+    """One lift, to p^(h+2), serves the walks and the context's p^N: `pell` lifts no
+    root of its own when one is passed."""
     lifts = []
     lift = sunits._lift_sqrt
 
@@ -149,7 +150,7 @@ def test_build_context_lifts_sqrt_m_once(monkeypatch, m, p):
 
     monkeypatch.setattr(sunits, "_lift_sqrt", counting)  # the one lift, uncached
     monkeypatch.setattr(sunits, "hensel_sqrt", counting)
-    monkeypatch.setattr(pell, "hensel_sqrt", counting)
+    monkeypatch.setattr(pell, "_lift_sqrt", counting)  # `_principal_power`'s own lift
     ctx = build_context.__wrapped__(m, p)
     assert lifts == [ctx.h + 2]
     assert ctx.s == lift(m, p, ctx.N)
