@@ -68,11 +68,11 @@ def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[i
              n0: int) -> FieldVerdict:
     """The vanishing test at p on the field of `record`, of wide class number h, from
     its `field_context` facts (s, h0, pi1), deltas started at n0."""
-    (s, h0, (A, B)), eps = facts, record.eps
-    root = (eps.m, p, s, h + 2)
-    delta_eps, d2, _ = _deltas_exact(eps.coords(), 0, root, n0)
+    (s, h0, (A, B)), m = facts, record.m
+    root = (m, p, s, h + 2)
+    delta_eps, d2, _ = _deltas_exact(record.unit[:2], 0, root, n0)
     if delta_eps != d2:
-        raise ArithmeticError(f"unit deltas differ at the two primes for m={eps.m}, p={p}")
+        raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
     # delta at the first prime of pi2 = pi1', of norm +-p^h0; multiplying by
     # units can only move it when it ties delta_eps, and never below the
     # min, so min(delta_eps, delta_pi) is convention-free.
@@ -81,7 +81,7 @@ def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[i
     v_p_h = valuation(h, p)
     class_ok = v_p_h == valuation(h0, p)
     normic_ok = min(delta_eps, delta_pi) == 0
-    return FieldVerdict(eps.m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
+    return FieldVerdict(m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
                         class_ok and normic_ok, v_p_h + delta_eps)
 
 
@@ -121,7 +121,7 @@ def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdic
     admitted = [(m, split) for m in range(lo, hi + 1) if real_field(m)
                 if (split := [p for p in primes if kronecker(m, p) == 1])]
     records = [_cycle_record(m) for m, _ in admitted]
-    hs = class_numbers([record.eps for record in records])
+    hs = class_numbers(records)
     return [_verdict(record, p, h, field_context(record, p, h), n0)
             for (_, split), record, h in zip(admitted, records, hs) for p in split]
 

@@ -11,15 +11,15 @@ form one cycle (Cohen, GTM 138, secs. 5.7-5.8), so an ideal is principal
 iff its first reduced ideal is on the principal cycle, the unit ideal's.
 That cycle is a palindrome, its (l-j)-th ideal the conjugate of its j-th,
 so `_cycle_record` walks the unit ideal to the midpoint only and combines
-the two halves into the unit eps (Cohen, Alg. 5.7.2): the field's record,
-which its caller keeps (`fundamental_unit` caches only eps), and in which
-`_cycle_generator` looks a reduced ideal up.  `_principal_power` walks
-p^k = [q^k, (b_k+sqrt(D))/2], p the first prime above a split q and b_k
-from `_canonical_root`, for each k in turn to its first reduced ideal
-only: a miss proves p^k non-principal, and the first hit gives p^k's
-generator, the walk's times the cycle ideal's, which is unit-reduced on
-the record's unit data and certified as returned (its norm and support are
-checked), all in plain ints (A, B), the element (A + B*sqrt(m))/2.
+the two halves into the unit eps (Cohen, Alg. 5.7.2), as (E, F, N(eps)):
+the field's record, which its caller keeps (`fundamental_unit` caches only
+eps, as a `QuadElem`), in which `_cycle_generator` looks a reduced ideal
+up.  `_principal_power` walks p^k = [q^k, (b_k+sqrt(D))/2], p the first
+prime above a split q and b_k from `_canonical_root`, for each k in turn
+to its first reduced ideal only: a miss proves p^k non-principal, and the
+first hit gives p^k's generator, the walk's times the cycle ideal's, which
+is unit-reduced on the record's unit and certified as returned (its norm
+and support are checked), all in plain ints (A, B), the element (A + B*sqrt(m))/2.
 """
 
 from __future__ import annotations
@@ -90,16 +90,16 @@ def _product(p: tuple[int, int], q: tuple[int, int], a: int, D: int) -> tuple[in
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """The principal cycle of Q(sqrt(m)) and its unit.  B0 is the largest B <= sqrt(D)
-    with B = D (mod 2); cs, bs the half walk of the unit ideal [1, (B0+sqrt(D))/2],
-    whose j-th ideal, j = 1..k, is [-cs[j-1], (bs[j-1]+sqrt(D))/2]; eps the fundamental
-    unit > 1 of the maximal order, eps.m = m, = (E + F*sqrt(m))/2, and unit (E, F, N(eps))."""
+    """The principal cycle of Q(sqrt(m)), D = m or 4m, and its unit.  B0 is the largest
+    B <= sqrt(D) with B = D (mod 2); cs, bs the half walk of the unit ideal
+    [1, (B0+sqrt(D))/2], whose j-th ideal, j = 1..k, is [-cs[j-1], (bs[j-1]+sqrt(D))/2];
+    unit (E, F, N(eps)), eps = (E + F*sqrt(m))/2 the fundamental unit > 1 of the maximal order."""
 
+    m: int
     D: int
     B0: int
     cs: array
     bs: array
-    eps: QuadElem
     unit: tuple[int, int, int]
 
 
@@ -119,10 +119,10 @@ def _cycle_record(m: int) -> CycleRecord:
     a, bk = (-c[k - 1], b[k - 1]) if k else (1, B0)
     q = _product(p, (bk, 1), a, D) if odd else p
     x, y = _product(p, q, a, D)
-    eps = make_elem(abs(x), abs(y) * (2 if D % 4 == 0 else 1), 2, m)
-    if (n := eps.norm()) not in (1, -1):
+    E, F = abs(x), abs(y) * (2 if D % 4 == 0 else 1)
+    if (n := E * E - m * F * F) not in (4, -4):
         raise ArithmeticError(f"the unit ideal's half walk did not give a unit for m={m}")
-    return CycleRecord(D, B0, c, b, eps, (*eps.coords(), n))
+    return CycleRecord(m, D, B0, c, b, (E, F, n // 4))
 
 
 def _cycle_generator(rec: CycleRecord, A: int, B: int) -> tuple[int, int] | None:
@@ -149,10 +149,11 @@ def _cycle_generator(rec: CycleRecord, A: int, B: int) -> tuple[int, int] | None
 
 @lru_cache(maxsize=4096)
 def fundamental_unit(m: int) -> QuadElem:
-    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)): the eps of its record."""
+    """The fundamental unit > 1 of the maximal order of Q(sqrt(m)): its record's unit."""
     if m <= 1 or not is_squarefree(m):
         raise ValueError(f"m={m} must be a squarefree integer > 1")
-    return _cycle_record(m).eps
+    E, F, _ = _cycle_record(m).unit
+    return make_elem(E, F, 2, m)
 
 
 def _canonical_root(D: int, q: int, k: int, s: int) -> int:
@@ -179,7 +180,7 @@ def _unit_reduce(g: tuple[int, int], rec: CycleRecord) -> tuple[int, int]:
     taken.  The greedy descent can stop at a local minimum, so the result may depend
     on the unit multiple of g it starts from: at m = 5 it takes (7+sqrt(5))/2 * eps^k,
     k = 1..5, to 3+2sqrt(5) (trace 6), not to (1-3sqrt(5))/2 (trace 1)."""
-    (A, B), (E, F, n), m = g, rec.unit, rec.eps.m
+    (A, B), (E, F, n), m = g, rec.unit, rec.m
     for u, v in ((n * E, -n * F), (E, F)):  # 1/eps = N(eps) * eps', then eps
         while abs(A2 := (A * u + B * v * m) // 2) < abs(A):
             A, B = A2, (A * v + B * u) // 2
@@ -199,7 +200,7 @@ def _principal_power(rec: CycleRecord, q: int, exponents: Sequence[int],
     unless passed, serves every k; that lift is uncached, as its callers (each tally
     prime, `class_order`, `represent`) do not repeat an (m, q, K) within a command.
     """
-    D, m = rec.D, rec.eps.m
+    D, m = rec.D, rec.m
     s = _lift_sqrt(m, q, max(exponents) + 1) if s is None else s
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)

@@ -2,11 +2,11 @@
 
 D is a fundamental discriminant > 0 and m = D or D/4 the squarefree
 radicand.  `class_numbers` evaluates the analytic class number formula
-for the fields of a batch of fundamental units (a scan block's) in one
+for the fields of a batch of `pell` cycle records (a scan block's) in one
 numpy pass per slab of at most _SLAB terms: chi by Euler's criterion on a
 (D x primes) grid and a smallest-prime-factor table, about sqrt(D) terms
-per D, with the regulator of the exact unit.  Each D keeps its own error
-bound, which must separate h from every other integer, or the batch
+per D, with the regulator of the record's exact unit.  Each D keeps its
+own error bound, which must separate h from every other integer, or the batch
 raises ArithmeticError, as it does up front for a D past _MAX_TERMS terms.
 `class_number(D)` checks D and is a batch of one.  `_sieve(P)`, spf and the
 primes <= P, is the package's one numpy prime table; the tally's presieve shares it.
@@ -24,7 +24,7 @@ from math import ceil, erfc, exp, expm1, isqrt, log, pi, sqrt
 import numpy as np
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
-from .pell import _cycle_record, _principal_power
+from .pell import CycleRecord, _cycle_record, _principal_power
 from .quadint import QuadElem, make_elem
 
 
@@ -53,12 +53,13 @@ _MACHINE_EPS = 2.0**-52
 _INT64_ROOT = isqrt(2**63 - 1)  # Euler's criterion squares residues mod q <= N
 
 
-def _regulator(eps: QuadElem) -> float:
-    """log(eps) of a unit eps > 1, to a relative error far below 1e-13."""
-    if eps.a.bit_length() > 1000:
-        # eps = 2a/den - N(eps)/eps, and 1/eps^2 is below float resolution
-        return log(2 * eps.a) - log(eps.den)
-    return log((eps.a + eps.b * sqrt(eps.m)) / eps.den)
+def _regulator(rec: CycleRecord) -> float:
+    """log(eps) of the unit (E + F*sqrt(m))/2 > 1 of `rec`, to a relative error far below 1e-13."""
+    E, F, _ = rec.unit
+    if E.bit_length() > 1000:
+        # eps = E - N(eps)/eps, and 1/eps^2 is below float resolution
+        return log(E)
+    return log((E + F * sqrt(rec.m)) / 2)
 
 
 def _tail_bound(N: int, D: int) -> float:
@@ -126,24 +127,23 @@ _SLAB = 1 << 16  # cells (rows x (N+1)) of one numpy pass in `class_numbers`
 _MAX_TERMS = 1 << 20  # longest series `class_numbers` sums; m ~ 10^8 needs N ~ 15-30k
 
 
-def class_numbers(units: Sequence[QuadElem]) -> list[int]:
-    """Wide class numbers of the fields of the fundamental units `units`, in their order.
+def class_numbers(records: Sequence[CycleRecord]) -> list[int]:
+    """Wide class numbers of the fields of the cycle records `records`, in their order.
 
     2 h R = sum_{n >= 1} chi(n) * ((sqrt(D)/n) erfc(n sqrt(pi/D)) + E1(pi n^2/D))
     (Cohen, GTM 138, sec. 5.6), chi(n) = kronecker(D, n) and R = log(eps)
-    of the unit, summed to the least N_D with tail bound <= R/8.
+    of the record's unit, summed to the least N_D with tail bound <= R/8.
     Tail, E1 and float rounding are bounded explicitly; the batch is refused
     (ArithmeticError) unless, for every D, the bound leaves h the only
     integer within 1/2 of sum / (2R).  Rows sorted by N_D go in slabs of at
     most _SLAB cells (rows x (N+1)), one numpy pass each.
     """
     rows = []
-    for i, eps in enumerate(units):
-        D = eps.m if eps.m % 4 == 1 else 4 * eps.m
-        R = _regulator(eps)
-        if (N := _series_length(D, R)) > _MAX_TERMS:
-            raise ArithmeticError(f"D={D} needs {N} terms, past the series budget {_MAX_TERMS}")
-        rows.append((N, i, D, R))
+    for i, rec in enumerate(records):
+        R = _regulator(rec)
+        if (N := _series_length(rec.D, R)) > _MAX_TERMS:
+            raise ArithmeticError(f"D={rec.D} needs {N} terms, past the series budget {_MAX_TERMS}")
+        rows.append((N, i, rec.D, R))
     rows.sort()
     hs, start = [0] * len(rows), 0
     for stop in range(1, len(rows) + 1):  # a slab's cells: its rows times its largest N
@@ -192,9 +192,9 @@ def _slab(rows: list[tuple[int, int, int, float]]) -> list[int]:
 def class_number(D: int) -> int:
     """Narrow class number of the fundamental discriminant D > 0: the wide h
     of `class_numbers` (same bound, same refusal), doubled when N(eps) = +1."""
-    eps = _cycle_record(_check_fundamental(D)).eps
-    h = class_numbers((eps,))[0]
-    return 2 * h if eps.norm() == 1 else h
+    rec = _cycle_record(_check_fundamental(D))
+    h = class_numbers((rec,))[0]
+    return 2 * h if rec.unit[2] == 1 else h
 
 
 def class_order(D: int, q: int, h: int) -> int:

@@ -68,12 +68,6 @@ class QuadElem:
         """(A, B) with self = (A + B*sqrt(m))/2, the plain form of `pell` and `fermat`."""
         return 2 * self.a // self.den, 2 * self.b // self.den
 
-    def trace(self) -> int:
-        q, r = divmod(2 * self.a, self.den)
-        if r:
-            raise ArithmeticError("trace of an integral element must be an integer")
-        return q
-
 
 def make_elem(a: int, b: int, den: int, m: int) -> QuadElem:
     """Build a QuadElem in canonical form (den=2 halved away when possible)."""

@@ -37,7 +37,7 @@ class FieldContext:
     p: int
     h: int           # wide class number
     record: CycleRecord  # the principal cycle and unit of Q(sqrt(m))
-    eps: QuadElem    # record.eps
+    eps: QuadElem    # record.unit, (E + F*sqrt(m))/2, as a QuadElem
     s: int           # sqrt(m) mod p^N, in the canonical root class
     N: int           # precision exponent carried by s: h + 2
     h0: int          # order of the canonical prime above p, wide sense
@@ -83,17 +83,18 @@ def build_context(m: int, p: int) -> FieldContext:
     """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)
     record = _cycle_record(m)
-    h = class_numbers((record.eps,))[0]
+    h = class_numbers((record,))[0]
     s, h0, (A, B) = field_context(record, p, h)
-    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2, h0=h0,
-                        pi1=make_elem(A, B, 2, m), pi2=make_elem(A, -B, 2, m))
+    E, F, _ = record.unit
+    return FieldContext(m=m, p=p, h=h, record=record, eps=make_elem(E, F, 2, m), s=s, N=h + 2,
+                        h0=h0, pi1=make_elem(A, B, 2, m), pi2=make_elem(A, -B, 2, m))
 
 
 def field_context(record: CycleRecord, p: int, h: int) -> tuple[int, int, tuple[int, int]]:
     """(s, h0, pi1) at p, split, in the field of `record`, whose wide class number is h:
     s = sqrt(m) mod p^(h+2), h0 and pi1 = (A + B*sqrt(m))/2 as (A, B), in plain ints."""
     # one lift serves the walks (up to p^(h+1)) and the n = 1 deltas (up to p^(2+h0))
-    s = _lift_sqrt(record.eps.m, p, h + 2)
+    s = _lift_sqrt(record.m, p, h + 2)
     found = _principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")

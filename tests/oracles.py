@@ -364,9 +364,8 @@ def bisect_series_length(D: int, R: float) -> int:
 
 def loop_class_number(D: int) -> int:
     """Narrow class number of D by the series of `qforms.class_number`, one term at a time."""
-    _check_fundamental(D)
-    eps = fundamental_unit(D // 4 if D % 4 == 0 else D)
-    R = _regulator(eps)
+    rec = _cycle_record(_check_fundamental(D))
+    R = _regulator(rec)
 
     N = bisect_series_length(D, R)
 
@@ -412,7 +411,7 @@ def loop_class_number(D: int) -> int:
         raise ArithmeticError(
             f"analytic class number not separated at D={D}: "
             f"sum/(2R) = {y!r}, error bound {err:.3g}")
-    return 2 * h if eps.norm() == 1 else h
+    return 2 * h if rec.unit[2] == 1 else h
 
 
 def elem_unit_reduce(x: QuadElem, m: int) -> QuadElem:
@@ -421,7 +420,7 @@ def elem_unit_reduce(x: QuadElem, m: int) -> QuadElem:
     eps_inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
 
     for step in (eps_inv, eps):
-        while abs((y := x * step).trace()) < abs(x.trace()):
+        while abs((y := x * step).coords()[0]) < abs(x.coords()[0]):
             x = y
     if x.a < 0:
         x = -x
@@ -464,7 +463,7 @@ def newton_sqrt(m: int, p: int, N: int) -> int:
 def elem_principal_power(rec: CycleRecord, q: int, exponents, s: int) -> tuple[int, QuadElem] | None:
     """The former `pell._principal_power`: the same walks and lookups, its generator
     a `QuadElem`, reduced by `elem_unit_reduce` and certified on `residues`."""
-    D, m = rec.D, rec.eps.m
+    D, m = rec.D, rec.m
     for k in exponents:
         A, B = q**k, _canonical_root(D, q, k, s)
         cs, bs = _ideal_walk(A, B, D)
@@ -507,13 +506,13 @@ def elem_delta_exact(x: QuadElem, ctx: FieldContext, n: int) -> tuple[int, int]:
 def per_prime_context(record: CycleRecord, p: int, h: int) -> FieldContext:
     """The former `sunits.field_context`: a `FieldContext` per prime, from a root lifted by
     `newton_sqrt` and the `QuadElem` generator of `elem_principal_power`."""
-    m = record.eps.m
+    m = record.m
     s = newton_sqrt(m, p, h + 2)
     found = elem_principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
-    return FieldContext(m=m, p=p, h=h, record=record, eps=record.eps, s=s, N=h + 2,
+    return FieldContext(m=m, p=p, h=h, record=record, eps=fundamental_unit(m), s=s, N=h + 2,
                         h0=h0, pi1=pi1, pi2=pi1.conjugate())
 
 
@@ -541,7 +540,7 @@ def per_prime_scan_block(args: tuple[tuple[int, ...], int, int, int]
     fields = [(m, split) for m in range(lo, hi + 1) if real_field(m)
               if (split := [p for p in primes if kronecker(m, p) == 1])]
     records = [_cycle_record(m) for m, _ in fields]
-    hs = class_numbers([record.eps for record in records])
+    hs = class_numbers(records)
     ctxs = [per_prime_context(record, p, h)
             for (_, split), record, h in zip(fields, records, hs) for p in split]
     return [(per_prime_verdict(ctx, n0), ctx) for ctx in ctxs]

@@ -75,19 +75,22 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
 
 def test_a_scan_block_walks_and_factors_each_field_once_and_reads_no_field_cache(monkeypatch):
     """A cold 100-m block walks each admissible D's half cycle once, factors each m at
-    most once, and leaves the caches of `fundamental_unit` and `build_context` alone."""
+    most once, leaves the caches of `fundamental_unit` and `build_context` alone, and
+    builds no `QuadElem`: its units and generators stay plain ints."""
     lo, hi = 10**6, 10**6 + greenberg._CHUNK - 1
-    halves, factored = [], []
-    walk, factorize = pell._ideal_walk, arith.factorize
+    halves, factored, elems = [], [], []
+    walk, factorize, init = pell._ideal_walk, arith.factorize, quadint.QuadElem.__post_init__
     monkeypatch.setattr(pell, "_ideal_walk", lambda A, B, D, half=False:
                         (half and halves.append(D)) or walk(A, B, D, half))
     monkeypatch.setattr(arith, "factorize", lambda n: factored.append(n) or factorize(n))
+    monkeypatch.setattr(quadint.QuadElem, "__post_init__", lambda x: elems.append(x) or init(x))
     caches = (pell.fundamental_unit, sunits.build_context)
     before = [cache.cache_info() for cache in caches]
     rows = greenberg._scan_block(((3,), lo, hi, 1))
     assert sorted(halves) == sorted(r.m if r.m % 4 == 1 else 4 * r.m for r in rows) and rows
     assert max(map(factored.count, range(lo, hi + 1))) == 1
     assert [cache.cache_info() for cache in caches] == before
+    assert not elems, len(elems)
 
 
 def test_a_cold_scan_block_finds_each_root_mod_p_once(monkeypatch):

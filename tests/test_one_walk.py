@@ -3,7 +3,8 @@
 `pell` owns the walk's steps, the principal-cycle record and the (x, y)
 coordinates of every generator.  Every other module takes from it only the
 unit, a field's record and principal powers with their generators, reads
-only the record's `eps` and `D`, and names none of the walk's helpers.
+only the record's `m`, `D` and `unit` (E, F, N(eps)), and names none of the
+walk's helpers.
 """
 
 import ast
@@ -15,7 +16,7 @@ from iwascan.pell import CycleRecord
 HELPERS = ("_ideal_walk", "_generator", "_product", "_cycle_generator", "_canonical_root",
            "_unit_reduce")
 PUBLIC = {"fundamental_unit", "CycleRecord", "_cycle_record", "_principal_power"}
-RECORD_WALK = tuple(set(CycleRecord.__dataclass_fields__) - {"eps", "D"})  # B0, cs, bs
+RECORD_WALK = tuple(set(CycleRecord.__dataclass_fields__) - {"m", "D", "unit"})  # B0, cs, bs
 
 
 def _helper_names(tree):

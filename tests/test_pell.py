@@ -14,6 +14,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 from iwascan import pell
 from iwascan.arith import is_squarefree
 from iwascan.pell import fundamental_unit
+from iwascan.quadint import make_elem
 from oracles import cf_fundamental_unit, continued_fraction_sqrt, cycle_walk, full_period_unit
 
 SQUAREFREE = [m for m in range(2, 300) if is_squarefree(m)]
@@ -140,7 +141,7 @@ def test_half_walk_unit_at_each_kind_of_period(m, l):
     assert cycle_length(m) == l
     record = pell._cycle_record(m)
     assert len(record.cs) == len(record.bs) == ((l + 1) // 2 if l % 2 else l // 2)
-    assert record.eps == cf_fundamental_unit(m) == full_period_unit(m)
+    assert make_elem(*record.unit[:2], 2, m) == cf_fundamental_unit(m) == full_period_unit(m)
 
 
 @pytest.mark.parametrize("magnitude,count", [(10**6, 40), (10**7, 20), (10**8, 10)])
@@ -160,6 +161,15 @@ def test_unit_walk_that_does_not_close_raises(monkeypatch):
     monkeypatch.setattr(pell, "_MAX_WALK", 5)
     with pytest.raises(ArithmeticError, match="did not terminate"):
         fundamental_unit.__wrapped__(103)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 17, 103])
+def test_a_half_walk_product_that_is_not_a_unit_is_refused(monkeypatch, m):
+    """Twice the product has E^2 - m F^2 = +-16, not +-4: no unit, so no record."""
+    product = pell._product
+    monkeypatch.setattr(pell, "_product", lambda *args: tuple(2 * v for v in product(*args)))
+    with pytest.raises(ArithmeticError, match=f"did not give a unit for m={m}$"):
+        pell._cycle_record(m)
 
 
 def test_principal_cycle_records_of_a_block_are_about_16_bytes_a_step():

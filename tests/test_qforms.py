@@ -70,8 +70,8 @@ def principal_power(D, q, exponents, s=None):
     return found and (found[0], make_elem(*found[1], 2, D // 4 if D % 4 == 0 else D))
 
 
-def units(Ds):
-    return [fundamental_unit(D // 4 if D % 4 == 0 else D) for D in Ds]
+def records(Ds):
+    return [record(D) for D in Ds]
 
 
 def log_unit(m):
@@ -165,7 +165,7 @@ def test_wrong_regulator_raises_instead_of_misrounding(monkeypatch, factor):
                           else 1) for D in Ds]
     assert 3 <= max(wide) < 13  # at 1.3, plain rounding turns h = 3 into 2
     regulator = qforms._regulator
-    monkeypatch.setattr(qforms, "_regulator", lambda eps: factor * regulator(eps))
+    monkeypatch.setattr(qforms, "_regulator", lambda rec: factor * regulator(rec))
     refused = 0
     for D in Ds:
         try:
@@ -175,6 +175,20 @@ def test_wrong_regulator_raises_instead_of_misrounding(monkeypatch, factor):
             continue
         assert got == narrow[D], (D, factor)
     assert refused > len(Ds) // 4
+
+
+def test_regulator_equals_mpmath_on_small_and_large_units():
+    """log((E + F*sqrt(m))/2) to 30 digits, on every squarefree m < 3000 and on the 95
+    units past 1000 bits of m = 10^6..10^6+1000, where `_regulator` takes log(E)."""
+    small = [pell._cycle_record(m) for m in range(2, 3000) if is_squarefree(m)]
+    large = [rec for m in range(10**6, 10**6 + 1001) if is_squarefree(m)
+             if (rec := pell._cycle_record(m)).unit[0].bit_length() > 1000]
+    assert len(large) == 95 and {rec.D == rec.m for rec in large} == {True, False}
+    with mpmath.workdps(30):
+        for rec in small + large:
+            E, F, _ = rec.unit
+            want = mpmath.log((mpmath.mpf(E) + F * mpmath.sqrt(rec.m)) / 2)
+            assert abs(qforms._regulator(rec) / want - 1) <= 1e-14, rec.m
 
 
 # --- loop oracle: the same series, summed one term at a time ---
@@ -202,7 +216,7 @@ def series_lengths(Ds):
 
     pairs = []
     for D in Ds:
-        R = qforms._regulator(fundamental_unit(D // 4 if D % 4 == 0 else D))
+        R = qforms._regulator(record(D))
         qforms._tail_bound = counting
         try:
             got = qforms._series_length(D, R)
@@ -265,7 +279,7 @@ def test_a_series_past_the_term_budget_is_refused_before_any_table(monkeypatch):
     D = 10**16 + 1
     assert fundamental_unit(D).a == 10**8
     with pytest.raises(ArithmeticError, match=f"past the series budget {qforms._MAX_TERMS}$"):
-        qforms.class_numbers(units([5, D]))
+        qforms.class_numbers(records([5, D]))
 
 
 def test_series_past_int64_is_refused(monkeypatch):
@@ -317,9 +331,9 @@ def sampled_series():
     rng = random.Random(5)
     Ds = [D for D in rng.sample(range(5, 10**5), 80) if is_fundamental(D)][:12]
     assert len(Ds) == 12
-    Rs = [qforms._regulator(fundamental_unit(D // 4 if D % 4 == 0 else D)) for D in Ds]
+    Rs = [qforms._regulator(record(D)) for D in Ds]
     return [(D, R, qforms._series_length(D, R), h)
-            for D, R, h in zip(Ds, Rs, qforms.class_numbers(units(Ds)))]
+            for D, R, h in zip(Ds, Rs, qforms.class_numbers(records(Ds)))]
 
 
 def test_both_e1_approximations_stay_within_their_error_bound():
@@ -352,7 +366,7 @@ def test_the_exact_partial_sum_is_within_the_tail_of_h(sampled_series):
 # --- the batch kernel: many discriminants, one numpy pass per slab ---
 
 def wide_loop_class_number(D):
-    return loop_class_number(D) // (2 if units((D,))[0].norm() == 1 else 1)
+    return loop_class_number(D) // (2 if record(D).unit[2] == 1 else 1)
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +376,7 @@ def wide_below_2e4():
 
 def test_class_numbers_equal_the_loop_oracle_below_2e4_in_one_call(wide_below_2e4):
     assert len(wide_below_2e4) == 6081
-    assert qforms.class_numbers(units(wide_below_2e4)) == list(wide_below_2e4.values())
+    assert qforms.class_numbers(records(wide_below_2e4)) == list(wide_below_2e4.values())
 
 
 def test_class_numbers_equal_the_loop_oracle_in_scan_blocks(monkeypatch, wide_below_2e4):
@@ -370,9 +384,9 @@ def test_class_numbers_equal_the_loop_oracle_in_scan_blocks(monkeypatch, wide_be
     got = {}
     kernel = qforms.class_numbers
 
-    def recording(us):
-        hs = kernel(us)
-        got.update((eps.m if eps.m % 4 == 1 else 4 * eps.m, h) for eps, h in zip(us, hs))
+    def recording(recs):
+        hs = kernel(recs)
+        got.update((rec.D, h) for rec, h in zip(recs, hs))
         return hs
 
     monkeypatch.setattr(greenberg, "class_numbers", recording)
@@ -398,27 +412,27 @@ def test_class_numbers_of_a_mixed_batch_keep_the_input_order(monkeypatch):
     want = [wide_loop_class_number(D) for D in Ds]
     order = list(range(len(Ds)))
     random.Random(8).shuffle(order)
-    assert qforms.class_numbers(units([Ds[i] for i in order])) == [want[i] for i in order]
-    assert qforms.class_numbers(units(Ds)) == want
-    assert qforms.class_numbers(units(Ds[::-1])) == want[::-1]
+    assert qforms.class_numbers(records([Ds[i] for i in order])) == [want[i] for i in order]
+    assert qforms.class_numbers(records(Ds)) == want
+    assert qforms.class_numbers(records(Ds[::-1])) == want[::-1]
     monkeypatch.setattr(qforms, "_SLAB", 1)  # every row a slab of its own
-    assert qforms.class_numbers(units(Ds)) == want
+    assert qforms.class_numbers(records(Ds)) == want
     monkeypatch.setattr(qforms, "_SLAB", 1 << 22)  # both magnitudes in one slab
-    assert qforms.class_numbers(units(Ds)) == want
+    assert qforms.class_numbers(records(Ds)) == want
     assert qforms.class_numbers([]) == []
 
 
 def test_a_batch_with_one_unseparated_discriminant_is_refused(monkeypatch):
     # m = 103 has wide h = 1; a regulator 1.3 times too large puts sum/(2R) at 0.77
     Ds = fundamental_discriminants(600)
-    want = qforms.class_numbers(units(Ds))
+    want = qforms.class_numbers(records(Ds))
     regulator = qforms._regulator
     monkeypatch.setattr(qforms, "_regulator",
-                        lambda eps: regulator(eps) * (1.3 if eps.m == 103 else 1))
+                        lambda rec: regulator(rec) * (1.3 if rec.m == 103 else 1))
     with pytest.raises(ArithmeticError, match="not separated at D=412"):
-        qforms.class_numbers(units(Ds))
+        qforms.class_numbers(records(Ds))
     rest = [(D, h) for D, h in zip(Ds, want) if D != 412]
-    assert qforms.class_numbers(units(D for D, _ in rest)) == [h for _, h in rest]
+    assert qforms.class_numbers(records(D for D, _ in rest)) == [h for _, h in rest]
 
 
 def test_every_row_of_the_chi_grid_equals_kronecker():
@@ -433,10 +447,10 @@ def test_class_numbers_memory_is_set_by_the_slab_cap():
     """Both peaks stay below 100 bytes per slab cell, and the second 100 D
     add well under the ~12 MB that holding every term of a batch would."""
     ms = [m for m in range(10**6, 10**6 + 400) if is_squarefree(m)][:200]
-    us = [fundamental_unit(m) for m in ms]
-    qforms.class_numbers(us)  # sieve tables cached: the peaks are the slabs'
+    recs = [pell._cycle_record(m) for m in ms]
+    qforms.class_numbers(recs)  # sieve tables cached: the peaks are the slabs'
     peaks = []
-    for batch in (us[:100], us):
+    for batch in (recs[:100], recs):
         tracemalloc.start()
         try:
             qforms.class_numbers(batch)
@@ -461,8 +475,8 @@ def reduced_generators(Ds, primes):
     reduce = pell._unit_reduce
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pell, "_unit_reduce", lambda g, rec:
-                   seen.append((make_elem(*g, 2, rec.eps.m), rec)) or reduce(g, rec))
-        for D, h in zip(Ds, qforms.class_numbers(units(Ds))):
+                   seen.append((make_elem(*g, 2, rec.m), rec)) or reduce(g, rec))
+        for D, h in zip(Ds, qforms.class_numbers(records(Ds))):
             rec = record(D)
             for q in primes:
                 if kronecker(D, q) == 1:
@@ -493,7 +507,7 @@ def test_unit_reduce_does_not_depend_on_the_unit_multiple(generators_below_2e4,
     (1-3sqrt(5))/2 (trace 1)."""
     elsewhere = set()
     for x, rec in generators_below_2e4 + generators_near_1e6:
-        eps = rec.eps
+        eps = fundamental_unit(rec.m)
         want = unit_reduce(x, rec)
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = x * inv * inv * inv * inv * inv
@@ -518,13 +532,13 @@ def test_the_generators_at_m5_are_unchanged(q, pi1):
 def test_unit_reduce_equals_the_elem_oracle_on_every_generator(generators_below_2e4):
     assert len(generators_below_2e4) > 36000
     for x, rec in generators_below_2e4:
-        assert unit_reduce(x, rec) == elem_unit_reduce(x, rec.eps.m), x
+        assert unit_reduce(x, rec) == elem_unit_reduce(x, rec.m), x
 
 
 def test_unit_reduce_equals_the_elem_oracle_on_unit_multiples(generators_below_2e4):
     # every k in [-3, 3] on a seeded sample of the reduced generators
     for x, rec in random.Random(3).sample(generators_below_2e4, 1500):
-        eps, m = rec.eps, rec.eps.m
+        eps, m = fundamental_unit(rec.m), rec.m
         inv = eps.conjugate() if eps.norm() == 1 else -eps.conjugate()
         y = elem_unit_reduce(x, m) * inv * inv * inv
         for k in range(-3, 4):
@@ -644,7 +658,7 @@ def oracle_class_order(D, q, h):
 
 
 def wide_class_number(D):
-    return qforms.class_numbers(units((D,)))[0]
+    return qforms.class_numbers(records((D,)))[0]
 
 
 SPLIT_Q = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -723,7 +737,7 @@ def test_principal_power_matches_the_cycle_oracle_on_a_scan_window():
     Ds = [m if m % 4 == 1 else 4 * m for m in ms]
     assert len(Ds) == 229
     found = []
-    for m, D, h in zip(ms, Ds, qforms.class_numbers(units(Ds))):
+    for m, D, h in zip(ms, Ds, qforms.class_numbers(records(Ds))):
         s = hensel_sqrt(m, 3, max(9, h + 2))
         for d in divisors(h):  # each divisor alone: misses as well as hits
             got = principal_power(D, 3, (d,), s)
@@ -787,7 +801,7 @@ def test_represent_gives_generator(D, q, k):
     alpha = represent(D, q, k)
     assert alpha is not None
     assert abs(alpha.norm()) == q**k
-    assert alpha.trace() > 0
+    assert alpha.coords()[0] > 0
 
 
 def test_represent_nonprincipal_returns_none():
