@@ -95,10 +95,12 @@ def parse_positive(s: str) -> int:
 
 
 def parse_prime_range(s: str) -> tuple[int, ...]:
-    """"7" -> (7,); "3..43" -> all odd primes in [3, 43]."""
+    """"7" -> (7,); "3..43" -> the odd primes in [3, 43]; a range wider than 10^6 is refused."""
     if ".." in s:
         lo_s, hi_s = s.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
+        if hi - lo > 10**6:
+            raise argparse.ArgumentTypeError(f"prime range {s!r} is wider than 10^6")
         ps = tuple(q for q in range(max(3, lo) | 1, hi + 1, 2) if is_prime(q))
         if not ps:
             raise argparse.ArgumentTypeError(f"no odd primes in {s!r}")

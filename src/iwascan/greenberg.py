@@ -5,13 +5,13 @@ vanish as soon as (a) the p-part of the class number is already carried by
 the class of a prime above p, and (b) the relevant S-units are not normic,
 i.e. min(delta(eps), delta(pi)) = 0.  `check_field` evaluates both halves
 and reports the witnessing quantities; `scan_range` repeats this over all
-admissible m in an interval, for several primes at once, handing each
-field's cycle record and h down.  A `FieldVerdict` is a named tuple of
-ints and bools, so each scan row is one from the worker that makes it to
-the code that reads it; `scan_parts` lets the pool workers fold each
-block's rows per prime, so the CLI writes a block's CSV lines where its
-rows were computed.  `map_blocks` is the package's one process pool: both
-scans hand it fixed work items.
+admissible m in an interval, for several primes at once, from one cycle
+record and h per field and one `FieldContext` per prime.  A `FieldVerdict`
+is a named tuple of ints and bools, so each scan row is one from the worker
+that makes it to the code that reads it; `scan_parts` lets the pool workers
+fold each block's rows per prime, so the CLI writes a block's CSV lines
+where its rows were computed.  `map_blocks` is the package's one process
+pool: both scans hand it fixed work items.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import NamedTuple
 
 from .arith import kronecker, valuation
 from .fermat import _deltas_exact
-from .pell import CycleRecord, _cycle_record
+from .pell import _cycle_record
 from .qforms import class_numbers
-from .sunits import UsageError, build_context, field_context, real_field, validate_prime
+from .sunits import (FieldContext, UsageError, build_context, field_context, real_field,
+                     validate_prime)
 
 
 class FieldVerdict(NamedTuple):
@@ -60,23 +61,19 @@ def check_field(m: int, p: int, n0: int = 1) -> FieldVerdict:
     n0 is only the starting precision; `fermat` recomputes deltas that
     exceed it at doubled precision, so the verdict does not depend on n0.
     """
-    ctx = build_context(m, p)
-    return _verdict(ctx.record, p, ctx.h, (ctx.s, ctx.h0, ctx.pi1.coords()), n0)
+    return _verdict(build_context(m, p), n0)
 
 
-def _verdict(record: CycleRecord, p: int, h: int, facts: tuple[int, int, tuple[int, int]],
-             n0: int) -> FieldVerdict:
-    """The vanishing test at p on the field of `record`, of wide class number h, from
-    its `field_context` facts (s, h0, pi1), deltas started at n0."""
-    (s, h0, (A, B)), m = facts, record.m
-    root = (m, p, s, h + 2)
-    delta_eps, d2, _ = _deltas_exact(record.unit[:2], 0, root, n0)
+def _verdict(ctx: FieldContext, n0: int) -> FieldVerdict:
+    """The vanishing test on the field and prime of `ctx`, deltas started at n0."""
+    m, p, h, record, _, _, h0, (A, B) = ctx
+    delta_eps, d2, _ = _deltas_exact(record.unit[:2], 0, ctx, n0)
     if delta_eps != d2:
         raise ArithmeticError(f"unit deltas differ at the two primes for m={m}, p={p}")
     # delta at the first prime of pi2 = pi1', of norm +-p^h0; multiplying by
     # units can only move it when it ties delta_eps, and never below the
     # min, so min(delta_eps, delta_pi) is convention-free.
-    delta_pi = _deltas_exact((A, -B), h0, root, n0)[0]
+    delta_pi = _deltas_exact((A, -B), h0, ctx, n0)[0]
 
     v_p_h = valuation(h, p)
     class_ok = v_p_h == valuation(h0, p)
@@ -122,7 +119,7 @@ def _scan_block(args: tuple[tuple[int, ...], int, int, int]) -> list[FieldVerdic
                 if (split := [p for p in primes if kronecker(m, p) == 1])]
     records = [_cycle_record(m) for m, _ in admitted]
     hs = class_numbers(records)
-    return [_verdict(record, p, h, field_context(record, p, h), n0)
+    return [_verdict(field_context(record, p, h), n0)
             for (_, split), record, h in zip(admitted, records, hs) for p in split]
 
 

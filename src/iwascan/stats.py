@@ -38,7 +38,7 @@ from .greenberg import map_blocks
 from .pell import _principal_power
 from .qforms import _sieve
 from .quadint import hensel_sqrt
-from .sunits import PreconditionError, UsageError, build_context, validate_field
+from .sunits import FieldContext, PreconditionError, UsageError, build_context, validate_field
 
 NORM_CONSTRAINED = "norm"
 UNCONSTRAINED = "unconstrained"
@@ -106,13 +106,12 @@ def _survivors(r: int, mod: int, j0: int, j1: int) -> list[int]:
     return (r + mod * (np.flatnonzero(keep) + j0)).tolist()
 
 
-def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
-    """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1, each generator
-    (A + B*sqrt(m))/2 kept as plain ints (A, B) from `_principal_power` to `_deltas`."""
-    m, p, n, rmax, r, j0, j1 = item
-    mod = p ** (n + 1)
-    ctx = build_context(m, p)
-    root = (m, p, ctx.s, ctx.N)
+def _tally_block(item: tuple[FieldContext, int, int, int, int, int]) -> tuple[list[int], int]:
+    """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1, in the field the item
+    carries (a pool worker reads no cache), each generator (A + B*sqrt(m))/2 kept as
+    plain ints (A, B) from `_principal_power` to `_deltas`."""
+    ctx, n, rmax, r, j0, j1 = item
+    m, p, mod = ctx.m, ctx.p, ctx.p ** (n + 1)
     counts, skipped = [0] * (rmax + 1), 0
     for ell in _survivors(r, mod, j0, j1):
         if kronecker(m, ell) != 1 or not is_prime(ell):
@@ -124,7 +123,7 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
         _, (A, B) = found  # certified: |norm| = ell, prime to p
         if pow((A * A - m * B * B) // 4, p - 1, mod) != 1:
             raise ArithmeticError(f"generator at ell={ell} misses the defining congruence")
-        d1, d2 = _deltas((A, B), 0, root, n)
+        d1, d2 = _deltas((A, B), 0, ctx, n)
         c1, c2 = isinstance(d1, Capped), isinstance(d2, Capped)
         if c1 != c2 or not (c1 or d1 == d2):
             raise ArithmeticError(f"delta dichotomy violated at ell={ell}")
@@ -132,19 +131,19 @@ def _tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[i
     return counts, skipped
 
 
-def _items(m: int, p: int, n: int, rmax: int, bound: int) -> Iterator[tuple[int, ...]]:
+def _items(ctx: FieldContext, n: int, rmax: int, bound: int) -> Iterator[tuple]:
     """Items of `prime_fermat_scan`, one residue class r at a time.  Every ell
     = r + j*p^(n+1), j >= 1, exceeds p^(n+1) > 2^(n+1): none once 2^(n+1) >= bound.
     When (p^(n+1), bound) holds fewer ell than the p-1 classes, the r of those
     ell are tested directly instead of lifting every class."""
-    if n + 1 >= bound.bit_length() or (mod := p ** (n + 1)) >= bound:
+    if n + 1 >= bound.bit_length() or (mod := ctx.p ** (n + 1)) >= bound:
         return
-    residues = teichmuller(p, n + 1) if bound - mod - 1 >= p - 1 else (
-        r for r in range(1, bound - mod) if pow(r, p - 1, mod) == 1)
+    residues = teichmuller(ctx.p, n + 1) if bound - mod - 1 >= ctx.p - 1 else (
+        r for r in range(1, bound - mod) if pow(r, ctx.p - 1, mod) == 1)
     for r in residues:
         top = (bound - 1 - r) // mod  # ell = r + j*mod < bound exactly for j <= top
         for j0 in range(1, top + 1, _SPAN):
-            yield m, p, n, rmax, r, j0, min(j0 + _SPAN, top + 1)
+            yield ctx, n, rmax, r, j0, min(j0 + _SPAN, top + 1)
 
 
 def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
@@ -162,7 +161,7 @@ def prime_fermat_scan(m: int, p: int, n: int, bound: int, rmax: int = 5,
     if ctx.h % p == 0:
         raise PreconditionError(f"p={p} divides h={ctx.h}; generator scan needs v_p(h)=0")
     counts, skipped = [0] * (rmax + 1), 0
-    for part, skip in map_blocks(_tally_block, _items(m, p, n, rmax, bound), workers):
+    for part, skip in map_blocks(_tally_block, _items(ctx, n, rmax, bound), workers):
         counts = [a + b for a, b in zip(counts, part)]
         skipped += skip
     return StatTally(m=m, p=p, n=n, bound=bound, rmax=rmax,

@@ -6,16 +6,18 @@ wide class number h: the Hensel root s fixing which prime is which, lifted
 once, uncached, to p^(h+2), the most that the walks (p^(k+1), k <= h) and
 the first deltas (p^(2+h0)) read; the order h0 of the canonical prime above
 p; and a generator pi1 of that prime's h0-th power (norm +-p^h0, certified
-by `pell`).  A scan hands the record and h down and builds no context;
-`build_context(m, p)` makes them after `validate_field` and wraps the lot,
-with `QuadElem`s, in a `FieldContext`.  `real_field` is the one radicand
-test of every command: it refuses a D past the int64 range before m is factored.
+by `pell`).  It returns them as a `FieldContext`, a named tuple of ints and
+the record, the one form in which a scan row, the tally and the library read
+them; its `QuadElem`s eps, pi1 and pi2 are built only when read.
+`build_context(m, p)` makes the record and h after `validate_field`.
+`real_field` is the one radicand test of every command: it refuses a D past
+the int64 range before m is factored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import divisors, is_prime, is_squarefree, kronecker
 from .pell import CycleRecord, _cycle_record, _principal_power
@@ -31,18 +33,30 @@ class UsageError(ValueError):
     """Raised for a run parameter outside its range (a bad flag value)."""
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(NamedTuple):
+    """The facts of (m, p) that the vanishing test and the tally read, in plain ints; the
+    `QuadElem`s eps, pi1 and pi2 = pi1' that the library reads are built when read."""
+
     m: int
     p: int
     h: int           # wide class number
-    record: CycleRecord  # the principal cycle and unit of Q(sqrt(m))
-    eps: QuadElem    # record.unit, (E + F*sqrt(m))/2, as a QuadElem
+    record: CycleRecord  # the principal cycle and unit (E, F, N(eps)) of Q(sqrt(m))
     s: int           # sqrt(m) mod p^N, in the canonical root class
     N: int           # precision exponent carried by s: h + 2
     h0: int          # order of the canonical prime above p, wide sense
-    pi1: QuadElem    # generator of that prime's h0-th power
-    pi2: QuadElem    # its conjugate
+    pi: tuple[int, int]  # (A, B): (A + B*sqrt(m))/2 generates that prime's h0-th power
+
+    @property
+    def eps(self) -> QuadElem:
+        return make_elem(*self.record.unit[:2], 2, self.m)
+
+    @property
+    def pi1(self) -> QuadElem:
+        return make_elem(*self.pi, 2, self.m)
+
+    @property
+    def pi2(self) -> QuadElem:
+        return make_elem(self.pi[0], -self.pi[1], 2, self.m)
 
     def embed(self, x: QuadElem, n: int | None = None) -> QuadResidue:
         """Residue pair of x mod p^(n+1) (defaults to the stored precision)."""
@@ -83,19 +97,15 @@ def build_context(m: int, p: int) -> FieldContext:
     """Assemble the field data for (m, p); raises PreconditionError."""
     validate_field(m, p)
     record = _cycle_record(m)
-    h = class_numbers((record,))[0]
-    s, h0, (A, B) = field_context(record, p, h)
-    E, F, _ = record.unit
-    return FieldContext(m=m, p=p, h=h, record=record, eps=make_elem(E, F, 2, m), s=s, N=h + 2,
-                        h0=h0, pi1=make_elem(A, B, 2, m), pi2=make_elem(A, -B, 2, m))
+    return field_context(record, p, class_numbers((record,))[0])
 
 
-def field_context(record: CycleRecord, p: int, h: int) -> tuple[int, int, tuple[int, int]]:
-    """(s, h0, pi1) at p, split, in the field of `record`, whose wide class number is h:
+def field_context(record: CycleRecord, p: int, h: int) -> FieldContext:
+    """The context at p, split, in the field of `record`, whose wide class number is h:
     s = sqrt(m) mod p^(h+2), h0 and pi1 = (A + B*sqrt(m))/2 as (A, B), in plain ints."""
     # one lift serves the walks (up to p^(h+1)) and the n = 1 deltas (up to p^(2+h0))
     s = _lift_sqrt(record.m, p, h + 2)
     found = _principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
-    return s, *found
+    return FieldContext(record.m, p, h, record, s, h + 2, *found)

@@ -41,10 +41,10 @@ None of these is used by the package itself:
   where `greenberg._scan_block` now works on plain integers and takes
   the unit's data once per field: `per_prime_context` builds a
   `FieldContext` per prime, from a root lifted by `newton_sqrt` (a
-  search for s0, no Tonelli-Shanks, then Newton steps) and the
-  generator of `elem_principal_power` (the same walks, a `QuadElem`
+  search for s0, no Tonelli-Shanks, then Newton steps) and the `coords()`
+  of the generator of `elem_principal_power` (the same walks, a `QuadElem`
   reduced by `elem_unit_reduce`), and `per_prime_verdict` takes both
-  deltas by `elem_delta_exact` on `QuadElem` residues.
+  deltas by `elem_delta_exact` on the `QuadElem`s the context builds.
 * `scan_output_after_the_scan` is the former output route of the `scan`
   command: `FieldVerdict` records from `scan_range`, serialized by
   `cli.to_csv` or `cli.to_json` in the calling process once the whole scan
@@ -61,8 +61,9 @@ None of these is used by the package itself:
 * `elem_tally_block` is the former `stats._tally_block`: each split
   prime's generator a `QuadElem`, its norm by `QuadElem.norm` and its
   deltas by `fermat.delta_embed` on the field's `FieldContext`, where the
-  tally now keeps (A, B) as plain ints into `fermat._deltas`.  Its
-  candidates come from `mask_sieve`, proven by `is_prime_all_bases`.
+  tally now keeps (A, B) as plain ints into `fermat._deltas`, and reads its
+  field from its item.  Its candidates come from `mask_sieve`, proven by
+  `is_prime_all_bases`.
 * `is_prime_all_bases` is the former `arith.is_prime`: Miller-Rabin on all
   13 bases, by `is_sprp`, whatever the size of n.
 * `primitive_root_mod_prime_power` is the former route to the residue
@@ -88,7 +89,7 @@ from iwascan.pell import (CycleRecord, _canonical_root, _cycle_generator, _cycle
 from iwascan.qforms import (_E1_DEN, _E1_ERR, _E1_NUM, _E1_SMALL, _MACHINE_EPS,
                             _check_fundamental, _regulator, _tail_bound, class_numbers)
 from iwascan.quadint import QuadElem, QuadResidue, hensel_sqrt, make_elem, residues
-from iwascan.sunits import FieldContext, build_context, real_field
+from iwascan.sunits import FieldContext, real_field
 
 _MAX_STEPS = 10**6
 
@@ -505,20 +506,19 @@ def elem_delta_exact(x: QuadElem, ctx: FieldContext, n: int) -> tuple[int, int]:
 
 def per_prime_context(record: CycleRecord, p: int, h: int) -> FieldContext:
     """The former `sunits.field_context`: a `FieldContext` per prime, from a root lifted by
-    `newton_sqrt` and the `QuadElem` generator of `elem_principal_power`."""
+    `newton_sqrt` and the `coords()` of the `QuadElem` generator of `elem_principal_power`."""
     m = record.m
     s = newton_sqrt(m, p, h + 2)
     found = elem_principal_power(record, p, divisors(h), s)
     if found is None:
         raise ArithmeticError("class order does not divide the class number")
     h0, pi1 = found
-    return FieldContext(m=m, p=p, h=h, record=record, eps=fundamental_unit(m), s=s, N=h + 2,
-                        h0=h0, pi1=pi1, pi2=pi1.conjugate())
+    return FieldContext(m=m, p=p, h=h, record=record, s=s, N=h + 2, h0=h0, pi=pi1.coords())
 
 
 def per_prime_verdict(ctx: FieldContext, n0: int = 1) -> FieldVerdict:
     """The former `greenberg._verdict`: the deltas by `elem_delta_exact` on the context's
-    `QuadElem`s."""
+    `QuadElem`s eps and pi2."""
     delta_eps, d2 = elem_delta_exact(ctx.eps, ctx, n0)
     if delta_eps != d2:
         raise ArithmeticError(f"unit deltas differ at the two primes for m={ctx.m}, p={ctx.p}")
@@ -619,12 +619,11 @@ def candidate_primes(residues: list[int], modulus: int, bound: int) -> list[int]
     return out
 
 
-def elem_tally_block(item: tuple[int, int, int, int, int, int, int]) -> tuple[list[int], int]:
+def elem_tally_block(item: tuple[FieldContext, int, int, int, int, int]) -> tuple[list[int], int]:
     """(counts, skipped) of `stats._tally_block(item)` by the former route, a `QuadElem`
     and a `DeltaReport` per split prime ell = r + j*p^(n+1), j0 <= j < j1."""
-    m, p, n, rmax, r, j0, j1 = item
-    mod = p ** (n + 1)
-    ctx = build_context(m, p)
+    ctx, n, rmax, r, j0, j1 = item
+    m, p, mod = ctx.m, ctx.p, ctx.p ** (n + 1)
     counts, skipped = [0] * (rmax + 1), 0
     for ell in filter(is_prime_all_bases, mask_sieve(r, mod, j0, j1)):
         if kronecker(m, ell) != 1:

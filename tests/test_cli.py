@@ -118,6 +118,30 @@ def test_parse_prime_range():
         parse_prime_range("14..16")
 
 
+def test_a_wide_prime_range_is_refused_before_any_number_is_tested(monkeypatch, capsys):
+    """`--p lo..hi` is parsed while argparse runs, before `main` refuses a range for
+    `check`; a range wider than 10^6 exits 2 without enumerating its primes."""
+    tested = []
+    is_prime = cli.is_prime
+
+    def counting(n):
+        tested.append(n)
+        if len(tested) > 10**5:
+            pytest.fail("the range was enumerated")
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting)
+    with pytest.raises(argparse.ArgumentTypeError, match="wider than 10"):
+        parse_prime_range("3..10000000000")
+    assert main(["check", "--m", "7", "--p", "3..10000000000"]) == 2
+    assert "wider than 10^6" in capsys.readouterr().err
+    assert not tested
+    monkeypatch.setattr(cli, "is_prime", lambda n: n == 1000003)  # the edge, untested
+    assert parse_prime_range("3..1000003") == (1000003,)  # ends 10^6 apart: allowed
+    with pytest.raises(argparse.ArgumentTypeError, match="wider than 10"):
+        parse_prime_range("3..1000004")
+
+
 def test_verdict_csv_round_trip():
     rows = [check_field(m, 3) for m in (103, 2659, 30007, 30043)]
     assert read_csv(to_csv(rows, VERDICT_COLUMNS), FieldVerdict, VERDICT_COLUMNS) == rows
@@ -537,7 +561,7 @@ def test_an_engine_value_error_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_a_delta_capped_at_n_cap_exits_3_in_one_line(monkeypatch, capsys):
-    monkeypatch.setattr(fermat, "_deltas", lambda x, e, root, n: (Capped(n), Capped(n)))
+    monkeypatch.setattr(fermat, "_deltas", lambda x, e, ctx, n: (Capped(n), Capped(n)))
     assert main(["check", "--m", "103", "--p", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: delta >= {N_CAP} for m=103, p=3\n"

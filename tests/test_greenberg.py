@@ -198,7 +198,7 @@ def test_a_scan_block_makes_one_kernel_call_per_slab(monkeypatch, primes, lo):
 def test_a_delta_capped_at_n_cap_raises(monkeypatch):
     tried = []
 
-    def capped(x, e, root, n):
+    def capped(x, e, ctx, n):
         tried.append(n)
         return Capped(n), Capped(n)
 
@@ -212,8 +212,8 @@ PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
-    """Every row of the plain-integer scan, and the (s, h0, pi1) it is read from, equal the
-    former per-prime path's, a `FieldContext` and `QuadElem`s per prime, on windows fixed
+    """Every row of the plain-integer scan, and the whole `FieldContext` it is read from,
+    equal the former per-prime path's, its generator a `QuadElem`, on windows fixed
     in advance: every m <= 2000
     at p = 3..43, and 200 m at 10^6 at p = 3 and 5.  The sample holds each hard case."""
     moved = []
@@ -228,8 +228,7 @@ def test_scan_rows_equal_the_per_prime_oracle(monkeypatch):
             want = oracles.per_prime_scan_block(args)
             assert got == [row for row, _ in want], args
             # and the root, h0 and generator of each row, not only what the row shows of them
-            assert all(field_context(c.record, c.p, c.h) == (c.s, c.h0, c.pi1.coords())
-                       for _, c in want), args
+            assert all(field_context(c.record, c.p, c.h) == c for _, c in want), args
             rows[lo] = rows.get(lo, []) + got
     small = rows[2]
     assert (len(small), len(rows[10**6])) == (7274, 96)

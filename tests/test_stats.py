@@ -93,13 +93,13 @@ def test_a_short_window_tallies_without_lifting(monkeypatch):
     assert (t.total, t.skipped_nonprincipal, t.counts) == (0, 0, (0, 0))
 
 
-def lifted_items(m, p, n, rmax, bound):
+def lifted_items(ctx, n, rmax, bound):
     """The work items of the Teichmuller lift path, whatever the window."""
-    mod = p ** (n + 1)
-    for r in teichmuller(p, n + 1):
+    mod = ctx.p ** (n + 1)
+    for r in teichmuller(ctx.p, n + 1):
         top = (bound - 1 - r) // mod
         for j0 in range(1, top + 1, stats._SPAN):
-            yield m, p, n, rmax, r, j0, min(j0 + stats._SPAN, top + 1)
+            yield ctx, n, rmax, r, j0, min(j0 + stats._SPAN, top + 1)
 
 
 @pytest.mark.parametrize("bound", [181**2 + 2, 32839, 32840, 181**2 + 180])
@@ -107,11 +107,12 @@ def test_a_short_window_gives_the_lift_paths_items_and_tally(bound):
     # ell = 181^2 + 78 = 32839 is prime, split in Q(sqrt 5), and 78^180 = 1 mod 181^2
     m, p, n, rmax = 5, 181, 1, 1
     assert bound - p ** (n + 1) - 1 < p - 1  # the direct path
-    items = list(stats._items(m, p, n, rmax, bound))
-    assert sorted(items) == sorted(lifted_items(m, p, n, rmax, bound))
+    ctx = build_context(m, p)
+    items = list(stats._items(ctx, n, rmax, bound))
+    assert sorted(items) == sorted(lifted_items(ctx, n, rmax, bound))
     t = prime_fermat_scan(m, p, n, bound, rmax=rmax)
     counts = [0] * (rmax + 1)
-    for item in lifted_items(m, p, n, rmax, bound):
+    for item in lifted_items(ctx, n, rmax, bound):
         counts = [a + b for a, b in zip(counts, stats._tally_block(item)[0])]
     assert t.counts == tuple(counts)
     assert t.total == (bound > 32839)
@@ -129,12 +130,26 @@ def test_the_plain_tally_equals_the_former_element_route():
     holds only capped deltas."""
     skipped = capped = 0
     for m, p, n, rmax, bound in TALLY_SAMPLE:
-        for item in stats._items(m, p, n, rmax, bound):
+        for item in stats._items(build_context(m, p), n, rmax, bound):
             got = stats._tally_block(item)
             assert got == elem_tally_block(item), item
             skipped += got[1]
             capped += got[0][rmax]
     assert skipped > 0 and capped > 0  # a non-principal prime and a capped delta
+
+
+def test_a_tally_block_reads_its_field_from_its_item(monkeypatch):
+    """A pool worker gets its field with its work item: no block reads `build_context`,
+    whose cache a forked worker would otherwise depend on."""
+    items = list(stats._items(build_context(103, 3), 5, 5, 10**6))
+    want = [stats._tally_block(item) for item in items]
+
+    def refused(m, p):
+        raise AssertionError("a tally block read build_context")
+
+    monkeypatch.setattr(stats, "build_context", refused)
+    assert [stats._tally_block(item) for item in items] == want
+    assert sum(sum(counts) for counts, _ in want) > 0
 
 
 def test_rmax_past_63_is_refused():

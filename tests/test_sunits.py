@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from iwascan import pell, qforms, stats, sunits
+from iwascan import greenberg, pell, qforms, quadint, stats, sunits
 from iwascan.arith import divisors, is_squarefree, kronecker, valuation
 from iwascan.qforms import class_number
 from iwascan.quadint import make_elem
@@ -70,7 +70,7 @@ def test_validate_field_errors():
 def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
     """The norm is checked on the generator returned: a unit reduction that
     broke it would reach the context's pi1 and the tally's alpha unseen."""
-    build_context(103, 3)  # cached, so the tally below reaches its own generators
+    ctx = build_context(103, 3)  # before the patch; the tally below reaches its own generators
     reduce = pell._unit_reduce
 
     def doubling(g, rec):
@@ -81,7 +81,7 @@ def test_a_generator_is_certified_after_its_unit_reduction(monkeypatch):
     with pytest.raises(ArithmeticError, match="wrong norm"):
         build_context.__wrapped__(103, 3)
     with pytest.raises(ArithmeticError, match="wrong norm"):
-        stats._tally_block((103, 3, 5, 5, 1, 1, 200))
+        stats._tally_block((ctx, 5, 5, 1, 1, 200))
 
 
 @pytest.mark.parametrize("m,p", [(103, 3), (2659, 3), (44853, 7)])
@@ -92,6 +92,27 @@ def test_a_generator_of_the_other_prime_is_refused(monkeypatch, m, p):
     monkeypatch.setattr(pell, "_canonical_root", lambda D, q, k, s: root(D, q, k, -s))
     with pytest.raises(ArithmeticError, match="supports the wrong prime"):
         build_context.__wrapped__(m, p)
+
+
+# (m, p): (eps, pi1, pi2) as (a, b, den), fixed before contexts stored plain ints
+ELEMS = {(103, 3): ((227528, 22419, 1), (10, -1, 1), (10, 1, 1)),
+         (2659, 3): ((3258468890, 63190881, 1), (103, 2, 1), (103, -2, 1)),
+         (30043, 3): ((41599, 240, 1), (317, -2, 1), (317, 2, 1)),
+         (53, 7): ((7, 1, 2), (5, 1, 2), (5, -1, 2))}
+
+
+@pytest.mark.parametrize("m,p", ELEMS)
+def test_a_context_builds_its_elements_only_when_read(monkeypatch, m, p):
+    """`build_context` and `check_field` build no `QuadElem`: the context holds plain ints,
+    and its eps, pi1 and pi2 are made when read, with the values stored before."""
+    elems, init = [], quadint.QuadElem.__post_init__
+    monkeypatch.setattr(quadint.QuadElem, "__post_init__", lambda x: elems.append(x) or init(x))
+    ctx = build_context.__wrapped__(m, p)
+    monkeypatch.setattr(greenberg, "build_context", build_context.__wrapped__)  # cold
+    greenberg.check_field(m, p)
+    assert not elems, elems
+    assert [(x.a, x.b, x.den) for x in (ctx.eps, ctx.pi1, ctx.pi2)] == list(ELEMS[m, p])
+    assert ctx.pi1.coords() == ctx.pi and ctx.pi2 == ctx.pi1.conjugate()
 
 
 def test_context_is_cached():
