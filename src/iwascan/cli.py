@@ -210,18 +210,18 @@ def _write(ns: argparse.Namespace, out: str | dict | list[str]) -> int:
 
 def cmd_check(ns: argparse.Namespace) -> str | dict | list[str]:
     v = check_field(ns.m, ns.p[0])
-    ctx = build_context(ns.m, ns.p[0])
     if ns.fmt == "csv":
         return VERDICT_HEADER + verdict_line(v)
+    ctx = build_context(ns.m, ns.p[0])  # the context check_field read, from the cache
+    eps, pi1 = ctx.eps, ctx.pi1  # each property builds a QuadElem: read once
     if ns.fmt == "json":
         return {"verdict": {**to_json(v, VERDICT_COLUMNS),
-                            "eps": [ctx.eps.a, ctx.eps.b, ctx.eps.den],
-                            "pi1": [ctx.pi1.a, ctx.pi1.b, ctx.pi1.den]}}
+                            "eps": [eps.a, eps.b, eps.den], "pi1": [pi1.a, pi1.b, pi1.den]}}
     return [
         f"m = {v.m}, p = {v.p}",
         f"h = {v.h}, h0 = {v.h0}, v_p(h) = {v.v_p_h}",
-        f"eps = {_coords(ctx.eps)}",
-        f"pi1 = {_coords(ctx.pi1)}   (norm {ctx.pi1.norm()})",
+        f"eps = {_coords(eps)}",
+        f"pi1 = {_coords(pi1)}   (norm {pi1.norm()})",
         f"delta(eps) = {v.delta_eps}, z_eps = {v.z_eps}",
         f"delta(pi)  = {v.delta_pi}, z_pi  = {v.z_pi}",
         f"class test:  {'ok' if v.class_ok else 'FAIL'}",

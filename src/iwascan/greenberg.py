@@ -78,8 +78,9 @@ def _verdict(ctx: FieldContext, n0: int) -> FieldVerdict:
     v_p_h = valuation(h, p)
     class_ok = v_p_h == valuation(h0, p)
     normic_ok = min(delta_eps, delta_pi) == 0
-    return FieldVerdict(m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
-                        class_ok and normic_ok, v_p_h + delta_eps)
+    # _make skips FieldVerdict(...)'s argument binding: a cheaper build per scan row
+    return FieldVerdict._make((m, p, h, h0, v_p_h, delta_eps, delta_pi, class_ok, normic_ok,
+                               class_ok and normic_ok, v_p_h + delta_eps))
 
 
 def admissible(m: int, p: int) -> bool:

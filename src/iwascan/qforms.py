@@ -9,7 +9,7 @@ per D, with the regulator of the record's exact unit.  Each D keeps its
 own error bound, which must separate h from every other integer, or the batch
 raises ArithmeticError, as it does up front for a D past _MAX_TERMS terms.
 `class_number(D)` checks D and is a batch of one.  `_sieve(P)`, spf and the
-primes <= P, is the package's one numpy prime table; the tally's presieve shares it.
+primes <= P, is the package's one numpy prime table; the tally's sieve shares it.
 
 `class_order` and `represent` are the public calls of `pell._principal_power`,
 where principality is decided.

@@ -6,10 +6,13 @@ Two experiments:
   ideal above each split prime ell < bound with ell^(p-1) = 1 mod p^(n+1),
   whose expected law is P(delta = r) = (p-1)/p^(r+1).  Blocks of at most
   _SPAN candidates ell = r + j*p^(n+1), r in `arith.teichmuller(p, n+1)`,
-  are made lazily, each sieved by a stride of j per prime q < 3000 (from
-  `qforms._sieve`), proved prime, filtered by kronecker(m, ell) = 1 and
-  summed as they finish on `greenberg.map_blocks`: memory is fixed in p
-  and in the bound, and the tally does not depend on the worker count.
+  are made lazily, each sieved by a stride of j per prime q <=
+  min(sqrt(last ell), _CAP) (from `qforms._sieve`, built in the worker),
+  so a survivor below (_CAP + 1)^2 is a proven prime.  The survivors with
+  kronecker(m, ell) = 1, any past that ceiling proven by `is_prime`, are
+  tallied and summed as blocks finish on `greenberg.map_blocks`: memory is
+  fixed in p and in the bound, and the tally does not depend on the
+  worker count.
   A bound <= p^(n+1) tallies zero at once; rmax > 63 or bound > 2^63 is refused;
 * `random_elem_density` samples random field elements and measures how
   often delta = 0, under a norm congruence or unconstrained.  The test on
@@ -29,6 +32,8 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -90,31 +95,52 @@ class StatTally:
         return expected_proportions(self.p, self.rmax)
 
 
-_SIEVE = _sieve(4096)[1]
-_SIEVE = _SIEVE[_SIEVE < 3000]  # presieve only: survivors are proven by is_prime
+_CAP = 1 << 20  # largest sieve prime, `qforms._MAX_TERMS`: the largest table `_chi` builds
+
+
+@lru_cache(maxsize=8)
+def _inverses(mod: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes q <= P prime to mod, from `qforms._sieve(P)`, and 1/mod mod q =
+    mod^(q-2), by binary powering on one row of bits of q - 2 per round."""
+    q = _sieve(P)[1]
+    q = q[mod % q != 0]
+    a, inv = mod % q, np.ones_like(q)  # every operand < q <= P: no product wraps in int64
+    for bit in (q - 2 >> np.arange(P.bit_length())[:, None] & 1).astype(bool):
+        inv = np.where(bit, inv * a % q, inv)
+        a = a * a % q
+    q.flags.writeable = inv.flags.writeable = False  # every caller shares the cached arrays
+    return q, inv
 
 
 def _survivors(r: int, mod: int, j0: int, j1: int) -> list[int]:
-    """The ell = r + j*mod, j0 <= j < j1 (r prime to mod), struck by no sieve
-    prime q with q^2 <= the last ell, apart from ell = q itself."""
-    keep = np.ones(j1 - j0, dtype=bool)
-    for q in _SIEVE[(_SIEVE * _SIEVE <= r + mod * (j1 - 1)) & (mod % _SIEVE != 0)].tolist():
-        start = (-r * pow(mod, -1, q) - j0) % q  # q | r + j*mod iff j = -r/mod (mod q)
-        if r + (j0 + start) * mod == q:  # q itself, in its own progression
-            start += q
-        keep[start::q] = False
+    """The ell = r + j*mod, j0 <= j < j1 (r prime to mod), struck by no prime q prime
+    to mod with q <= min(isqrt(last ell), _CAP), apart from ell = q itself: each
+    survivor below (_CAP + 1)^2 is a proven prime."""
+    top = min(isqrt(r + mod * (j1 - 1)), _CAP)
+    q, inv = _inverses(mod, 1 << (top - 1).bit_length())  # the power of two >= top
+    k = np.searchsorted(q, top, "right")
+    q, inv = q[:k], inv[:k]
+    start = (-(r % q) * inv - j0 % q) % q  # q | r + j*mod iff j = j0 + start (mod q)
+    if r + j0 * mod <= top:  # q itself, in its own progression, survives
+        start += np.where((q % mod == r) & (q >= r + j0 * mod), q, 0)
+    width = j1 - j0
+    keep, small = np.ones(width, dtype=bool), q < width
+    for s, step in zip(start[small].tolist(), q[small].tolist()):
+        keep[s::step] = False
+    once = start[~small]  # a larger q strikes at most once
+    keep[once[once < width]] = False
     return (r + mod * (np.flatnonzero(keep) + j0)).tolist()
 
 
 def _tally_block(item: tuple[FieldContext, int, int, int, int, int]) -> tuple[list[int], int]:
     """Tally of the split primes ell = r + j*p^(n+1), j0 <= j < j1, in the field the item
-    carries (a pool worker reads no cache), each generator (A + B*sqrt(m))/2 kept as
+    carries (a pool worker reads no field cache), each generator (A + B*sqrt(m))/2 kept as
     plain ints (A, B) from `_principal_power` to `_deltas`."""
     ctx, n, rmax, r, j0, j1 = item
     m, p, mod = ctx.m, ctx.p, ctx.p ** (n + 1)
-    counts, skipped = [0] * (rmax + 1), 0
+    counts, skipped, proven = [0] * (rmax + 1), 0, (_CAP + 1) ** 2
     for ell in _survivors(r, mod, j0, j1):
-        if kronecker(m, ell) != 1 or not is_prime(ell):
+        if kronecker(m, ell) != 1 or (ell >= proven and not is_prime(ell)):
             continue
         found = _principal_power(ctx.record, ell, (1,))  # ell: a proven split prime
         if found is None:

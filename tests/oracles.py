@@ -52,12 +52,15 @@ None of these is used by the package itself:
   tuples, written to CSV in the pool worker that made them.
 * `candidate_primes` is the former candidate stream of
   `stats.prime_fermat_scan`: every residue class sieved in one int64
-  array in the calling process, each survivor proven, then sorted.
-* `mask_sieve` is the former sieve of one tally block, where
-  `stats._survivors` now strides: one `cand % q` pass over the whole block
-  per sieve prime q.  Its primes come from `eratosthenes`, a plain list
-  sieve that shares nothing with `qforms._sieve`, the package's one prime
-  table.
+  array in the calling process, each survivor proven by Miller-Rabin,
+  then sorted.
+* `mask_sieve` is the former presieve of one tally block, where
+  `stats._survivors` now strides to min(sqrt(last ell), 2^20), so that
+  its survivors are proven primes: one `cand % q` pass over the whole
+  block per prime q < 3000, its survivors then proven one by one by
+  `is_prime_all_bases`.  Its primes come from `eratosthenes`, a plain
+  list sieve that shares nothing with `qforms._sieve`, the package's one
+  prime table.
 * `elem_tally_block` is the former `stats._tally_block`: each split
   prime's generator a `QuadElem`, its norm by `QuadElem.norm` and its
   deltas by `fermat.delta_embed` on the field's `FieldContext`, where the

@@ -69,7 +69,8 @@ def test_every_cache_in_the_loaded_package_has_a_fixed_size():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert set(sizes) == {"arith.divisors", "pell.fundamental_unit", "qforms._sieve",
-                          "quadint._least_root", "quadint.hensel_sqrt", "sunits.build_context"}
+                          "quadint._least_root", "quadint.hensel_sqrt", "stats._inverses",
+                          "sunits.build_context"}
     assert all(type(size) is int and size > 0 for size in sizes.values()), sizes
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import pytest
 
-from iwascan import cli, fermat, greenberg
+from iwascan import cli, fermat, greenberg, quadint
 from iwascan.cli import (COUNT_COLUMNS, DENSITY_COLUMNS, TALLY_COLUMNS,
                          VERDICT_COLUMNS, ScanCount, main, parse_count,
                          parse_prime_range, to_csv)
@@ -548,6 +548,16 @@ def test_units_past_4300_digits_print_exactly(fmt, capsys):
     assert a.bit_length() > 14300  # more than 4300 decimal digits
     assert den == 1 and a * a - BIG_UNIT_M * b * b in (1, -1)
     assert x * x - BIG_UNIT_M * y * y in (3, -3)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_check_builds_its_unit_and_generator_once(monkeypatch, capsys, fmt):
+    # eps and pi1 are FieldContext properties, each a new QuadElem when read
+    elems, init = [], quadint.QuadElem.__post_init__
+    monkeypatch.setattr(quadint.QuadElem, "__post_init__", lambda x: elems.append(x) or init(x))
+    assert main(["check", "--m", "2659", "--p", "3", "--format", fmt, "--no-header"]) == 0
+    assert capsys.readouterr().out
+    assert len(elems) == 2, elems
 
 
 def test_an_engine_value_error_is_an_internal_error(monkeypatch, capsys):

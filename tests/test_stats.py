@@ -22,8 +22,8 @@ from iwascan.stats import (DensityTally, NORM_CONSTRAINED, StatTally,
                            UNCONSTRAINED, expected_proportions,
                            prime_fermat_scan, random_elem_density)
 from iwascan.sunits import PreconditionError, UsageError, build_context
-from oracles import (candidate_primes, elem_tally_block, eratosthenes, mask_sieve,
-                     stops_at_its_first_reduced_ideal)
+from oracles import (candidate_primes, elem_tally_block, eratosthenes, is_prime_all_bases,
+                     mask_sieve, stops_at_its_first_reduced_ideal)
 
 
 def test_expected_proportions_values():
@@ -63,13 +63,23 @@ def test_prime_scan_skips_nonprincipal():
 
 
 def test_prime_scan_proves_each_prime_once(monkeypatch):
-    # the candidate sieve proves every ell prime; the walk must not again
+    """Below (_CAP + 1)^2 the complete sieve proves every survivor prime: no ell goes
+    to Miller-Rabin.  Past a small cap, only the survivors above its ceiling with
+    (m/ell) = 1 do, each once, and the tally does not move."""
+    m, p, n, bound = 44853, 7, 5, 3 * 10**7
     proved = []
-    is_prime = qforms.is_prime
-    monkeypatch.setattr(qforms, "is_prime", lambda n: proved.append(n) or is_prime(n))
-    t = prime_fermat_scan(10, 3, 5, 10**5)
-    assert t.total + t.skipped_nonprincipal == 22
-    assert proved == []
+    is_prime = stats.is_prime
+    monkeypatch.setattr(stats, "is_prime", lambda ell: proved.append(ell) or is_prime(ell))
+    want = prime_fermat_scan(m, p, n, bound)
+    assert want.total > 0 and proved == []
+    monkeypatch.setattr(stats, "_CAP", 50)
+    assert prime_fermat_scan(m, p, n, bound) == want
+    mod, ceiling = p ** (n + 1), (stats._CAP + 1) ** 2
+    survivors = [ell for r in teichmuller(p, n + 1) for ell in
+                 stats._survivors(r, mod, 1, (bound - 1 - r) // mod + 1)]
+    assert sorted(proved) == sorted(ell for ell in survivors
+                                    if ell >= ceiling and kronecker(m, ell) == 1)
+    assert len(set(proved)) == len(proved) > want.total
 
 
 def test_prime_scan_empty_below_modulus():
@@ -195,17 +205,48 @@ def test_blocks_reach_the_oracle_primes(monkeypatch, span, m, p, n, bound):
     assert t.total + t.skipped_nonprincipal == len(seen) > 0
 
 
-def test_the_presieve_primes_are_the_primes_below_3000():
-    assert stats._SIEVE.tolist() == eratosthenes(3000)
+def test_the_sieve_primes_come_from_the_package_prime_table(monkeypatch):
+    """`stats` holds no table of its own: a block's primes q <= P are `qforms._sieve(P)`'s,
+    P a power of two, each with 1/mod mod q; `import iwascan.cli` builds no table."""
+    assert not [name for name, v in vars(stats).items() if isinstance(v, np.ndarray)]
+    stats._inverses.cache_clear()
+    asked = []
+    monkeypatch.setattr(stats, "_sieve", lambda P: asked.append(P) or qforms._sieve(P))
+    assert prime_fermat_scan(103, 3, 5, 10**6).counts == (107, 34, 13, 7, 1, 0)
+    assert asked and all(P & P - 1 == 0 and P <= stats._CAP for P in asked)
+    q, inv = stats._inverses(9, 4096)
+    assert q.tolist() == [x for x in eratosthenes(4097) if x != 3]
+    assert (9 * inv % q == 1).all()
+    code = ("import iwascan.cli; from iwascan import qforms; "
+            "print(qforms._sieve.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": str(Path(stats.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.stdout.strip() == "0", run.stderr
+
+
+def proven_survivors(r, mod, j0, j1):
+    """`stats._survivors`, those from (_CAP + 1)^2 up proven by Miller-Rabin, as the
+    tally does."""
+    ceiling = (stats._CAP + 1) ** 2
+    return [ell for ell in stats._survivors(r, mod, j0, j1)
+            if ell < ceiling or stats.is_prime(ell)]
+
+
+def oracle_block_primes(r, mod, j0, j1):
+    """The former route: presieved below 3000, then Miller-Rabin on all 13 bases."""
+    return list(filter(is_prime_all_bases, mask_sieve(r, mod, j0, j1)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([3, 5, 7, 11, 13]), n=st.integers(0, 4), a=st.integers(1, 12),
        j0=st.integers(1, 3000), width=st.integers(1, 3000))
 def test_strided_sieve_equals_the_mask_sieve(p, n, a, j0, width):
+    # every block here lies below the ceiling: its survivors need no Miller-Rabin
     mod = p ** (n + 1)
     r = pow(a % (p - 1) + 1, p**n, mod)  # a Teichmuller lift, as the tally uses
-    assert stats._survivors(r, mod, j0, j0 + width) == mask_sieve(r, mod, j0, j0 + width)
+    got = stats._survivors(r, mod, j0, j0 + width)
+    assert got == proven_survivors(r, mod, j0, j0 + width)
+    assert got == oracle_block_primes(r, mod, j0, j0 + width)
 
 
 @pytest.mark.parametrize("r, mod, q", [(8, 9, 17), (1, 9, 19), (1, 9, 37), (18, 25, 43),
@@ -214,7 +255,26 @@ def test_a_sieve_prime_in_its_own_progression_survives(r, mod, q):
     j1 = (q - r) // mod + q * q  # the block runs past q^2 and q*(1 + mod)
     got = stats._survivors(r, mod, 1, j1)
     assert q in got and q * (1 + mod) not in got
-    assert got == mask_sieve(r, mod, 1, j1)
+    assert got == oracle_block_primes(r, mod, 1, j1)
+
+
+def test_a_block_just_below_2_pow_63_sieves_to_the_cap_then_proves():
+    # j0*mod within 2^20 of 2^63: each start position is formed from residues < 2^20
+    r, mod = 8, 9
+    j0 = -(-(2**63 - 2**20) // mod)  # the least j0 with j0*mod >= 2^63 - 2^20
+    j1 = j0 + 3000
+    assert 2**63 - 2**20 <= j0 * mod and r + (j1 - 1) * mod < 2**63
+    got = proven_survivors(r, mod, j0, j1)
+    assert got == oracle_block_primes(r, mod, j0, j1) and got
+    assert len(stats._survivors(r, mod, j0, j1)) > len(got)  # Miller-Rabin struck some
+
+
+def test_survivors_past_a_small_cap_go_to_miller_rabin(monkeypatch):
+    monkeypatch.setattr(stats, "_CAP", 50)
+    r, mod, j0, j1 = 1, 9, 1, 3000  # ell runs to about 27000, past 51^2
+    got = proven_survivors(r, mod, j0, j1)
+    assert got == oracle_block_primes(r, mod, j0, j1)
+    assert len(stats._survivors(r, mod, j0, j1)) > len(got)  # Miller-Rabin struck some
 
 
 def test_blocks_stop_exactly_below_the_bound(monkeypatch):
